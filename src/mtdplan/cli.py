@@ -2,7 +2,7 @@
 
 Subcommands: ``validate``, ``solve``, ``pareto``, ``evaluate``.  Exit
 codes: 0 ok, 1 solver failure, 2 configuration error, 3 data error.
-Every command is deterministic given the case file, overrides and seed.
+Every command is deterministic given the case file and overrides.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--case", required=True, help="case file path or demo:<name>")
         p.add_argument("--out", required=needs_out, help="output directory")
         p.add_argument("--tol-gy", type=float, default=None, help="duality-gap tolerance override [Gy]")
-        p.add_argument("--seed", type=int, default=0, help="seed recorded for randomized demos")
 
     p_validate = sub.add_parser("validate", help="check a case file and report diagnostics")
     common(p_validate, needs_out=False)

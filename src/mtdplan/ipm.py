@@ -19,8 +19,18 @@ that quadrant is
 whose inverse has the same sparsity and is formed explicitly from the
 diagonals alone; applying it is elementwise scaling and adding of
 vectors.  The Newton system is then solved through the Schur complement
-of that quadrant, whose order is that of the trajectory-sized top-left
-quadrant, so each iteration costs O(voxels) plus one small factorization.
+of that quadrant.  It is symmetric quasi-definite,
+
+    ( -E   F^T )       E = D1 + C11,  G = D3 - C22,  F = A11 - C12^T,
+    (  F   G   ) ,
+
+with E and G positive definite (C11, -C22 are positive semidefinite
+products through the quadrant inverse).  G, which is diagonal for every
+weighted-sum LP, is factored sparsely to eliminate dy1; what is left is the
+positive definite M = E + F^T G^-1 F of trajectory order n1, factored by
+dense Cholesky (with one diagonal bump, flagged as ``regularized``, should
+that fail).  Each iteration therefore costs O(voxels) plus one small
+factorization.
 
 The iteration stops once primal and dual residuals are below the
 feasibility tolerance and the duality gap - which is expressed in the
@@ -32,7 +42,6 @@ from __future__ import annotations
 
 import csv
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +52,8 @@ import scipy.sparse.linalg as spla
 from .formulation import BlockLP
 
 _STEP_FLOOR = 1e-13
+_REGULARIZATION = 1e-10   # added to every complementarity diagonal
+_CENTERING_POWER = 3.0    # Mehrotra sigma = (mu_aff/mu)**power
 
 
 @dataclass
@@ -51,9 +62,6 @@ class SolverSettings:
     max_iterations: int = 200
     step_fraction: float = 0.995
     feasibility_tolerance: float = 1e-8
-    regularization: float = 1e-10
-    dense_schur_max_order: int = 5000
-    centering_power: float = 3.0       # Mehrotra sigma = (mu_aff/mu)**power
     log_kkt: bool = False              # retain per-iteration systems (tests)
 
     def __post_init__(self):
@@ -200,71 +208,36 @@ def invert_voxelwise_quadrant(d2: np.ndarray, d4: np.ndarray, num_zero_rows: int
 
 
 class _SchurFactorization:
-    """Factorization of one augmented system, reusable across right-hand sides."""
+    """Factorization of one augmented system, reusable across right-hand sides.
 
-    def __init__(self, system: KKTSystem, dense_max_order: int = 5000):
+    Holds the closed-form quadrant inverse, a sparse LU of ``G`` and the
+    Cholesky factor of ``M = E + F^T G^-1 F`` (see the module docstring).
+    """
+
+    def __init__(self, system: KKTSystem):
         self.system = system
-        n1, n2, m1 = system.n1, system.n2, system.m1
         mz = system.num_zero_rows
-        self.quadrant = invert_voxelwise_quadrant(system.d2, system.d4, mz)
-        a21_zero = system.a21[:mz]
-        a21_eta = system.a21[mz:]
-        self.a21_zero = a21_zero.tocsr()
-        self.a21_eta = a21_eta.tocsr()
+        self.quadrant = q = invert_voxelwise_quadrant(system.d2, system.d4, mz)
+        self.a21_zero = system.a21[:mz].tocsr()
+        self.a21_eta = system.a21[mz:].tocsr()
 
-        # Schur complement S = TL - TR * Qinv * BL, assembled blockwise:
+        # Schur complement blocks S = TL - TR * Qinv * BL:
         #   C11 = A21z^T (1/D41) A21z + A21e^T (D2/e) A21e
-        #   C12 = A21e^T (1/e) A12^T,  C21 = C12^T,  C22 = A12 (-D42/e) A12^T
-        q = self.quadrant
-        c11 = (self.a21_zero.T @ sp.diags(q.aa) @ self.a21_zero
-               + self.a21_eta.T @ sp.diags(q.rr) @ self.a21_eta) if system.m2 else None
-        c12 = (self.a21_eta.T @ sp.diags(q.xr) @ system.a12.T) if n2 else None
-        c22 = (system.a12 @ sp.diags(q.xx) @ system.a12.T) if n2 else None
+        #   C12 = A21e^T (1/e) A12^T,  C22 = A12 (-D42/e) A12^T
+        e = (sp.diags(system.d1) + self.a21_zero.T @ sp.diags(q.aa) @ self.a21_zero
+             + self.a21_eta.T @ sp.diags(q.rr) @ self.a21_eta)
+        self.f = (system.a11 - system.a12 @ sp.diags(q.xr) @ self.a21_eta).tocsr()
+        g = sp.diags(system.d3) - system.a12 @ sp.diags(q.xx) @ system.a12.T
+        self.g_lu = spla.splu(g.tocsc())
 
-        s11 = -sp.diags(system.d1) - (c11 if c11 is not None else 0)
-        s12 = system.a11.T - (c12 if c12 is not None else 0)
-        s21 = system.a11 - (c12.T if c12 is not None else 0)
-        s22 = sp.diags(system.d3) - (c22 if c22 is not None else 0)
-        schur = sp.bmat([[s11, s12], [s21, s22]], format="csc")
-
-        self.order = n1 + m1
+        m = e.toarray() + self.f.T @ self.g_lu.solve(self.f.toarray())
         self.regularized = False
-        if self.order <= dense_max_order:
-            dense = schur.toarray()
-            lu = self._try_dense(dense)
-            if lu is None:
-                self.regularized = True
-                bump = 1e-8 * (1.0 + np.abs(dense).max())
-                dense[np.arange(n1), np.arange(n1)] -= bump
-                dense[n1 + np.arange(m1), n1 + np.arange(m1)] += bump
-                lu = self._try_dense(dense)
-                if lu is None:
-                    raise scipy.linalg.LinAlgError("Schur complement is singular")
-            self._lu = lu
-            self._solve = lambda rhs: scipy.linalg.lu_solve(self._lu, rhs)
-        else:
-            try:
-                self._splu = spla.splu(schur)
-            except RuntimeError:
-                self.regularized = True
-                bump = 1e-8 * (1.0 + abs(schur).max())
-                reg = sp.diags(np.concatenate([-np.full(n1, bump), np.full(m1, bump)]))
-                self._splu = spla.splu((schur + reg).tocsc())
-            self._solve = lambda rhs: self._splu.solve(rhs)
-
-    @staticmethod
-    def _try_dense(dense: np.ndarray):
-        """LU-factor, returning None on singular/non-finite factors."""
-        if not np.all(np.isfinite(dense)):
-            return None
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lu, piv = scipy.linalg.lu_factor(dense)
-        diag = np.abs(np.diag(lu))
-        scale = np.abs(dense).max() + 1.0
-        if not np.all(np.isfinite(lu)) or np.any(diag <= 1e-300 * scale):
-            return None
-        return lu, piv
+        try:
+            self.m_chol = scipy.linalg.cho_factor(m)
+        except scipy.linalg.LinAlgError:
+            self.regularized = True
+            m[np.diag_indices_from(m)] += 1e-8 * (1.0 + np.abs(m).max())
+            self.m_chol = scipy.linalg.cho_factor(m)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the full augmented system for one (x1, x2, y1, y2) rhs."""
@@ -283,9 +256,9 @@ class _SchurFactorization:
         g_x1 = rx1 - (self.a21_zero.T @ qy_zero + self.a21_eta.T @ qy_eta)
         g_y1 = ry1 - (system.a12 @ qx2)
 
-        top = self._solve(np.concatenate([g_x1, g_y1]))
-        dx1 = top[:n1]
-        dy1 = top[n1:]
+        # top solve: [[-E, F^T], [F, G]] (dx1, dy1) = (g_x1, g_y1)
+        dx1 = scipy.linalg.cho_solve(self.m_chol, self.f.T @ self.g_lu.solve(g_y1) - g_x1)
+        dy1 = self.g_lu.solve(g_y1 - self.f @ dx1)
 
         # bottom solve: Qinv * (bottom rhs - BL * top)
         ux2 = rx2 - (system.a12.T @ dy1)
@@ -295,7 +268,7 @@ class _SchurFactorization:
         return np.concatenate([dx1, dx2, dy1, dy_zero, dy_eta])
 
 
-def schur_solve(system: KKTSystem, rhs: np.ndarray, dense_max_order: int = 5000):
+def schur_solve(system: KKTSystem, rhs: np.ndarray):
     """One-shot structured solve of the augmented system.
 
     Returns ``(delta, info)`` where ``info`` carries the relative
@@ -303,7 +276,7 @@ def schur_solve(system: KKTSystem, rhs: np.ndarray, dense_max_order: int = 5000)
     factorization was needed.
     """
     rhs = np.asarray(rhs, dtype=float)
-    fact = _SchurFactorization(system, dense_max_order=dense_max_order)
+    fact = _SchurFactorization(system)
     delta = fact.solve(rhs)
     full = system.assemble()
     residual = np.linalg.norm(full @ delta - rhs) / max(np.linalg.norm(rhs), 1e-300)
@@ -312,6 +285,13 @@ def schur_solve(system: KKTSystem, rhs: np.ndarray, dense_max_order: int = 5000)
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """State at the start of one iteration.
+
+    ``step_primal``, ``step_dual``, ``sigma`` and ``regularized`` describe
+    the step that produced this iterate; at iteration 0, ``regularized``
+    refers to the starting-point factorization.
+    """
+
     iteration: int
     primal_residual: float
     dual_residual: float
@@ -320,6 +300,7 @@ class IterationRecord:
     step_primal: float
     step_dual: float
     sigma: float
+    regularized: bool
 
 
 @dataclass(frozen=True)
@@ -389,8 +370,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
     # Least-squares starting point: damped min-norm solves of A x ~ b and
     # A^T y ~ c through the same structured factorization (unit diagonals),
     # then shifted strictly inside the box / positive orthant.
-    ones_fact = _SchurFactorization(make_system(np.ones(n), np.ones(m)),
-                                    dense_max_order=settings.dense_schur_max_order)
+    ones_fact = _SchurFactorization(make_system(np.ones(n), np.ones(m)))
     sol_b = ones_fact.solve(np.concatenate([np.zeros(n), b]))
     x_ls = sol_b[:n]
     sol_c = ones_fact.solve(np.concatenate([c, np.zeros(m)]))
@@ -440,6 +420,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
     up_gap = safe_up_gap(x)
     sigma = 0.0
     alpha_p = alpha_d = 0.0
+    regularized = ones_fact.regularized
     for iteration in range(settings.max_iterations):
         rp = b - A @ x + s                    # A x - s = b residual
         rd = c - A.T @ y - z + w              # A^T y + z - w = c residual
@@ -452,7 +433,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
         history.append(IterationRecord(iteration=iteration, primal_residual=rel_p,
                                        dual_residual=rel_d, gap_gy=gap, mu=mu,
                                        step_primal=alpha_p, step_dual=alpha_d,
-                                       sigma=sigma))
+                                       sigma=sigma, regularized=regularized))
 
         if rel_p <= settings.feasibility_tolerance and rel_d <= settings.feasibility_tolerance \
                 and gap <= settings.dose_tolerance_gy:
@@ -466,14 +447,14 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
                 and dual_obj > 1e10 * (b_scale + c_scale):
             return result("infeasible", "dual objective diverging with primal residual stalled")
 
-        dx_diag = z / x_shift + np.where(finite_up, w / up_gap, 0.0) \
-            + settings.regularization
-        ds_diag = s / y + settings.regularization
+        dx_diag = z / x_shift + np.where(finite_up, w / up_gap, 0.0) + _REGULARIZATION
+        ds_diag = s / y + _REGULARIZATION
         system = make_system(dx_diag, ds_diag)
         try:
-            fact = _SchurFactorization(system, dense_max_order=settings.dense_schur_max_order)
+            fact = _SchurFactorization(system)
         except (scipy.linalg.LinAlgError, RuntimeError, ValueError) as exc:
             return result("numerical_failure", f"factorization failed: {exc}")
+        regularized = fact.regularized
 
         def newton_rhs(rc_xz, rc_xw, rc_sy):
             r1 = rd - rc_xz / x_shift + np.where(finite_up, rc_xw / up_gap, 0.0)
@@ -510,7 +491,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
                   + (np.dot(up_gap[finite_up] - ap * dx_a[finite_up],
                             w[finite_up] + ad * dw_a[finite_up]) if n_up else 0.0)) \
             / (n + m + n_up)
-        sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** settings.centering_power, 0.0, 0.999)) \
+        sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** _CENTERING_POWER, 0.0, 0.999)) \
             if mu > 0 else 0.0
 
         # corrector (centering + second order)
@@ -549,20 +530,19 @@ def write_iteration_log(path, history) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "primal_residual", "dual_residual",
-                         "gap_gy", "mu", "step_primal", "step_dual", "sigma"])
+                         "gap_gy", "mu", "step_primal", "step_dual", "sigma", "regularized"])
         for rec in history:
             writer.writerow([rec.iteration, repr(rec.primal_residual), repr(rec.dual_residual),
                              repr(rec.gap_gy), repr(rec.mu), repr(rec.step_primal),
-                             repr(rec.step_dual), repr(rec.sigma)])
+                             repr(rec.step_dual), repr(rec.sigma), int(rec.regularized)])
 
 
-def time_newton_solve(system: KKTSystem, rhs: np.ndarray, repeats: int = 3,
-                      dense_max_order: int = 5000) -> float:
+def time_newton_solve(system: KKTSystem, rhs: np.ndarray, repeats: int = 3) -> float:
     """Best-of-``repeats`` wall time of one full structured Newton solve."""
     best = np.inf
     for _ in range(repeats):
         start = time.perf_counter()
-        fact = _SchurFactorization(system, dense_max_order=dense_max_order)
+        fact = _SchurFactorization(system)
         fact.solve(rhs)
         best = min(best, time.perf_counter() - start)
     return best

@@ -163,6 +163,8 @@ def test_solve_writes_artifacts(solved_dir):
     quality = (solved_dir / "plan_quality.txt").read_text()
     assert "xi [Gy]:" in quality
     assert "status: converged" in quality
+    log_header = (solved_dir / "plan_solver_log.csv").read_text().splitlines()[0]
+    assert log_header.split(",")[-1] == "regularized"
 
 
 def test_solve_reruns_bit_identical(solved_dir, tmp_path):

@@ -1,10 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from mtdplan.formulation import BlockLP
-from mtdplan.ipm import (DualSolution, KKTSystem, SolverSettings, duality_gap_in_dose,
-                         invert_voxelwise_quadrant, rearrange_kkt, schur_solve, solve)
+from mtdplan.ipm import (DualSolution, KKTSystem, SolverSettings, _SchurFactorization,
+                         duality_gap_in_dose, invert_voxelwise_quadrant, rearrange_kkt,
+                         schur_solve, solve)
 
 from helpers import linprog_reference, make_machine, random_block_instance, toy_dav_instance
 
@@ -139,6 +143,30 @@ def test_schur_solve_matches_dense_random():
         dense = np.linalg.solve(system.assemble().toarray(), rhs)
         assert np.linalg.norm(delta - dense) <= 1e-10 * max(1.0, np.linalg.norm(dense))
         assert info["relative_residual"] <= 1e-10
+        assert not info["regularized"]
+
+
+def test_schur_solve_singular_reduced_matrix_is_regularized():
+    # E = 0 and F = [1 1] make M = F^T G^-1 F = [[1, 1], [1, 1]] singular
+    system = KKTSystem(a11=sp.csr_matrix([[1.0, 1.0]]), a12=sp.csr_matrix((1, 0)),
+                       a21=sp.csr_matrix((0, 2)), a22=sp.csr_matrix((0, 0)),
+                       d1=np.zeros(2), d2=np.zeros(0), d3=np.ones(1), d4=np.zeros(0),
+                       num_zero_rows=0)
+    delta, info = schur_solve(system, np.array([1.0, -1.0, 0.5]))
+    assert info["regularized"]
+    assert np.all(np.isfinite(delta))
+
+
+def test_schur_factorization_is_freed_without_cyclic_gc():
+    system = random_kkt(np.random.default_rng(17))
+    gc.disable()
+    try:
+        fact = _SchurFactorization(system)
+        ref = weakref.ref(fact)
+        del fact
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_schur_solve_empty_voxel_blocks():
