@@ -25,12 +25,25 @@ of that quadrant.  It is symmetric quasi-definite,
     (  F   G   ) ,
 
 with E and G positive definite (C11, -C22 are positive semidefinite
-products through the quadrant inverse).  G, which is diagonal for every
-weighted-sum LP, is factored sparsely to eliminate dy1; what is left is the
-positive definite M = E + F^T G^-1 F of trajectory order n1, factored by
-dense Cholesky (with one diagonal bump, flagged as ``regularized``, should
-that fail).  Each iteration therefore costs O(voxels) plus one small
-factorization.
+products through the quadrant inverse).  Only the rows R of A12 that are
+nonzero couple y1 to the voxel quadrant: outside R, G is D3 and F is A11.
+On R (the tail-aggregation rows of a weighted-sum LP; it may be empty or
+every row), with xx, xr, rr, aa the entries of the quadrant inverse,
+
+    F_R = A11_R - A12_R diag(xr) A21_eta,   G_RR = D3_R + A12_R diag(-xx) A12_R^T,
+
+with xx < 0, so G_RR is positive definite and Cholesky-factored; G^-1 is
+1/D3 off R.  Eliminating dy1 leaves the positive definite matrix of
+trajectory order n1
+
+    M = D1 + A21^T diag(aa, rr) A21 + A11_~R^T D3_~R^-1 A11_~R + F_R^T G_RR^-1 F_R,
+
+whose voxel term is one dense ``syrk`` of A21 with its rows scaled by
+sqrt(aa, rr).  M is factored by dense Cholesky (with one diagonal bump,
+flagged as ``regularized``, should that fail).  The iterate-independent
+part - A21 dense and as CSR, the transposes and the split on R - is built
+once per LP (``_NewtonStructure``), so each iteration costs O(voxels)
+in one BLAS call and scaling, plus one small factorization.
 
 The iteration stops once primal and dual residuals are below the
 feasibility tolerance and the duality gap - which is expressed in the
@@ -40,14 +53,15 @@ to within the dose tolerance (default 1 cGy).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .formulation import BlockLP
 
@@ -182,15 +196,12 @@ class QuadrantInverse:
         n2 = self.xx.size
         mz = self.aa.size
         size = 2 * n2 + mz
-        rows, cols, vals = [], [], []
-        for i in range(n2):
-            rows += [i, i, n2 + mz + i, n2 + mz + i]
-            cols += [i, n2 + mz + i, i, n2 + mz + i]
-            vals += [self.xx[i], self.xr[i], self.xr[i], self.rr[i]]
-        for i in range(mz):
-            rows.append(n2 + i)
-            cols.append(n2 + i)
-            vals.append(self.aa[i])
+        x2 = np.arange(n2)
+        eta = n2 + mz + x2
+        zero = n2 + np.arange(mz)
+        rows = np.concatenate([x2, x2, eta, eta, zero])
+        cols = np.concatenate([x2, eta, x2, eta, zero])
+        vals = np.concatenate([self.xx, self.xr, self.xr, self.rr, self.aa])
         return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
 
 
@@ -207,41 +218,103 @@ def invert_voxelwise_quadrant(d2: np.ndarray, d4: np.ndarray, num_zero_rows: int
     return QuadrantInverse(xx=-d42 / e, xr=1.0 / e, rr=d2 / e, aa=1.0 / d41)
 
 
-class _SchurFactorization:
-    """Factorization of one augmented system, reusable across right-hand sides.
+def _scale_columns(matrix: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
+    """``matrix @ diag(scale)`` on the sparsity pattern of ``matrix``."""
+    return sp.csr_matrix((matrix.data * scale[matrix.indices], matrix.indices, matrix.indptr),
+                         shape=matrix.shape)
 
-    Holds the closed-form quadrant inverse, a sparse LU of ``G`` and the
-    Cholesky factor of ``M = E + F^T G^-1 F`` (see the module docstring).
+
+class _NewtonStructure:
+    """The part of every Newton system of one LP that the diagonals leave alone.
+
+    Holds A21 densely (the ``syrk`` operand for ``M``) and as its zero/eta
+    CSR split with transposes (for the mat-vecs), A12 with its transpose,
+    and A11 split on the rows ``R`` that A12 touches: outside ``R`` the
+    block ``G`` is D3 and ``F`` equals A11.  Built once per LP; its memory
+    is linear in the voxel count (A21 has ``n1`` columns).
     """
 
     def __init__(self, system: KKTSystem):
+        mz = system.num_zero_rows
+        a21 = sp.csr_matrix(system.a21)
+        self.a21 = a21.toarray()
+        self.a21_zero = a21[:mz]
+        self.a21_zero_t = self.a21_zero.T.tocsr()
+        self.a21_eta = a21[mz:]
+        self.a21_eta_t = self.a21_eta.T.tocsr()
+        self.a12 = sp.csr_matrix(system.a12)
+        self.a12_t = self.a12.T.tocsr()
+
+        touched = np.diff(self.a12.indptr) > 0
+        self.rows = np.flatnonzero(touched)
+        self.rest = np.flatnonzero(~touched)
+        a11 = sp.csr_matrix(system.a11)
+        self.a11_rows = a11[self.rows].toarray()
+        self.a11_rest = a11[self.rest].toarray()
+        self.a11_rest_t = a11[self.rest].T.tocsr()
+        self.a12_rows = self.a12[self.rows]
+        self.a12_rows_t = self.a12_rows.T.tocsr()
+
+
+class _SchurFactorization:
+    """Factorization of one augmented system, reusable across right-hand sides.
+
+    Holds the closed-form quadrant inverse, the Cholesky factor of ``G`` on
+    the rows ``R`` and that of ``M = E + F^T G^-1 F`` (see the module
+    docstring).  ``structure`` is the LP's :class:`_NewtonStructure`; a
+    standalone factorization builds its own.
+    """
+
+    def __init__(self, system: KKTSystem, structure: _NewtonStructure | None = None):
         self.system = system
+        self.structure = st = structure if structure is not None else _NewtonStructure(system)
         mz = system.num_zero_rows
         self.quadrant = q = invert_voxelwise_quadrant(system.d2, system.d4, mz)
-        self.a21_zero = system.a21[:mz].tocsr()
-        self.a21_eta = system.a21[mz:].tocsr()
+        d3 = system.d3
+        self.inv_d3 = 1.0 / d3
 
-        # Schur complement blocks S = TL - TR * Qinv * BL:
-        #   C11 = A21z^T (1/D41) A21z + A21e^T (D2/e) A21e
-        #   C12 = A21e^T (1/e) A12^T,  C22 = A12 (-D42/e) A12^T
-        e = (sp.diags(system.d1) + self.a21_zero.T @ sp.diags(q.aa) @ self.a21_zero
-             + self.a21_eta.T @ sp.diags(q.rr) @ self.a21_eta)
-        self.f = (system.a11 - system.a12 @ sp.diags(q.xr) @ self.a21_eta).tocsr()
-        g = sp.diags(system.d3) - system.a12 @ sp.diags(q.xx) @ system.a12.T
-        self.g_lu = spla.splu(g.tocsc())
+        # Outside R:  G = D3 and F = A11.  On R:
+        #   F_R = A11_R - A12_R diag(xr) A21_eta,  G_RR = D3_R + A12_R diag(-xx) A12_R^T
+        self.f_rows = st.a11_rows - _scale_columns(st.a12_rows, q.xr) @ st.a21[mz:]
+        g_rows = (_scale_columns(st.a12_rows, -q.xx) @ st.a12_rows_t).toarray()
+        g_rows[np.diag_indices_from(g_rows)] += d3[st.rows]
+        self.g_chol = scipy.linalg.cho_factor(g_rows)
 
-        m = e.toarray() + self.f.T @ self.g_lu.solve(self.f.toarray())
+        # M = D1 + A21^T diag(aa, rr) A21 + A11_rest^T D3_rest^-1 A11_rest + F_R^T G_RR^-1 F_R.
+        # dsyrk adds the A21 term to the upper triangle only, which is all
+        # that cho_factor (lower=False) reads.
+        m = _scale_columns(st.a11_rest_t, self.inv_d3[st.rest]) @ st.a11_rest
+        m += self.f_rows.T @ scipy.linalg.cho_solve(self.g_chol, self.f_rows)
+        m[np.diag_indices_from(m)] += system.d1
+        scaled = st.a21 * np.sqrt(np.concatenate([q.aa, q.rr]))[:, None]
+        m = scipy.linalg.blas.dsyrk(1.0, scaled.T, beta=1.0, c=m, trans=0, overwrite_c=1)
         self.regularized = False
         try:
             self.m_chol = scipy.linalg.cho_factor(m)
         except scipy.linalg.LinAlgError:
             self.regularized = True
-            m[np.diag_indices_from(m)] += 1e-8 * (1.0 + np.abs(m).max())
+            m[np.diag_indices_from(m)] += 1e-8 * (1.0 + np.abs(np.triu(m)).max())
             self.m_chol = scipy.linalg.cho_factor(m)
+
+    def _g_solve(self, v: np.ndarray) -> np.ndarray:
+        out = v * self.inv_d3
+        out[self.structure.rows] = scipy.linalg.cho_solve(self.g_chol, v[self.structure.rows])
+        return out
+
+    def _f(self, v: np.ndarray) -> np.ndarray:
+        st = self.structure
+        out = np.empty(self.system.m1)
+        out[st.rest] = st.a11_rest @ v
+        out[st.rows] = self.f_rows @ v
+        return out
+
+    def _f_t(self, u: np.ndarray) -> np.ndarray:
+        st = self.structure
+        return st.a11_rest_t @ u[st.rest] + self.f_rows.T @ u[st.rows]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the full augmented system for one (x1, x2, y1, y2) rhs."""
-        system = self.system
+        system, st = self.system, self.structure
         n1, n2, m1 = system.n1, system.n2, system.m1
         mz = system.num_zero_rows
         rx1 = rhs[:n1]
@@ -253,17 +326,17 @@ class _SchurFactorization:
 
         # top rhs minus TR * Qinv * bottom rhs
         qx2, qy_zero, qy_eta = self.quadrant.apply(rx2, ry_zero, ry_eta)
-        g_x1 = rx1 - (self.a21_zero.T @ qy_zero + self.a21_eta.T @ qy_eta)
-        g_y1 = ry1 - (system.a12 @ qx2)
+        g_x1 = rx1 - (st.a21_zero_t @ qy_zero + st.a21_eta_t @ qy_eta)
+        g_y1 = ry1 - (st.a12 @ qx2)
 
         # top solve: [[-E, F^T], [F, G]] (dx1, dy1) = (g_x1, g_y1)
-        dx1 = scipy.linalg.cho_solve(self.m_chol, self.f.T @ self.g_lu.solve(g_y1) - g_x1)
-        dy1 = self.g_lu.solve(g_y1 - self.f @ dx1)
+        dx1 = scipy.linalg.cho_solve(self.m_chol, self._f_t(self._g_solve(g_y1)) - g_x1)
+        dy1 = self._g_solve(g_y1 - self._f(dx1))
 
         # bottom solve: Qinv * (bottom rhs - BL * top)
-        ux2 = rx2 - (system.a12.T @ dy1)
-        uy_zero = ry_zero - (self.a21_zero @ dx1)
-        uy_eta = ry_eta - (self.a21_eta @ dx1)
+        ux2 = rx2 - (st.a12_t @ dy1)
+        uy_zero = ry_zero - (st.a21_zero @ dx1)
+        uy_eta = ry_eta - (st.a21_eta @ dx1)
         dx2, dy_zero, dy_eta = self.quadrant.apply(ux2, uy_zero, uy_eta)
         return np.concatenate([dx1, dx2, dy1, dy_zero, dy_eta])
 
@@ -324,6 +397,8 @@ class SolveResult:
     history: list[IterationRecord] = field(default_factory=list)
     kkt_log: list = field(default_factory=list)
     message: str = ""
+    timings: dict[str, float] = field(default_factory=dict)   # seconds per phase
+    factored_order: int = 0   # order of the dense Cholesky factor, n1
 
     @property
     def converged(self) -> bool:
@@ -347,14 +422,32 @@ def _max_step(values: np.ndarray, deltas: np.ndarray) -> float:
     return float(np.min(values[shrinking] / -deltas[shrinking]))
 
 
+@contextlib.contextmanager
+def _timed(timings: dict[str, float], phase: str):
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[phase] += time.perf_counter() - start
+
+
 def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
-    """Solve a block-partitioned LP with the structured interior point method."""
+    """Solve a block-partitioned LP with the structured interior point method.
+
+    ``SolveResult.timings`` sums the solve's wall time by phase: building
+    the per-LP Newton structure, the per-iteration factorizations, the
+    back-solves, and ``step`` for everything else (starting point,
+    residuals, step lengths and updates).
+    """
+    start = time.perf_counter()
+    timings = dict.fromkeys(("structure", "factorization", "back_solve"), 0.0)
     settings = settings or SolverSettings()
     n1, n2 = lp.n1, lp.n2
     m1, m2 = lp.m1, lp.m2
     n = n1 + n2
     m = m1 + m2
     A = lp.matrix()
+    A_t = A.T.tocsr()
     b = lp.rhs()
     c = lp.objective_vector
     lower = lp.lower
@@ -370,18 +463,21 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
     # Least-squares starting point: damped min-norm solves of A x ~ b and
     # A^T y ~ c through the same structured factorization (unit diagonals),
     # then shifted strictly inside the box / positive orthant.
-    ones_fact = _SchurFactorization(make_system(np.ones(n), np.ones(m)))
-    sol_b = ones_fact.solve(np.concatenate([np.zeros(n), b]))
-    x_ls = sol_b[:n]
-    sol_c = ones_fact.solve(np.concatenate([c, np.zeros(m)]))
-    y_ls = sol_c[n:]
+    ones_system = make_system(np.ones(n), np.ones(m))
+    with _timed(timings, "structure"):
+        structure = _NewtonStructure(ones_system)
+    with _timed(timings, "factorization"):
+        ones_fact = _SchurFactorization(ones_system, structure)
+    with _timed(timings, "back_solve"):
+        x_ls = ones_fact.solve(np.concatenate([np.zeros(n), b]))[:n]
+        y_ls = ones_fact.solve(np.concatenate([c, np.zeros(m)]))[n:]
 
     span = upper - lower
     margin = 0.1 * (1.0 + np.abs(x_ls))
     margin = np.where(np.isfinite(span), np.minimum(margin, 0.25 * span), margin)
     x = np.clip(x_ls, lower + margin, np.where(finite_up, upper - margin, np.inf))
 
-    z_hat = c - A.T @ y_ls
+    z_hat = c - A_t @ y_ls
     dz = 0.1 * (1.0 + float(np.mean(np.abs(z_hat))))
     z = np.maximum(z_hat, 0.0) + dz
     w = np.where(finite_up, np.maximum(-z_hat, 0.0) + dz, 0.0)
@@ -401,8 +497,9 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
         return float(np.dot(c, x)) - dual_obj
 
     def result(status: str, message: str = "") -> SolveResult:
+        step = time.perf_counter() - start - sum(timings.values())
         rp = b - A @ x + s
-        rd = c - A.T @ y - z + w
+        rd = c - A_t @ y - z + w
         return SolveResult(status=status, x=x.copy(),
                            dual=DualSolution(y=y.copy(), z=z.copy(), w=w.copy()),
                            slack=s.copy(), objective=float(np.dot(c, x)),
@@ -410,7 +507,8 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
                            primal_residual=float(np.max(np.abs(rp))) / b_scale,
                            dual_residual=float(np.max(np.abs(rd))) / c_scale,
                            iterations=len(history), history=history,
-                           kkt_log=kkt_log, message=message)
+                           kkt_log=kkt_log, message=message,
+                           timings=dict(timings, step=max(step, 0.0)), factored_order=n1)
 
     def safe_up_gap(xv: np.ndarray) -> np.ndarray:
         """upper - x on bounded components, 1 elsewhere (never touched)."""
@@ -423,7 +521,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
     regularized = ones_fact.regularized
     for iteration in range(settings.max_iterations):
         rp = b - A @ x + s                    # A x - s = b residual
-        rd = c - A.T @ y - z + w              # A^T y + z - w = c residual
+        rd = c - A_t @ y - z + w              # A^T y + z - w = c residual
         comp = float(np.dot(x_shift, z) + np.dot(s, y)
                      + np.dot(up_gap[finite_up], w[finite_up]))
         mu = comp / (n + m + n_up)
@@ -451,7 +549,8 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
         ds_diag = s / y + _REGULARIZATION
         system = make_system(dx_diag, ds_diag)
         try:
-            fact = _SchurFactorization(system)
+            with _timed(timings, "factorization"):
+                fact = _SchurFactorization(system, structure)
         except (scipy.linalg.LinAlgError, RuntimeError, ValueError) as exc:
             return result("numerical_failure", f"factorization failed: {exc}")
         regularized = fact.regularized
@@ -463,7 +562,8 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
 
         def directions(rc_xz, rc_xw, rc_sy):
             rhs = newton_rhs(rc_xz, rc_xw, rc_sy)
-            delta = fact.solve(rhs)
+            with _timed(timings, "back_solve"):
+                delta = fact.solve(rhs)
             ddx = delta[:n]
             ddy = delta[n:]
             dds = A @ ddx - rp
@@ -538,7 +638,11 @@ def write_iteration_log(path, history) -> None:
 
 
 def time_newton_solve(system: KKTSystem, rhs: np.ndarray, repeats: int = 3) -> float:
-    """Best-of-``repeats`` wall time of one full structured Newton solve."""
+    """Best-of-``repeats`` wall time of one full structured Newton solve.
+
+    Each repeat builds the per-LP Newton structure as well as the
+    factorization, as a solve's first iteration does.
+    """
     best = np.inf
     for _ in range(repeats):
         start = time.perf_counter()

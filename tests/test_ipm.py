@@ -1,10 +1,12 @@
 import gc
+import time
 import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mtdplan import ipm
 from mtdplan.formulation import BlockLP
 from mtdplan.ipm import (DualSolution, KKTSystem, SolverSettings, _SchurFactorization,
                          duality_gap_in_dose, invert_voxelwise_quadrant, rearrange_kkt,
@@ -80,6 +82,33 @@ def test_quadrant_inverse_random_vs_dense():
         assert np.allclose(np.concatenate([dx2, dz, de]), dense @ vec, atol=1e-10)
 
 
+def quadrant_matrix_loop(inverse):
+    """Per-voxel construction of ``QuadrantInverse.to_matrix``, the reference."""
+    n2, mz = inverse.xx.size, inverse.aa.size
+    rows, cols, vals = [], [], []
+    for i in range(n2):
+        rows += [i, i, n2 + mz + i, n2 + mz + i]
+        cols += [i, n2 + mz + i, i, n2 + mz + i]
+        vals += [inverse.xx[i], inverse.xr[i], inverse.xr[i], inverse.rr[i]]
+    for i in range(mz):
+        rows.append(n2 + i)
+        cols.append(n2 + i)
+        vals.append(inverse.aa[i])
+    size = 2 * n2 + mz
+    return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+
+
+def test_quadrant_to_matrix_identical_to_loop_reference():
+    rng = np.random.default_rng(21)
+    for n2, mz in [(0, 0), (0, 3), (5, 0), (7, 4), (30, 11)]:
+        inverse = invert_voxelwise_quadrant(rng.uniform(0.1, 5.0, n2),
+                                            rng.uniform(0.1, 5.0, n2 + mz), mz)
+        ours, ref = inverse.to_matrix(), quadrant_matrix_loop(inverse)
+        assert ours.shape == ref.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(ours, attr), getattr(ref, attr)), (n2, mz, attr)
+
+
 def test_quadrant_inverse_requires_positive_diagonals():
     with pytest.raises(AssertionError):
         invert_voxelwise_quadrant(np.array([0.0]), np.array([1.0]), 0)
@@ -146,6 +175,35 @@ def test_schur_solve_matches_dense_random():
         assert not info["regularized"]
 
 
+@pytest.mark.parametrize("touched", ["none", "some", "all"])
+def test_schur_solve_row_split_matches_dense(touched):
+    # G differs from D3 only on the rows R that A12 touches: none, every
+    # other row (untouched rows interleaved), or all of them
+    rng = np.random.default_rng({"none": 31, "some": 32, "all": 33}[touched])
+    for _ in range(10):
+        system = random_kkt(rng, n1=int(rng.integers(2, 8)), n2=int(rng.integers(2, 12)),
+                            m1=int(rng.integers(3, 9)), m2_zero=int(rng.integers(0, 6)))
+        a12 = system.a12.toarray()
+        if touched == "none":
+            a12[:] = 0.0
+        else:
+            a12[a12 == 0.0] = rng.standard_normal(np.count_nonzero(a12 == 0.0))
+            if touched == "some":
+                a12[::2] = 0.0
+        system = KKTSystem(a11=system.a11, a12=sp.csr_matrix(a12), a21=system.a21,
+                           a22=system.a22, d1=system.d1, d2=system.d2, d3=system.d3,
+                           d4=system.d4, num_zero_rows=system.num_zero_rows)
+        rows = _SchurFactorization(system).structure.rows
+        expected = {"none": [], "some": np.arange(1, system.m1, 2),
+                    "all": np.arange(system.m1)}[touched]
+        assert np.array_equal(rows, expected)
+        rhs = rng.standard_normal(system.order)
+        delta, info = schur_solve(system, rhs)
+        dense = np.linalg.solve(system.assemble().toarray(), rhs)
+        assert np.linalg.norm(delta - dense) <= 1e-10 * max(1.0, np.linalg.norm(dense))
+        assert not info["regularized"]
+
+
 def test_schur_solve_singular_reduced_matrix_is_regularized():
     # E = 0 and F = [1 1] make M = F^T G^-1 F = [[1, 1], [1, 1]] singular
     system = KKTSystem(a11=sp.csr_matrix([[1.0, 1.0]]), a12=sp.csr_matrix((1, 0)),
@@ -200,6 +258,36 @@ def test_logged_solve_steps_match_dense_kkt():
 
 
 # --- full solves ----------------------------------------------------------------
+
+def test_solve_builds_newton_structure_once(monkeypatch):
+    built = []
+
+    class CountingStructure(ipm._NewtonStructure):
+        def __init__(self, system):
+            built.append(system)
+            super().__init__(system)
+
+    monkeypatch.setattr(ipm, "_NewtonStructure", CountingStructure)
+    *_, lp = toy_dav_instance(num_voxels=6, volume=0.4)
+    for _ in range(2):
+        built.clear()
+        res = solve(lp, SolverSettings(dose_tolerance_gy=1e-6))
+        assert res.converged
+        assert res.iterations > 2
+        assert len(built) == 1
+
+
+def test_solve_reports_phase_timings():
+    *_, lp = toy_dav_instance(num_voxels=6, volume=0.4)
+    start = time.perf_counter()
+    res = solve(lp, SolverSettings(dose_tolerance_gy=1e-6))
+    wall = time.perf_counter() - start
+    assert res.converged
+    assert set(res.timings) == {"structure", "factorization", "back_solve", "step"}
+    assert all(value >= 0.0 for value in res.timings.values())
+    assert sum(res.timings.values()) <= wall
+    assert res.factored_order == lp.n1
+
 
 def test_minimal_lp():
     lp = raw_lp([[1.0]], [1.0], [1.0], [0.0], [np.inf])
