@@ -91,56 +91,41 @@ def num_trajectory_variables(machine: MachineModel) -> int:
 
 
 def build_deliverability_constraints(machine: MachineModel) -> ConstraintBlock:
-    """Assemble the deliverability rows documented in the module header."""
+    """Assemble the deliverability rows documented in the module header.
+
+    Rows are built by index arithmetic over (b, n, j), not row by row.
+    """
     B, N, J = machine.num_beams, machine.leaf_pairs, machine.bixels_per_row
     dt = machine.traverse_time_s
     rho = machine.min_gap_fraction
     nb = B * N * J
-    n_vars = num_trajectory_variables(machine)
+    pairs = np.arange(B * N)                  # (b, n) in C order
+    first = pairs[:, None] * J                # l column of bixel 0 of each leaf pair
+    steps = first + np.arange(J - 1)          # l columns of bixels 0..J-2
 
-    def l_col(b, n, j):
-        return (b * N + n) * J + j
+    # Per leaf pair, in row order: r-order, l-order, min-gap (J-1 rows
+    # each), first-gap, beam-on; each row is  x[plus] - x[minus] >= bound.
+    plus = np.hstack([nb + steps + 1, steps + 1, steps, first, 2 * nb + pairs[:, None] // N])
+    minus = np.hstack([nb + steps, steps, nb + steps + 1, nb + first, first + J - 1])
+    bound = np.concatenate([np.full(J - 1, dt), np.full(J - 1, dt),
+                            np.full(J - 1, -(1.0 - rho) * dt), [rho * dt, dt]])
+    num_pair_rows = plus.size
+    rows = np.concatenate([np.repeat(np.arange(num_pair_rows), 2),
+                           num_pair_rows + pairs,                    # park
+                           np.full(B, num_pair_rows + B * N)])       # total-time
+    cols = np.concatenate([np.stack([plus.ravel(), minus.ravel()], axis=1).ravel(),
+                           nb + first.ravel(), 2 * nb + np.arange(B)])
+    vals = np.concatenate([np.tile([1.0, -1.0], num_pair_rows), np.ones(B * N), np.full(B, -1.0)])
+    rhs = np.concatenate([np.tile(bound, B * N), np.zeros(B * N), [-machine.max_time_s]])
+    matrix = sp.csr_matrix((vals, (rows, cols)),
+                           shape=(rhs.size, num_trajectory_variables(machine)))
 
-    def r_col(b, n, j):
-        return nb + (b * N + n) * J + j
-
-    def t_col(b):
-        return 2 * nb + b
-
-    rows, cols, vals, rhs, labels = [], [], [], [], []
-
-    def add_row(entries, bound, label):
-        i = len(rhs)
-        for col, val in entries:
-            rows.append(i)
-            cols.append(col)
-            vals.append(val)
-        rhs.append(bound)
-        labels.append(label)
-
-    for b in range(B):
-        for n in range(N):
-            for j in range(J - 1):
-                add_row([(r_col(b, n, j + 1), 1.0), (r_col(b, n, j), -1.0)], dt,
-                        ("r-order", b, n, j))
-            for j in range(J - 1):
-                add_row([(l_col(b, n, j + 1), 1.0), (l_col(b, n, j), -1.0)], dt,
-                        ("l-order", b, n, j))
-            for j in range(J - 1):
-                add_row([(l_col(b, n, j), 1.0), (r_col(b, n, j + 1), -1.0)],
-                        -(1.0 - rho) * dt, ("min-gap", b, n, j))
-            add_row([(l_col(b, n, 0), 1.0), (r_col(b, n, 0), -1.0)], rho * dt,
-                    ("first-gap", b, n, 0))
-            add_row([(t_col(b), 1.0), (l_col(b, n, J - 1), -1.0)], dt,
-                    ("beam-on", b, n, J - 1))
-    for b in range(B):
-        for n in range(N):
-            add_row([(r_col(b, n, 0), 1.0)], 0.0, ("park", b, n, 0))
-    add_row([(t_col(b), -1.0) for b in range(B)], -machine.max_time_s,
-            ("total-time", -1, -1, -1))
-
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(len(rhs), n_vars))
-    return ConstraintBlock(matrix=matrix, rhs=np.asarray(rhs), labels=tuple(labels))
+    template = ([("r-order", j) for j in range(J - 1)] + [("l-order", j) for j in range(J - 1)]
+                + [("min-gap", j) for j in range(J - 1)] + [("first-gap", 0), ("beam-on", J - 1)])
+    labels = [(kind, b, n, j) for b in range(B) for n in range(N) for kind, j in template]
+    labels += [("park", b, n, 0) for b in range(B) for n in range(N)]
+    labels.append(("total-time", -1, -1, -1))
+    return ConstraintBlock(matrix=matrix, rhs=rhs, labels=tuple(labels))
 
 
 def validate_trajectories(traj: Trajectories, machine: MachineModel, tol: float = 1e-9):

@@ -24,7 +24,18 @@ The constraint matrix is kept in the partition the solver exploits::
     ( A21  A22 )   voxelwise rows; A22 = [0 I]^T exactly, the zero part
                    from max/min-dose rows and the identity from the eta rows.
 
-All rows are oriented ``a . x >= rhs``.
+All rows are oriented ``a . x >= rhs``.  The voxelwise rows are row-scaled
+slices of the dose influence ``P`` and its per-beam row sums ``PR``, built
+once per call without per-voxel loops.  For a criterion on the voxels
+``V`` with row sign ``s`` (-1 for max and dav-min, +1 for min and dav-max)
+its block of A21 is
+
+    [ diag(s*o) P[V],  diag(-s*o) P[V],  diag(s*t) PR[V],  -s on xi/alpha ]
+
+with ``o = rate*(1-tau)`` and ``t = rate*tau`` (the T block is left out
+when ``tau = 0``); the xi column serves max/min rows, the alpha column
+eta rows.  An average row is the column sum, in voxel order, of the same
+slices with ``s = -w`` (avg-min) or ``s = +w`` (avg-max).
 """
 
 from __future__ import annotations
@@ -314,6 +325,12 @@ class BlockLP:
         raise IndexError(row)
 
 
+def _scale_rows(matrix: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
+    """``diag(scale) @ matrix`` on the sparsity pattern of ``matrix``."""
+    return sp.csr_matrix((np.repeat(scale, np.diff(matrix.indptr)) * matrix.data,
+                          matrix.indices, matrix.indptr), shape=matrix.shape)
+
+
 def build_weighted_instance(phantom: Phantom, machine: MachineModel, influence: DoseInfluence,
                             criteria: CriterionSet, weights, name: str = "") -> BlockLP:
     """Expand one weighted-sum instance into its block-partitioned LP.
@@ -363,119 +380,76 @@ def build_weighted_instance(phantom: Phantom, machine: MachineModel, influence: 
     open_scale = rate * (1.0 - tau)
     leak_scale = rate * tau
     P = influence.matrix
-    PR = influence.per_beam_row_sums()
-    nb = machine.num_bixels
+    # The sparse product behind PR leaves column indices unsorted within rows.
+    PR = influence.per_beam_row_sums().sorted_indices() if leak_scale != 0.0 else None
 
-    def dose_row_entries(voxel: int, sign: float):
-        """Triplet entries of ``sign * d_voxel`` over (l, r, T) columns."""
-        entries = []
-        row = P.getrow(voxel)
-        for col, val in zip(row.indices, row.data):
-            entries.append((col, sign * open_scale * val))            # l
-            entries.append((nb + col, -sign * open_scale * val))      # r
-        if leak_scale != 0.0:
-            beam_row = PR.getrow(voxel)
-            for bcol, val in zip(beam_row.indices, beam_row.data):
-                entries.append((2 * nb + bcol, sign * leak_scale * val))  # T
-        return entries
+    def dose_rows(voxels: np.ndarray, scale: np.ndarray) -> sp.csr_matrix:
+        """Rows ``scale_i * d_{voxels_i}`` over the (l, r, T) columns."""
+        rows = P[voxels]
+        leak = (_scale_rows(PR[voxels], scale * leak_scale) if PR is not None
+                else sp.csr_matrix((voxels.size, machine.num_beams)))
+        return sp.hstack([_scale_rows(rows, scale * open_scale),
+                          _scale_rows(rows, -scale * open_scale), leak], format="csr")
+
+    def single_row(indices, data, width: int) -> sp.csr_matrix:
+        return sp.csr_matrix((data, indices, [0, len(indices)]), shape=(1, width))
 
     # ---- block row 1: deliverability + aggregation + average rows ------
-    deliv_coo = deliv.matrix.tocoo()
-    r1_rows = deliv_coo.row.tolist()
-    r1_cols = deliv_coo.col.tolist()
-    r1_vals = deliv_coo.data.tolist()
-    b1 = list(deliv.rhs)
+    rows11 = [sp.csr_matrix((deliv.matrix.data, deliv.matrix.indices, deliv.matrix.indptr),
+                            shape=(deliv.rhs.size, n1))]
+    rows12 = [sp.csr_matrix((deliv.rhs.size, n2))]
     labels1 = [f"{kind}[{b},{n},{j}]" for kind, b, n, j in deliv.labels]
-    a12_rows, a12_cols, a12_vals = [], [], []
-
-    def add_row1(entries_x1, entries_eta, bound, label):
-        i = len(b1)
-        for col, val in entries_x1:
-            r1_rows.append(i)
-            r1_cols.append(col)
-            r1_vals.append(val)
-        for col, val in entries_eta:
-            a12_rows.append(i)
-            a12_cols.append(col - n1)
-            a12_vals.append(val)
-        b1.append(bound)
-        labels1.append(label)
-
     for k, criterion in enumerate(criteria):
         roi = phantom.roi(criterion.roi)
-        if criterion.ctype == "dav-min":
-            inv_v = 1.0 / criterion.volume
-            add_row1([(xi_cols[k], 1.0), (alpha_cols[k], -1.0)],
-                     [(eta_slices[k].start + i, -inv_v * dw) for i, dw in enumerate(roi.weights)],
-                     0.0, f"tail-agg[{k}]")
-        elif criterion.ctype == "dav-max":
-            inv_v = 1.0 / (1.0 - criterion.volume)
-            add_row1([(alpha_cols[k], 1.0), (xi_cols[k], -1.0)],
-                     [(eta_slices[k].start + i, -inv_v * dw) for i, dw in enumerate(roi.weights)],
-                     0.0, f"tail-agg[{k}]")
-        elif criterion.ctype == "avg-min":
-            entries = [(xi_cols[k], 1.0)]
-            acc: dict[int, float] = {}
-            for voxel, dw in zip(roi.voxels, roi.weights):
-                for col, val in dose_row_entries(int(voxel), -dw):
-                    acc[col] = acc.get(col, 0.0) + val
-            entries.extend(acc.items())
-            add_row1(entries, [], 0.0, f"avg-cap[{k}]")
-        elif criterion.ctype == "avg-max":
-            entries = [(xi_cols[k], -1.0)]
-            acc = {}
-            for voxel, dw in zip(roi.voxels, roi.weights):
-                for col, val in dose_row_entries(int(voxel), dw):
-                    acc[col] = acc.get(col, 0.0) + val
-            entries.extend(acc.items())
-            add_row1(entries, [], 0.0, f"avg-floor[{k}]")
-
-    m1 = len(b1)
-    a11 = sp.csr_matrix((r1_vals, (r1_rows, r1_cols)), shape=(m1, n1))
-    a12 = sp.csr_matrix((a12_vals, (a12_rows, a12_cols)), shape=(m1, n2))
+        if criterion.is_dav:
+            # dav-min: xi - alpha - (1/v) sum w_i eta_i >= 0
+            # dav-max: alpha - xi - (1/(1-v)) sum w_i eta_i >= 0
+            inv_v = 1.0 / (criterion.volume if criterion.ctype == "dav-min"
+                           else 1.0 - criterion.volume)
+            pair = [1.0, -1.0] if criterion.ctype == "dav-min" else [-1.0, 1.0]
+            rows11.append(single_row([xi_cols[k], alpha_cols[k]], pair, n1))
+            rows12.append(single_row(np.arange(eta_slices[k].start, eta_slices[k].stop) - n1,
+                                     -inv_v * roi.weights, n2))
+            labels1.append(f"tail-agg[{k}]")
+        elif criterion.ctype in ("avg-min", "avg-max"):
+            # avg-min: xi - sum w_i d_i >= 0;  avg-max: sum w_i d_i - xi >= 0
+            sign = -1.0 if criterion.ctype == "avg-min" else 1.0
+            dose = dose_rows(roi.voxels, sign * roi.weights)
+            cols = np.unique(dose.indices)   # bincount adds in row (voxel) order
+            sums = np.bincount(dose.indices, weights=dose.data, minlength=n_traj)[cols]
+            rows11.append(single_row(np.append(cols, xi_cols[k]), np.append(sums, -sign), n1))
+            rows12.append(sp.csr_matrix((1, n2)))
+            label = "avg-cap" if criterion.ctype == "avg-min" else "avg-floor"
+            labels1.append(f"{label}[{k}]")
+    a11 = sp.vstack(rows11, format="csr")
+    a12 = sp.vstack(rows12, format="csr")
+    b1 = np.concatenate([deliv.rhs, np.zeros(len(rows11) - 1)])
 
     # ---- block row 2: voxelwise rows ------------------------------------
     # Max/min-dose rows first (the zero block of A22), then eta rows whose
     # ordering matches the eta columns so A22 ends in an exact identity.
-    r2_rows, r2_cols, r2_vals = [], [], []
-    b2: list[float] = []
+    # Each block is [s*d_i over (l, r, T) | -s on xi (max/min) or alpha (eta)]:
+    #   max: xi - d_i >= 0,  min: d_i - xi >= 0,
+    #   dav-min: eta_i + alpha - d_i >= 0,  dav-max: eta_i - alpha + d_i >= 0.
+    zero_rows = [k for k, c in enumerate(criteria) if c.ctype in ("max", "min")]
+    eta_rows = [k for k, c in enumerate(criteria) if c.is_dav]
+    blocks2: list[sp.csr_matrix] = []
     voxel_row_slices: list[slice | None] = [None] * K
-
-    def add_row2(entries_x1, bound):
-        i = len(b2)
-        for col, val in entries_x1:
-            r2_rows.append(i)
-            r2_cols.append(col)
-            r2_vals.append(val)
-        b2.append(bound)
-
-    for k, criterion in enumerate(criteria):
-        if criterion.ctype not in ("max", "min"):
-            continue
-        roi = phantom.roi(criterion.roi)
-        start = len(b2)
-        if criterion.ctype == "max":
-            for voxel in roi.voxels:  # xi_k - d_i >= 0
-                add_row2([(xi_cols[k], 1.0)] + dose_row_entries(int(voxel), -1.0), 0.0)
-        else:
-            for voxel in roi.voxels:  # d_i - xi_k >= 0
-                add_row2([(xi_cols[k], -1.0)] + dose_row_entries(int(voxel), 1.0), 0.0)
-        voxel_row_slices[k] = slice(start, len(b2))
-    num_zero_rows = len(b2)
-
-    for k, criterion in enumerate(criteria):
-        if not criterion.is_dav:
-            continue
-        roi = phantom.roi(criterion.roi)
-        start = len(b2)
-        sign = -1.0 if criterion.ctype == "dav-min" else 1.0
-        # dav-min: eta_i + alpha - d_i >= 0;  dav-max: eta_i - alpha + d_i >= 0
-        for voxel in roi.voxels:
-            add_row2([(alpha_cols[k], -sign)] + dose_row_entries(int(voxel), sign), 0.0)
-        voxel_row_slices[k] = slice(start, len(b2))
-
-    m2 = len(b2)
-    a21 = sp.csr_matrix((r2_vals, (r2_rows, r2_cols)), shape=(m2, n1))
+    m2 = 0
+    for k in zero_rows + eta_rows:
+        criterion = criteria.criteria[k]
+        voxels = phantom.roi(criterion.roi).voxels
+        sign = -1.0 if criterion.ctype in ("max", "dav-min") else 1.0
+        aux_col = (alpha_cols[k] if criterion.is_dav else xi_cols[k]) - n_traj
+        aux = sp.csr_matrix((np.full(voxels.size, -sign), np.full(voxels.size, aux_col),
+                             np.arange(voxels.size + 1)), shape=(voxels.size, n1 - n_traj))
+        blocks2.append(sp.hstack([dose_rows(voxels, np.full(voxels.size, sign)), aux],
+                                 format="csr"))
+        voxel_row_slices[k] = slice(m2, m2 + voxels.size)
+        m2 += voxels.size
+    num_zero_rows = voxel_row_slices[zero_rows[-1]].stop if zero_rows else 0
+    a21 = sp.vstack(blocks2, format="csr") if blocks2 else sp.csr_matrix((0, n1))
+    b2 = np.zeros(m2)
     a22 = sp.vstack([sp.csr_matrix((num_zero_rows, n2)), sp.eye(n2, format="csr")],
                     format="csr") if n2 or num_zero_rows else sp.csr_matrix((0, 0))
 
@@ -498,7 +472,7 @@ def build_weighted_instance(phantom: Phantom, machine: MachineModel, influence: 
             voxel_rows=voxel_row_slices[k],
             voxels=phantom.roi(criterion.roi).voxels if voxelwise else None))
     return BlockLP(a11=a11, a12=a12, a21=a21, a22=a22,
-                   b1=np.asarray(b1), b2=np.asarray(b2),
+                   b1=b1, b2=b2,
                    objective_vector=c, lower=lower, upper=upper,
                    num_zero_rows=num_zero_rows, machine=machine,
                    criteria=criteria, weights=w, columns=tuple(columns),

@@ -230,8 +230,11 @@ class _NewtonStructure:
     Holds A21 densely (the ``syrk`` operand for ``M``) and as its zero/eta
     CSR split with transposes (for the mat-vecs), A12 with its transpose,
     and A11 split on the rows ``R`` that A12 touches: outside ``R`` the
-    block ``G`` is D3 and ``F`` equals A11.  Built once per LP; its memory
-    is linear in the voxel count (A21 has ``n1`` columns).
+    block ``G`` is D3 and ``F`` equals A11.  Those untouched rows are kept
+    as CSR for the back-solve mat-vecs and densely as the right operand of
+    their term of ``M``, where a sparse-dense product measures faster than
+    a sparse-sparse one.  Built once per LP; its memory is linear in the
+    voxel count (A21 has ``n1`` columns).
     """
 
     def __init__(self, system: KKTSystem):
@@ -250,8 +253,9 @@ class _NewtonStructure:
         self.rest = np.flatnonzero(~touched)
         a11 = sp.csr_matrix(system.a11)
         self.a11_rows = a11[self.rows].toarray()
-        self.a11_rest = a11[self.rest].toarray()
-        self.a11_rest_t = a11[self.rest].T.tocsr()
+        self.a11_rest = a11[self.rest]
+        self.a11_rest_t = self.a11_rest.T.tocsr()
+        self.a11_rest_dense = self.a11_rest.toarray()
         self.a12_rows = self.a12[self.rows]
         self.a12_rows_t = self.a12_rows.T.tocsr()
 
@@ -283,7 +287,7 @@ class _SchurFactorization:
         # M = D1 + A21^T diag(aa, rr) A21 + A11_rest^T D3_rest^-1 A11_rest + F_R^T G_RR^-1 F_R.
         # dsyrk adds the A21 term to the upper triangle only, which is all
         # that cho_factor (lower=False) reads.
-        m = _scale_columns(st.a11_rest_t, self.inv_d3[st.rest]) @ st.a11_rest
+        m = _scale_columns(st.a11_rest_t, self.inv_d3[st.rest]) @ st.a11_rest_dense
         m += self.f_rows.T @ scipy.linalg.cho_solve(self.g_chol, self.f_rows)
         m[np.diag_indices_from(m)] += system.d1
         scaled = st.a21 * np.sqrt(np.concatenate([q.aa, q.rr]))[:, None]

@@ -4,7 +4,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from mtdplan.formulation import BlockLP, Criterion, CriterionSet, build_weighted_instance
+from mtdplan.dmlc import ConstraintBlock, num_trajectory_variables
+from mtdplan.formulation import (BlockLP, Criterion, CriterionColumns, CriterionSet,
+                                 build_weighted_instance, normalized_weights)
 from mtdplan.phantom import DoseInfluence, MachineModel, Phantom, ROI
 
 
@@ -127,3 +129,214 @@ def random_block_instance(seed, max_voxels=50, max_bixels=20):
     lp = build_weighted_instance(phantom, machine, influence, criterion_set, weights,
                                  name=f"random-{seed}")
     return phantom, machine, influence, criterion_set, lp
+
+
+def reference_deliverability_constraints(machine: MachineModel) -> ConstraintBlock:
+    """Row-by-row loop reference for ``dmlc.build_deliverability_constraints``."""
+    B, N, J = machine.num_beams, machine.leaf_pairs, machine.bixels_per_row
+    dt = machine.traverse_time_s
+    rho = machine.min_gap_fraction
+    nb = B * N * J
+
+    def l_col(b, n, j):
+        return (b * N + n) * J + j
+
+    def r_col(b, n, j):
+        return nb + (b * N + n) * J + j
+
+    rows, cols, vals, rhs, labels = [], [], [], [], []
+
+    def add_row(entries, bound, label):
+        i = len(rhs)
+        for col, val in entries:
+            rows.append(i)
+            cols.append(col)
+            vals.append(val)
+        rhs.append(bound)
+        labels.append(label)
+
+    for b in range(B):
+        for n in range(N):
+            for j in range(J - 1):
+                add_row([(r_col(b, n, j + 1), 1.0), (r_col(b, n, j), -1.0)], dt,
+                        ("r-order", b, n, j))
+            for j in range(J - 1):
+                add_row([(l_col(b, n, j + 1), 1.0), (l_col(b, n, j), -1.0)], dt,
+                        ("l-order", b, n, j))
+            for j in range(J - 1):
+                add_row([(l_col(b, n, j), 1.0), (r_col(b, n, j + 1), -1.0)],
+                        -(1.0 - rho) * dt, ("min-gap", b, n, j))
+            add_row([(l_col(b, n, 0), 1.0), (r_col(b, n, 0), -1.0)], rho * dt,
+                    ("first-gap", b, n, 0))
+            add_row([(2 * nb + b, 1.0), (l_col(b, n, J - 1), -1.0)], dt,
+                    ("beam-on", b, n, J - 1))
+    for b in range(B):
+        for n in range(N):
+            add_row([(r_col(b, n, 0), 1.0)], 0.0, ("park", b, n, 0))
+    add_row([(2 * nb + b, -1.0) for b in range(B)], -machine.max_time_s,
+            ("total-time", -1, -1, -1))
+
+    matrix = sp.csr_matrix((vals, (rows, cols)),
+                           shape=(len(rhs), num_trajectory_variables(machine)))
+    return ConstraintBlock(matrix=matrix, rhs=np.asarray(rhs), labels=tuple(labels))
+
+
+def reference_weighted_instance(phantom, machine, influence, criteria, weights, name=""):
+    """Per-voxel loop reference for ``formulation.build_weighted_instance``.
+
+    Builds every row from triplet lists, one ``P.getrow`` per voxel, and
+    sums the average rows in voxel order through a dict; the sparse
+    builder must reproduce its blocks bit for bit.
+    """
+    w = normalized_weights(weights, criteria.num_slots)
+    deliv = reference_deliverability_constraints(machine)
+    n_traj = num_trajectory_variables(machine)
+    K = len(criteria)
+
+    xi_cols = [n_traj + k for k in range(K)]
+    alpha_cols = []
+    next_col = n_traj + K
+    for criterion in criteria:
+        if criterion.is_dav:
+            alpha_cols.append(next_col)
+            next_col += 1
+        else:
+            alpha_cols.append(None)
+    n1 = next_col
+
+    eta_slices = []
+    eta_start = n1
+    for criterion in criteria:
+        if criterion.is_dav:
+            size = phantom.roi(criterion.roi).voxels.size
+            eta_slices.append(slice(eta_start, eta_start + size))
+            eta_start += size
+        else:
+            eta_slices.append(None)
+    n2 = eta_start - n1
+
+    rate, tau = machine.dose_rate, machine.transmission
+    open_scale = rate * (1.0 - tau)
+    leak_scale = rate * tau
+    P = influence.matrix
+    PR = influence.per_beam_row_sums()
+    nb = machine.num_bixels
+
+    def dose_row_entries(voxel, sign):
+        entries = []
+        row = P.getrow(voxel)
+        for col, val in zip(row.indices, row.data):
+            entries.append((col, sign * open_scale * val))
+            entries.append((nb + col, -sign * open_scale * val))
+        if leak_scale != 0.0:
+            beam_row = PR.getrow(voxel)
+            for bcol, val in zip(beam_row.indices, beam_row.data):
+                entries.append((2 * nb + bcol, sign * leak_scale * val))
+        return entries
+
+    deliv_coo = deliv.matrix.tocoo()
+    r1_rows = deliv_coo.row.tolist()
+    r1_cols = deliv_coo.col.tolist()
+    r1_vals = deliv_coo.data.tolist()
+    b1 = list(deliv.rhs)
+    labels1 = [f"{kind}[{b},{n},{j}]" for kind, b, n, j in deliv.labels]
+    a12_rows, a12_cols, a12_vals = [], [], []
+
+    def add_row1(entries_x1, entries_eta, bound, label):
+        i = len(b1)
+        for col, val in entries_x1:
+            r1_rows.append(i)
+            r1_cols.append(col)
+            r1_vals.append(val)
+        for col, val in entries_eta:
+            a12_rows.append(i)
+            a12_cols.append(col - n1)
+            a12_vals.append(val)
+        b1.append(bound)
+        labels1.append(label)
+
+    for k, criterion in enumerate(criteria):
+        roi = phantom.roi(criterion.roi)
+        if criterion.is_dav:
+            inv_v = 1.0 / (criterion.volume if criterion.ctype == "dav-min"
+                           else 1.0 - criterion.volume)
+            pair = ([(xi_cols[k], 1.0), (alpha_cols[k], -1.0)] if criterion.ctype == "dav-min"
+                    else [(alpha_cols[k], 1.0), (xi_cols[k], -1.0)])
+            add_row1(pair,
+                     [(eta_slices[k].start + i, -inv_v * dw) for i, dw in enumerate(roi.weights)],
+                     0.0, f"tail-agg[{k}]")
+        elif criterion.ctype in ("avg-min", "avg-max"):
+            sign = -1.0 if criterion.ctype == "avg-min" else 1.0
+            entries = [(xi_cols[k], -sign)]
+            acc = {}
+            for voxel, dw in zip(roi.voxels, roi.weights):
+                for col, val in dose_row_entries(int(voxel), sign * dw):
+                    acc[col] = acc.get(col, 0.0) + val
+            entries.extend(acc.items())
+            label = "avg-cap" if criterion.ctype == "avg-min" else "avg-floor"
+            add_row1(entries, [], 0.0, f"{label}[{k}]")
+
+    m1 = len(b1)
+    a11 = sp.csr_matrix((r1_vals, (r1_rows, r1_cols)), shape=(m1, n1))
+    a12 = sp.csr_matrix((a12_vals, (a12_rows, a12_cols)), shape=(m1, n2))
+
+    r2_rows, r2_cols, r2_vals = [], [], []
+    b2 = []
+    voxel_row_slices = [None] * K
+
+    def add_row2(entries_x1, bound):
+        i = len(b2)
+        for col, val in entries_x1:
+            r2_rows.append(i)
+            r2_cols.append(col)
+            r2_vals.append(val)
+        b2.append(bound)
+
+    for k, criterion in enumerate(criteria):
+        if criterion.ctype not in ("max", "min"):
+            continue
+        roi = phantom.roi(criterion.roi)
+        start = len(b2)
+        sign = -1.0 if criterion.ctype == "max" else 1.0
+        for voxel in roi.voxels:
+            add_row2([(xi_cols[k], -sign)] + dose_row_entries(int(voxel), sign), 0.0)
+        voxel_row_slices[k] = slice(start, len(b2))
+    num_zero_rows = len(b2)
+
+    for k, criterion in enumerate(criteria):
+        if not criterion.is_dav:
+            continue
+        roi = phantom.roi(criterion.roi)
+        start = len(b2)
+        sign = -1.0 if criterion.ctype == "dav-min" else 1.0
+        for voxel in roi.voxels:
+            add_row2([(alpha_cols[k], -sign)] + dose_row_entries(int(voxel), sign), 0.0)
+        voxel_row_slices[k] = slice(start, len(b2))
+
+    m2 = len(b2)
+    a21 = sp.csr_matrix((r2_vals, (r2_rows, r2_cols)), shape=(m2, n1))
+    a22 = sp.vstack([sp.csr_matrix((num_zero_rows, n2)), sp.eye(n2, format="csr")],
+                    format="csr") if n2 or num_zero_rows else sp.csr_matrix((0, 0))
+
+    c = np.zeros(n1 + n2)
+    lower = np.zeros(n1 + n2)
+    upper = np.full(n1 + n2, np.inf)
+    for k, criterion in enumerate(criteria):
+        lower[xi_cols[k]], upper[xi_cols[k]] = criterion.xi_bounds()
+        if criterion.objective is not None:
+            c[xi_cols[k]] = criterion.sign * w[criterion.objective]
+
+    columns = []
+    for k, criterion in enumerate(criteria):
+        voxelwise = criterion.is_dav or criterion.ctype in ("max", "min")
+        columns.append(CriterionColumns(
+            xi=xi_cols[k], alpha=alpha_cols[k], eta=eta_slices[k],
+            voxel_rows=voxel_row_slices[k],
+            voxels=phantom.roi(criterion.roi).voxels if voxelwise else None))
+    return BlockLP(a11=a11, a12=a12, a21=a21, a22=a22,
+                   b1=np.asarray(b1), b2=np.asarray(b2),
+                   objective_vector=c, lower=lower, upper=upper,
+                   num_zero_rows=num_zero_rows, machine=machine,
+                   criteria=criteria, weights=w, columns=tuple(columns),
+                   num_deliverability_rows=deliv.rhs.size,
+                   row_labels1=tuple(labels1), name=name)

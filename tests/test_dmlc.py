@@ -7,7 +7,7 @@ from mtdplan.dmlc import (Trajectories, build_deliverability_constraints,
                           validate_trajectories, write_trajectories_csv)
 from mtdplan.errors import DataError
 
-from helpers import influence_from_dense, make_machine
+from helpers import influence_from_dense, make_machine, reference_deliverability_constraints
 
 
 def random_feasible_trajectories(machine, rng):
@@ -41,6 +41,18 @@ def test_row_count_formula():
         block = build_deliverability_constraints(machine)
         assert block.matrix.shape[0] == B * N * (3 * (J - 1) + 2) + B * N + 1
         assert block.matrix.shape[1] == 2 * B * N * J + B
+
+
+def test_deliverability_block_matches_row_loop_reference():
+    for B, N, J in [(1, 1, 1), (1, 1, 2), (1, 1, 5), (2, 3, 2), (3, 2, 4), (2, 1, 1)]:
+        machine = make_machine(B=B, N=N, J=J, dt=0.37, rho=0.3, t_max=77.0)
+        block = build_deliverability_constraints(machine)
+        ref = reference_deliverability_constraints(machine)
+        assert block.matrix.shape == ref.matrix.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(block.matrix, part), getattr(ref.matrix, part))
+        assert np.array_equal(block.rhs, ref.rhs)
+        assert block.labels == ref.labels
 
 
 def test_j_equal_one_has_no_interbixel_rows():

@@ -11,7 +11,7 @@ from mtdplan.formulation import (BlockLP, Criterion, CriterionSet, build_weighte
 from mtdplan.phantom import roi_weight_vector
 
 from helpers import (influence_from_dense, line_phantom, linprog_reference, make_machine,
-                     random_block_instance, toy_dav_instance)
+                     random_block_instance, reference_weighted_instance, toy_dav_instance)
 
 
 def test_toy_two_voxel_dav_structure():
@@ -295,3 +295,69 @@ def test_lp_dump_reconstructs_matrix(tmp_path):
     assert np.array_equal(ub, lp.upper)
     assert names[0].startswith("l[")
     assert any(name.startswith("eta[") for name in names.values())
+
+
+def _demo_inputs():
+    from mtdplan.case import load_case
+    case = load_case("demo:prostate_demo")
+    weights = np.full(case.criteria.num_slots, 1.0 / case.criteria.num_slots)
+    return case.phantom, case.machine, case.dose_influence(), case.criteria, weights
+
+
+def _assert_same_lp_blocks(lp, ref):
+    for block in ("a11", "a12", "a21"):
+        built, expected = getattr(lp, block), getattr(ref, block)
+        assert built.shape == expected.shape, block
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(built, part), getattr(expected, part)), (block, part)
+    assert np.array_equal(lp.b1, ref.b1)
+    assert np.array_equal(lp.b2, ref.b2)
+    assert lp.row_labels1 == ref.row_labels1
+    assert lp.num_zero_rows == ref.num_zero_rows
+    assert len(lp.columns) == len(ref.columns)
+    for cols, ref_cols in zip(lp.columns, ref.columns):
+        assert (cols.xi, cols.alpha, cols.eta, cols.voxel_rows) == \
+            (ref_cols.xi, ref_cols.alpha, ref_cols.eta, ref_cols.voxel_rows)
+        assert (cols.voxels is None) == (ref_cols.voxels is None)
+        if cols.voxels is not None:
+            assert np.array_equal(cols.voxels, ref_cols.voxels)
+
+
+def test_sparse_build_matches_loop_reference_bitwise():
+    inputs = _demo_inputs()
+    _assert_same_lp_blocks(build_weighted_instance(*inputs), reference_weighted_instance(*inputs))
+    ctypes = set()
+    for seed in range(60):
+        phantom, machine, influence, criteria, lp = random_block_instance(seed)
+        ctypes.update(c.ctype for c in criteria)
+        ref = reference_weighted_instance(phantom, machine, influence, criteria, lp.weights)
+        _assert_same_lp_blocks(lp, ref)
+    assert ctypes == {"dav-min", "dav-max", "max", "min", "avg-min", "avg-max"}
+
+
+def test_zero_transmission_stores_nothing_in_transmission_columns():
+    machine = make_machine(B=2, N=1, J=2, dt=0.5, rho=0.3, tau=0.0, t_max=60.0)
+    phantom = line_phantom({"t": ("target", [0, 1, 2], [0.2, 0.3, 0.5]),
+                            "o": ("oar", [2, 3], [0.5, 0.5])})
+    influence = influence_from_dense(np.random.default_rng(3).random((4, 4)) + 0.1, machine)
+    criteria = CriterionSet([
+        Criterion(roi="t", ctype="dav-max", volume=0.5, objective=0, name="a"),
+        Criterion(roi="o", ctype="max", objective=1, name="b"),
+        Criterion(roi="o", ctype="avg-min", objective=1, name="c"),
+        Criterion(roi="t", ctype="min", objective=0, name="d"),
+    ])
+    lp = build_weighted_instance(phantom, machine, influence, criteria, [0.5, 0.5])
+    _assert_same_lp_blocks(lp, reference_weighted_instance(phantom, machine, influence,
+                                                           criteria, [0.5, 0.5]))
+    t_cols = 2 * machine.num_bixels + np.arange(machine.num_beams)
+    deliverability = lp.num_deliverability_rows
+    assert lp.a21[:, t_cols].nnz == 0
+    assert lp.a11[deliverability:, t_cols].nnz == 0
+    assert lp.a21.nnz > 0 and lp.a11[deliverability:].nnz > 0
+
+
+def test_dump_lp_of_demo_matches_loop_reference_bytewise(tmp_path):
+    inputs = _demo_inputs()
+    dump_lp(build_weighted_instance(*inputs, name="demo"), tmp_path / "sparse.lp")
+    dump_lp(reference_weighted_instance(*inputs, name="demo"), tmp_path / "loop.lp")
+    assert (tmp_path / "sparse.lp").read_bytes() == (tmp_path / "loop.lp").read_bytes()
