@@ -127,12 +127,12 @@ def _write_plan_artifacts(case: Case, plan: Plan, out: str, tag: str = "plan") -
     for b in range(case.machine.num_beams):
         write_fluence_csv(os.path.join(out, f"{tag}_fluence_beam{b}.csv"), plan.fluence, b)
     write_dose_volume(os.path.join(out, f"{tag}_dose.bin"), plan.dose, case.phantom.grid_dims)
-    _write_quality_report(case, plan.dose, plan, out, tag)
+    _write_quality_report(case, plan.dose, plan.quality, plan.violations, out, tag, plan)
 
 
-def _write_quality_report(case: Case, dose: np.ndarray, plan: Plan | None, out: str, tag: str) -> None:
-    quality, violations = evaluation.evaluate_plan(case.phantom, dose,
-                                                   case.quality_indices, case.criteria)
+def _write_quality_report(case: Case, dose: np.ndarray, quality: np.ndarray, violations: list,
+                          out: str, tag: str, plan: Plan | None = None) -> None:
+    """DVH, violation and quality files for a dose evaluated by the caller."""
     grid = evaluation.default_dose_grid(dose)
     curves = {}
     for spec in case.quality_indices:
@@ -219,8 +219,7 @@ def _write_dvh_band_svg(case: Case, pareto: mco.ParetoSet, out: str) -> None:
     converged = pareto.converged()
     if not converged:
         return
-    top = max(float(e.plan.dose.max()) for e in converged)
-    grid = np.arange(max(int(np.ceil(top / 0.1)) + 2, 2)) * 0.1
+    grid = evaluation.default_dose_grid(np.array([e.plan.dose.max() for e in converged]))
     bands = {}
     highlight = {}
     balanced_entry = next((e for e in converged if e.index == pareto.balanced_index), converged[0])
@@ -249,8 +248,9 @@ def cmd_evaluate(args) -> int:
         if tuple(dims) != tuple(case.phantom.grid_dims):
             raise DataError(f"dose grid {dims} does not match case grid {case.phantom.grid_dims}")
     os.makedirs(args.out, exist_ok=True)
-    _write_quality_report(case, dose, None, args.out, tag="evaluated")
-    quality, _ = evaluation.evaluate_plan(case.phantom, dose, case.quality_indices, case.criteria)
+    quality, violations = evaluation.evaluate_plan(case.phantom, dose,
+                                                   case.quality_indices, case.criteria)
+    _write_quality_report(case, dose, quality, violations, args.out, tag="evaluated")
     for spec, value in zip(case.quality_indices, quality):
         print(f"{spec.name}: {float(value)!r} Gy")
     return EXIT_OK

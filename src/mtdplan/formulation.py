@@ -380,8 +380,7 @@ def build_weighted_instance(phantom: Phantom, machine: MachineModel, influence: 
     open_scale = rate * (1.0 - tau)
     leak_scale = rate * tau
     P = influence.matrix
-    # The sparse product behind PR leaves column indices unsorted within rows.
-    PR = influence.per_beam_row_sums().sorted_indices() if leak_scale != 0.0 else None
+    PR = influence.per_beam_row_sums() if leak_scale != 0.0 else None
 
     def dose_rows(voxels: np.ndarray, scale: np.ndarray) -> sp.csr_matrix:
         """Rows ``scale_i * d_{voxels_i}`` over the (l, r, T) columns."""

@@ -45,6 +45,11 @@ part - A21 dense and as CSR, the transposes and the split on R - is built
 once per LP (``_NewtonStructure``), so each iteration costs O(voxels)
 in one BLAS call and scaling, plus one small factorization.
 
+Upper-bound duals ``w`` and gaps ``upper - x`` exist only on the columns
+``up`` with a finite upper bound (the xi caps of a weighted-sum LP);
+they enter Dx, the dual residual and the Newton rhs by scatter-adding at
+``up``.  ``DualSolution.w`` is expanded to full length, zero off ``up``.
+
 The iteration stops once primal and dual residuals are below the
 feasibility tolerance and the duality gap - which is expressed in the
 same Gy-weighted scale as the objective - certifies the objective value
@@ -411,10 +416,10 @@ class SolveResult:
 
 def duality_gap_in_dose(lp: BlockLP, x: np.ndarray, dual: DualSolution) -> float:
     """Primal-minus-dual objective in the Gy-weighted objective scale."""
-    finite_up = np.isfinite(lp.upper)
+    up = np.flatnonzero(np.isfinite(lp.upper))
     dual_obj = (float(np.dot(lp.rhs(), dual.y))
                 + float(np.dot(lp.lower, dual.z))
-                - float(np.dot(lp.upper[finite_up], dual.w[finite_up])))
+                - float(np.dot(lp.upper[up], dual.w[up])))
     return float(np.dot(lp.objective_vector, x)) - dual_obj
 
 
@@ -456,8 +461,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
     c = lp.objective_vector
     lower = lp.lower
     upper = lp.upper
-    finite_up = np.isfinite(upper)
-    n_up = int(np.count_nonzero(finite_up))
+    up = np.flatnonzero(np.isfinite(upper))   # the only columns with an upper-bound dual
 
     def make_system(dx: np.ndarray, ds: np.ndarray) -> KKTSystem:
         return KKTSystem(a11=lp.a11, a12=lp.a12, a21=lp.a21, a22=lp.a22,
@@ -476,15 +480,13 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
         x_ls = ones_fact.solve(np.concatenate([np.zeros(n), b]))[:n]
         y_ls = ones_fact.solve(np.concatenate([c, np.zeros(m)]))[n:]
 
-    span = upper - lower
-    margin = 0.1 * (1.0 + np.abs(x_ls))
-    margin = np.where(np.isfinite(span), np.minimum(margin, 0.25 * span), margin)
-    x = np.clip(x_ls, lower + margin, np.where(finite_up, upper - margin, np.inf))
+    margin = np.minimum(0.1 * (1.0 + np.abs(x_ls)), 0.25 * (upper - lower))
+    x = np.clip(x_ls, lower + margin, upper - margin)
 
     z_hat = c - A_t @ y_ls
     dz = 0.1 * (1.0 + float(np.mean(np.abs(z_hat))))
     z = np.maximum(z_hat, 0.0) + dz
-    w = np.where(finite_up, np.maximum(-z_hat, 0.0) + dz, 0.0)
+    w = np.maximum(-z_hat[up], 0.0) + dz
     s_hat = A @ x - b
     ds_shift = 0.1 * (1.0 + float(np.mean(np.abs(s_hat))))
     s = np.maximum(s_hat, ds_shift)
@@ -495,43 +497,48 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
     history: list[IterationRecord] = []
     kkt_log: list = []
 
+    def residuals():
+        """``b - A x + s``, ``c - A^T y - z + w`` and their scaled max norms."""
+        rp = b - A @ x + s
+        rd = c - A_t @ y - z
+        rd[up] += w
+        return rp, rd, float(np.max(np.abs(rp))) / b_scale, float(np.max(np.abs(rd))) / c_scale
+
     def current_gap() -> float:
-        dual_obj = (float(np.dot(b, y)) + float(np.dot(lower, z))
-                    - float(np.dot(upper[finite_up], w[finite_up])))
+        dual_obj = float(np.dot(b, y)) + float(np.dot(lower, z)) - float(np.dot(upper[up], w))
         return float(np.dot(c, x)) - dual_obj
+
+    def mean_complementarity(x_shift, s, up_gap, z, y, w) -> float:
+        return float(np.dot(x_shift, z) + np.dot(s, y) + np.dot(up_gap, w)) / (n + m + up.size)
+
+    def max_steps(dx, ds, dy, dz, dw):
+        """Largest primal and dual steps keeping the iterate nonnegative."""
+        primal = min(_max_step(x_shift, dx), _max_step(s, ds), _max_step(up_gap, -dx[up]))
+        dual = min(_max_step(z, dz), _max_step(y, dy), _max_step(w, dw))
+        return primal, dual
 
     def result(status: str, message: str = "") -> SolveResult:
         step = time.perf_counter() - start - sum(timings.values())
-        rp = b - A @ x + s
-        rd = c - A_t @ y - z + w
+        _, _, rel_p, rel_d = residuals()
+        w_full = np.zeros(n)
+        w_full[up] = w
         return SolveResult(status=status, x=x.copy(),
-                           dual=DualSolution(y=y.copy(), z=z.copy(), w=w.copy()),
+                           dual=DualSolution(y=y.copy(), z=z.copy(), w=w_full),
                            slack=s.copy(), objective=float(np.dot(c, x)),
-                           gap_gy=current_gap(),
-                           primal_residual=float(np.max(np.abs(rp))) / b_scale,
-                           dual_residual=float(np.max(np.abs(rd))) / c_scale,
+                           gap_gy=current_gap(), primal_residual=rel_p, dual_residual=rel_d,
                            iterations=len(history), history=history,
                            kkt_log=kkt_log, message=message,
                            timings=dict(timings, step=max(step, 0.0)), factored_order=n1)
 
-    def safe_up_gap(xv: np.ndarray) -> np.ndarray:
-        """upper - x on bounded components, 1 elsewhere (never touched)."""
-        return np.where(finite_up, np.where(finite_up, upper, 0.0) - xv, 1.0)
-
     x_shift = x - lower
-    up_gap = safe_up_gap(x)
+    up_gap = upper[up] - x[up]
     sigma = 0.0
     alpha_p = alpha_d = 0.0
     regularized = ones_fact.regularized
     for iteration in range(settings.max_iterations):
-        rp = b - A @ x + s                    # A x - s = b residual
-        rd = c - A_t @ y - z + w              # A^T y + z - w = c residual
-        comp = float(np.dot(x_shift, z) + np.dot(s, y)
-                     + np.dot(up_gap[finite_up], w[finite_up]))
-        mu = comp / (n + m + n_up)
+        rp, rd, rel_p, rel_d = residuals()
+        mu = mean_complementarity(x_shift, s, up_gap, z, y, w)
         gap = current_gap()
-        rel_p = float(np.max(np.abs(rp))) / b_scale
-        rel_d = float(np.max(np.abs(rd))) / c_scale
         history.append(IterationRecord(iteration=iteration, primal_residual=rel_p,
                                        dual_residual=rel_d, gap_gy=gap, mu=mu,
                                        step_primal=alpha_p, step_dual=alpha_d,
@@ -549,7 +556,9 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
                 and dual_obj > 1e10 * (b_scale + c_scale):
             return result("infeasible", "dual objective diverging with primal residual stalled")
 
-        dx_diag = z / x_shift + np.where(finite_up, w / up_gap, 0.0) + _REGULARIZATION
+        dx_diag = z / x_shift
+        dx_diag[up] += w / up_gap
+        dx_diag += _REGULARIZATION
         ds_diag = s / y + _REGULARIZATION
         system = make_system(dx_diag, ds_diag)
         try:
@@ -559,48 +568,36 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
             return result("numerical_failure", f"factorization failed: {exc}")
         regularized = fact.regularized
 
-        def newton_rhs(rc_xz, rc_xw, rc_sy):
-            r1 = rd - rc_xz / x_shift + np.where(finite_up, rc_xw / up_gap, 0.0)
-            r2 = rp + rc_sy / y
-            return np.concatenate([r1, r2])
-
         def directions(rc_xz, rc_xw, rc_sy):
-            rhs = newton_rhs(rc_xz, rc_xw, rc_sy)
+            r1 = rd - rc_xz / x_shift
+            r1[up] += rc_xw / up_gap
+            rhs = np.concatenate([r1, rp + rc_sy / y])
             with _timed(timings, "back_solve"):
                 delta = fact.solve(rhs)
             ddx = delta[:n]
             ddy = delta[n:]
             dds = A @ ddx - rp
             ddz = (rc_xz - z * ddx) / x_shift
-            ddw = np.where(finite_up, (rc_xw + w * ddx) / up_gap, 0.0)
+            ddw = (rc_xw + w * ddx[up]) / up_gap
             if settings.log_kkt:
                 kkt_log.append((system, rhs, delta))
             return ddx, ddy, dds, ddz, ddw
 
         # predictor (affine scaling)
-        rc_xz = -x_shift * z
-        rc_xw = np.where(finite_up, -up_gap * w, 0.0)
-        rc_sy = -s * y
         try:
-            dx_a, dy_a, ds_a, dz_a, dw_a = directions(rc_xz, rc_xw, rc_sy)
+            dx_a, dy_a, ds_a, dz_a, dw_a = directions(-x_shift * z, -up_gap * w, -s * y)
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             return result("numerical_failure", f"predictor solve failed: {exc}")
 
-        ap = min(1.0, _max_step(x_shift, dx_a), _max_step(s, ds_a),
-                 _max_step(up_gap[finite_up], -dx_a[finite_up]) if n_up else 1.0)
-        ad = min(1.0, _max_step(z, dz_a), _max_step(y, dy_a),
-                 _max_step(w[finite_up], dw_a[finite_up]) if n_up else 1.0)
-        mu_aff = (np.dot(x_shift + ap * dx_a, z + ad * dz_a)
-                  + np.dot(s + ap * ds_a, y + ad * dy_a)
-                  + (np.dot(up_gap[finite_up] - ap * dx_a[finite_up],
-                            w[finite_up] + ad * dw_a[finite_up]) if n_up else 0.0)) \
-            / (n + m + n_up)
+        ap, ad = (min(1.0, step) for step in max_steps(dx_a, ds_a, dy_a, dz_a, dw_a))
+        mu_aff = mean_complementarity(x_shift + ap * dx_a, s + ap * ds_a, up_gap - ap * dx_a[up],
+                                      z + ad * dz_a, y + ad * dy_a, w + ad * dw_a)
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** _CENTERING_POWER, 0.0, 0.999)) \
             if mu > 0 else 0.0
 
         # corrector (centering + second order)
         rc_xz = sigma * mu - x_shift * z - dx_a * dz_a
-        rc_xw = np.where(finite_up, sigma * mu - up_gap * w + dx_a * dw_a, 0.0)
+        rc_xw = sigma * mu - up_gap * w + dx_a[up] * dw_a
         rc_sy = sigma * mu - s * y - ds_a * dy_a
         try:
             dx_c, dy_c, ds_c, dz_c, dw_c = directions(rc_xz, rc_xw, rc_sy)
@@ -608,10 +605,8 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
             return result("numerical_failure", f"corrector solve failed: {exc}")
 
         theta = settings.step_fraction
-        alpha_p = min(1.0, theta * _max_step(x_shift, dx_c), theta * _max_step(s, ds_c),
-                      theta * _max_step(up_gap[finite_up], -dx_c[finite_up]) if n_up else 1.0)
-        alpha_d = min(1.0, theta * _max_step(z, dz_c), theta * _max_step(y, dy_c),
-                      theta * _max_step(w[finite_up], dw_c[finite_up]) if n_up else 1.0)
+        alpha_p, alpha_d = (min(1.0, theta * step)
+                            for step in max_steps(dx_c, ds_c, dy_c, dz_c, dw_c))
         if alpha_p < _STEP_FLOOR and alpha_d < _STEP_FLOOR:
             return result("numerical_failure", "step sizes collapsed")
 
@@ -619,12 +614,11 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
         s = s + alpha_p * ds_c
         y = y + alpha_d * dy_c
         z = z + alpha_d * dz_c
-        w = np.where(finite_up, w + alpha_d * dw_c, 0.0)
+        w = w + alpha_d * dw_c
         x_shift = x - lower
-        up_gap = safe_up_gap(x)
+        up_gap = upper[up] - x[up]
         if np.any(x_shift <= 0) or np.any(s <= 0) or np.any(z <= 0) or np.any(y <= 0) \
-                or (n_up and np.any(up_gap[finite_up] <= 0)) \
-                or (n_up and np.any(w[finite_up] <= 0)):
+                or np.any(up_gap <= 0) or np.any(w <= 0):
             return result("numerical_failure", "lost strict positivity")
 
     return result("iteration_limit", "iteration limit reached before convergence")

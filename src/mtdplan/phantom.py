@@ -114,11 +114,6 @@ class Phantom:
         nx, ny, nz = self.grid_dims
         return nx * ny * nz
 
-    @property
-    def voxel_volume_cc(self) -> float:
-        sx, sy, sz = self.voxel_size_mm
-        return sx * sy * sz / 1000.0
-
     def roi(self, name: str) -> ROI:
         for roi in self.rois:
             if roi.name == name:
@@ -224,19 +219,13 @@ class DoseInfluence:
     leaf_pairs: int
     bixels_per_row: int
 
-    def bixel_index(self, b: int, n: int, j: int) -> int:
-        return (b * self.leaf_pairs + n) * self.bixels_per_row + j
-
-    @property
-    def num_voxels(self) -> int:
-        return self.matrix.shape[0]
-
     def per_beam_row_sums(self) -> sp.csr_matrix:
         """Matrix of per-beam row sums, shape (voxels, num_beams).
 
         Column b equals the sum of all bixel columns of beam b; this is
         the dose response to one extra second of beam-on time per unit
-        transmission-scaled dose rate.
+        transmission-scaled dose rate.  Column indices are sorted within
+        each row (the sparse product alone leaves them unsorted).
         """
         per_beam = self.leaf_pairs * self.bixels_per_row
         rep = sp.csr_matrix(
@@ -245,7 +234,7 @@ class DoseInfluence:
               np.repeat(np.arange(self.num_beams), per_beam))),
             shape=(self.matrix.shape[1], self.num_beams),
         )
-        return (self.matrix @ rep).tocsr()
+        return (self.matrix @ rep).tocsr().sorted_indices()
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,15 @@ def test_sparse_build_matches_loop_reference_bitwise():
     assert ctypes == {"dav-min", "dav-max", "max", "min", "avg-min", "avg-max"}
 
 
+def test_per_beam_row_sums_has_sorted_column_indices():
+    influences = [_demo_inputs()[2]] + [random_block_instance(seed)[2] for seed in range(20)]
+    for influence in influences:
+        sums = influence.per_beam_row_sums()
+        for row in range(sums.shape[0]):
+            cols = sums.indices[sums.indptr[row]:sums.indptr[row + 1]]
+            assert np.all(np.diff(cols) > 0)
+
+
 def test_zero_transmission_stores_nothing_in_transmission_columns():
     machine = make_machine(B=2, N=1, J=2, dt=0.5, rho=0.3, tau=0.0, t_max=60.0)
     phantom = line_phantom({"t": ("target", [0, 1, 2], [0.2, 0.3, 0.5]),

@@ -295,6 +295,21 @@ def test_minimal_lp():
     assert res.converged
     assert res.x[0] == pytest.approx(1.0, abs=1e-6)
     assert res.gap_gy <= 1e-6
+    assert np.array_equal(res.dual.w, np.zeros(1))
+
+
+def test_upper_bound_dual_lands_on_its_column():
+    # min x0 - x1 + x2  s.t.  x0 + x1 + x2 >= 1,  0 <= x,  x1 <= 2: only the
+    # middle column is bounded above, and its bound is active with dual 1.
+    lp = raw_lp([[1.0, 1.0, 1.0]], [1.0], [1.0, -1.0, 1.0], [0.0, 0.0, 0.0],
+                [np.inf, 2.0, np.inf])
+    res = solve(lp, SolverSettings(dose_tolerance_gy=1e-9, feasibility_tolerance=1e-10))
+    assert res.converged
+    assert res.dual.w.shape == (3,)
+    assert res.dual.w[0] == 0.0 and res.dual.w[2] == 0.0
+    assert np.allclose(res.dual.w, [0.0, 1.0, 0.0], rtol=0.0, atol=1e-6)
+    ref = linprog_reference(lp)
+    assert np.allclose(res.dual.w, -ref.upper.marginals, rtol=0.0, atol=1e-6)
 
 
 def test_weak_and_strong_duality_values():
