@@ -9,11 +9,12 @@ offending field.
 
 from __future__ import annotations
 
+import contextlib
 import importlib.resources
 import json
 from dataclasses import dataclass, replace
 
-from .errors import CaseError, FormulationError
+from .errors import CaseError, FormulationError, PhantomError
 from .evaluation import QualityIndexSpec
 from .formulation import Criterion, CriterionSet
 from .ipm import SolverSettings
@@ -52,6 +53,19 @@ class Case:
         return tuple(spec.aim for spec in self.quality_indices)
 
 
+@contextlib.contextmanager
+def _reported_at(path):
+    """Report a domain error raised inside the block as a :class:`CaseError` at ``path``.
+
+    A ``CaseError`` (say, from :func:`_expect`) passes through with its own,
+    finer path.
+    """
+    try:
+        yield
+    except (FormulationError, PhantomError, ValueError) as exc:
+        raise CaseError(str(exc), path=path) from exc
+
+
 def _expect(mapping, key, kind, path, default=_REQUIRED):
     """Fetch ``mapping[key]`` checking its JSON type; no default means required."""
     if key not in mapping:
@@ -69,10 +83,13 @@ def _expect(mapping, key, kind, path, default=_REQUIRED):
     return value
 
 
-def _float_triple(mapping, key, path):
+def _floats(mapping, key, path, count=3):
+    """A list of JSON numbers as a float tuple; ``count=None`` allows any length."""
     value = _expect(mapping, key, list, path)
-    if len(value) != 3 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-        raise CaseError("expected a list of 3 numbers", path=f"{path}.{key}")
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+        raise CaseError("expected a list of numbers", path=f"{path}.{key}")
+    if count is not None and len(value) != count:
+        raise CaseError(f"expected a list of {count} numbers", path=f"{path}.{key}")
     return tuple(float(v) for v in value)
 
 
@@ -82,15 +99,15 @@ def _parse_shape(obj, path) -> RoiShapeSpec:
         raise CaseError(f"unknown shape type {kind!r}", path=f"{path}.type")
     if kind == "sphere":
         return RoiShapeSpec(kind_of_shape="sphere",
-                            center_mm=_float_triple(obj, "center_mm", path),
+                            center_mm=_floats(obj, "center_mm", path),
                             radius_mm=_expect(obj, "radius_mm", float, path))
     if kind == "box":
         return RoiShapeSpec(kind_of_shape="box",
-                            center_mm=_float_triple(obj, "center_mm", path),
-                            size_mm=_float_triple(obj, "size_mm", path))
+                            center_mm=_floats(obj, "center_mm", path),
+                            size_mm=_floats(obj, "size_mm", path))
     if kind == "shell":
         return RoiShapeSpec(kind_of_shape="shell",
-                            center_mm=_float_triple(obj, "center_mm", path),
+                            center_mm=_floats(obj, "center_mm", path),
                             inner_radius_mm=_expect(obj, "inner_radius_mm", float, path),
                             outer_radius_mm=_expect(obj, "outer_radius_mm", float, path))
     return RoiShapeSpec(kind_of_shape="ring",
@@ -103,7 +120,7 @@ def _parse_phantom(obj, path) -> Phantom:
     grid = _expect(obj, "grid_dims", list, path)
     if len(grid) != 3 or not all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in grid):
         raise CaseError("expected a list of 3 positive integers", path=f"{path}.grid_dims")
-    voxel = _float_triple(obj, "voxel_size_mm", path)
+    voxel = _floats(obj, "voxel_size_mm", path)
     rois_json = _expect(obj, "rois", list, path)
     rois = []
     for i, roi_obj in enumerate(rois_json):
@@ -117,33 +134,35 @@ def _parse_phantom(obj, path) -> Phantom:
         rois.append(RoiSpec(name=_expect(roi_obj, "name", str, roi_path), kind=kind,
                             shape=_parse_shape(shape_obj, f"{roi_path}.shape")))
     spec = PhantomSpec(grid_dims=tuple(grid), voxel_size_mm=voxel, rois=tuple(rois))
-    return build_phantom(spec)
+    with _reported_at(path):
+        return build_phantom(spec)
 
 
 def _parse_machine(obj, path) -> MachineModel:
-    angles = _expect(obj, "beam_angles_deg", list, path)
-    return MachineModel(
-        num_beams=_expect(obj, "num_beams", int, path),
-        leaf_pairs=_expect(obj, "leaf_pairs", int, path),
-        bixels_per_row=_expect(obj, "bixels_per_row", int, path),
-        traverse_time_s=_expect(obj, "traverse_time_s", float, path),
-        min_gap_fraction=_expect(obj, "min_gap_fraction", float, path),
-        transmission=_expect(obj, "transmission", float, path),
-        dose_rate=_expect(obj, "dose_rate", float, path),
-        max_time_s=_expect(obj, "max_time_s", float, path),
-        beam_angles_deg=tuple(float(a) for a in angles),
-    )
+    with _reported_at(path):
+        return MachineModel(
+            num_beams=_expect(obj, "num_beams", int, path),
+            leaf_pairs=_expect(obj, "leaf_pairs", int, path),
+            bixels_per_row=_expect(obj, "bixels_per_row", int, path),
+            traverse_time_s=_expect(obj, "traverse_time_s", float, path),
+            min_gap_fraction=_expect(obj, "min_gap_fraction", float, path),
+            transmission=_expect(obj, "transmission", float, path),
+            dose_rate=_expect(obj, "dose_rate", float, path),
+            max_time_s=_expect(obj, "max_time_s", float, path),
+            beam_angles_deg=_floats(obj, "beam_angles_deg", path, count=None),
+        )
 
 
 def _parse_kernel(obj, path) -> KernelParams:
-    return KernelParams(
-        lateral_sigma_mm=_expect(obj, "lateral_sigma_mm", float, path, default=3.0),
-        attenuation_per_mm=_expect(obj, "attenuation_per_mm", float, path, default=0.005),
-        bixel_width_mm=_expect(obj, "bixel_width_mm", float, path, default=5.0),
-        leaf_width_mm=_expect(obj, "leaf_width_mm", float, path, default=10.0),
-        cutoff_sigmas=_expect(obj, "cutoff_sigmas", float, path, default=3.0),
-        output_factor=_expect(obj, "output_factor", float, path, default=1.0),
-    )
+    with _reported_at(path):
+        return KernelParams(
+            lateral_sigma_mm=_expect(obj, "lateral_sigma_mm", float, path, default=3.0),
+            attenuation_per_mm=_expect(obj, "attenuation_per_mm", float, path, default=0.005),
+            bixel_width_mm=_expect(obj, "bixel_width_mm", float, path, default=5.0),
+            leaf_width_mm=_expect(obj, "leaf_width_mm", float, path, default=10.0),
+            cutoff_sigmas=_expect(obj, "cutoff_sigmas", float, path, default=3.0),
+            output_factor=_expect(obj, "output_factor", float, path, default=1.0),
+        )
 
 
 def _parse_criterion(obj, path, phantom: Phantom) -> Criterion:
@@ -154,16 +173,15 @@ def _parse_criterion(obj, path, phantom: Phantom) -> Criterion:
     if volume is not None and volume_cc is not None:
         raise CaseError("give either volume or volume_cc, not both", path=path)
     if volume_cc is not None:
-        roi = phantom.roi(roi_name) if phantom.has_roi(roi_name) else None
-        if roi is None:
+        if not phantom.has_roi(roi_name):
             raise CaseError(f"unknown ROI {roi_name!r}", path=f"{path}.roi")
-        volume = volume_cc / roi.volume_cc
+        volume = volume_cc / phantom.roi(roi_name).volume_cc
         if not (0.0 < volume < 1.0):
             raise CaseError(f"volume_cc={volume_cc} is {volume:.3g} of the ROI volume, "
                             "outside (0, 1)", path=f"{path}.volume_cc")
     if volume is not None and not (0.0 < volume < 1.0):
         raise CaseError(f"volume fraction must lie in (0, 1), got {volume}", path=f"{path}.volume")
-    try:
+    with _reported_at(path):
         return Criterion(
             roi=roi_name,
             ctype=ctype,
@@ -175,12 +193,10 @@ def _parse_criterion(obj, path, phantom: Phantom) -> Criterion:
             objective=_expect(obj, "objective", int, path, default=None),
             name=_expect(obj, "name", str, path, default=""),
         )
-    except FormulationError as exc:
-        raise CaseError(str(exc), path=path)
 
 
 def _parse_quality_index(obj, path) -> QualityIndexSpec:
-    try:
+    with _reported_at(path):
         return QualityIndexSpec(
             name=_expect(obj, "name", str, path),
             roi=_expect(obj, "roi", str, path),
@@ -190,8 +206,6 @@ def _parse_quality_index(obj, path) -> QualityIndexSpec:
             low_pct=_expect(obj, "low_pct", float, path, default=None),
             high_pct=_expect(obj, "high_pct", float, path, default=None),
         )
-    except ValueError as exc:
-        raise CaseError(str(exc), path=path)
 
 
 def _parse_solver(obj, path) -> SolverSettings:
@@ -201,10 +215,8 @@ def _parse_solver(obj, path) -> SolverSettings:
         value = _expect(obj, key, kind, path, default=None)
         if value is not None:
             kwargs[key] = value
-    try:
+    with _reported_at(path):
         return SolverSettings(**kwargs)
-    except ValueError as exc:
-        raise CaseError(str(exc), path=path)
 
 
 def case_from_dict(doc: dict, name_fallback: str = "case") -> Case:
@@ -221,11 +233,9 @@ def case_from_dict(doc: dict, name_fallback: str = "case") -> Case:
         if not isinstance(obj, dict):
             raise CaseError("expected an object", path=f"$.criteria[{i}]")
         criteria_list.append(_parse_criterion(obj, f"$.criteria[{i}]", phantom))
-    try:
+    with _reported_at("$.criteria"):
         criteria = CriterionSet(criteria_list)
         criteria.validate_against(phantom)
-    except FormulationError as exc:
-        raise CaseError(str(exc), path="$.criteria")
 
     indices_json = _expect(doc, "quality_indices", list, "$")
     indices = []

@@ -140,19 +140,13 @@ def validate_trajectories(traj: Trajectories, machine: MachineModel, tol: float 
     return out
 
 
-def fluence_from_trajectories(traj: Trajectories, machine: MachineModel,
-                              validate: bool = False) -> np.ndarray:
+def fluence_from_trajectories(traj: Trajectories, machine: MachineModel) -> np.ndarray:
     """Beamlet weights, shape (B, N, J).
 
     Each bixel's weight is the dose rate times its open exposure
     ``l - r`` plus leakage through closed leaves for the rest of the
     beam-on time: ``rate * (l - r + tau * (T - (l - r)))``.
     """
-    if validate:
-        violations = validate_trajectories(traj, machine)
-        if violations:
-            raise ValueError(f"infeasible trajectories: {violations[:3]}"
-                             + (" ..." if len(violations) > 3 else ""))
     gap = traj.l - traj.r
     return machine.dose_rate * (gap + machine.transmission * (traj.T[:, None, None] - gap))
 

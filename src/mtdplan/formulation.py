@@ -86,18 +86,13 @@ class Criterion:
                     f"criterion {self.describe()}: dose-at-volume needs volume in (0, 1)")
         elif self.volume is not None:
             raise FormulationError(f"criterion {self.describe()}: volume only applies to d-a-v types")
-        if self.is_minimized:
-            if self.hard_lower is not None or self.utopian_upper is not None:
-                raise FormulationError(
-                    f"criterion {self.describe()}: minimized types take hard_upper/utopian_lower only")
-            lo = self.utopian_lower if self.utopian_lower is not None else 0.0
-            hi = self.hard_upper if self.hard_upper is not None else np.inf
-        else:
-            if self.hard_upper is not None or self.utopian_lower is not None:
-                raise FormulationError(
-                    f"criterion {self.describe()}: maximized types take hard_lower/utopian_upper only")
-            lo = self.hard_lower if self.hard_lower is not None else 0.0
-            hi = self.utopian_upper if self.utopian_upper is not None else np.inf
+        if self.is_minimized and (self.hard_lower is not None or self.utopian_upper is not None):
+            raise FormulationError(
+                f"criterion {self.describe()}: minimized types take hard_upper/utopian_lower only")
+        if not self.is_minimized and (self.hard_upper is not None or self.utopian_lower is not None):
+            raise FormulationError(
+                f"criterion {self.describe()}: maximized types take hard_lower/utopian_upper only")
+        lo, hi = self._bound_pair()
         if lo > hi:
             raise FormulationError(
                 f"criterion {self.describe()}: bound pair infeasible by construction ({lo} > {hi})")
@@ -118,13 +113,16 @@ class Criterion:
     def describe(self) -> str:
         return self.name or f"{self.roi}:{self.ctype}"
 
-    def xi_bounds(self) -> tuple[float, float]:
+    def _bound_pair(self):
+        """``(lo, hi)`` from the hard bound and utopian level; unset ends are 0 and inf."""
         if self.is_minimized:
-            lo = self.utopian_lower if self.utopian_lower is not None else 0.0
-            hi = self.hard_upper if self.hard_upper is not None else np.inf
+            lo, hi = self.utopian_lower, self.hard_upper
         else:
-            lo = self.hard_lower if self.hard_lower is not None else 0.0
-            hi = self.utopian_upper if self.utopian_upper is not None else np.inf
+            lo, hi = self.hard_lower, self.utopian_upper
+        return (0.0 if lo is None else lo), (np.inf if hi is None else hi)
+
+    def xi_bounds(self) -> tuple[float, float]:
+        lo, hi = self._bound_pair()
         if lo == hi:  # pinned auxiliary; widen a hair so the box has interior
             hi = lo + 1e-9 * max(1.0, abs(lo))
         return float(lo), float(hi)
@@ -198,7 +196,6 @@ class CriterionColumns:
     alpha: int | None
     eta: slice | None        # columns within the voxelwise block (global indices)
     voxel_rows: slice | None  # this criterion's rows within the voxelwise row block
-    voxels: np.ndarray | None
 
 
 @dataclass
@@ -267,9 +264,6 @@ class BlockLP:
 
     def xi_values(self, x: np.ndarray) -> np.ndarray:
         return np.array([x[c.xi] for c in self.columns])
-
-    def alpha_values(self, x: np.ndarray) -> np.ndarray:
-        return np.array([x[c.alpha] if c.alpha is not None else np.nan for c in self.columns])
 
     def objective_coordinates(self, x: np.ndarray) -> np.ndarray:
         """Per-slot objective values in dose space, the analogue of the
@@ -463,18 +457,13 @@ def build_weighted_instance(phantom: Phantom, machine: MachineModel, influence: 
         if criterion.objective is not None:
             c[xi_cols[k]] = criterion.sign * w[criterion.objective]
 
-    columns = []
-    for k, criterion in enumerate(criteria):
-        voxelwise = criterion.is_dav or criterion.ctype in ("max", "min")
-        columns.append(CriterionColumns(
-            xi=xi_cols[k], alpha=alpha_cols[k], eta=eta_slices[k],
-            voxel_rows=voxel_row_slices[k],
-            voxels=phantom.roi(criterion.roi).voxels if voxelwise else None))
+    columns = tuple(CriterionColumns(xi=xi_cols[k], alpha=alpha_cols[k], eta=eta_slices[k],
+                                     voxel_rows=voxel_row_slices[k]) for k in range(K))
     return BlockLP(a11=a11, a12=a12, a21=a21, a22=a22,
                    b1=b1, b2=b2,
                    objective_vector=c, lower=lower, upper=upper,
                    num_zero_rows=num_zero_rows, machine=machine,
-                   criteria=criteria, weights=w, columns=tuple(columns),
+                   criteria=criteria, weights=w, columns=columns,
                    num_deliverability_rows=deliv.rhs.size,
                    row_labels1=tuple(labels1), name=name)
 

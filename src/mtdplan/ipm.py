@@ -109,7 +109,6 @@ class KKTSystem:
     d3: np.ndarray
     d4: np.ndarray
     num_zero_rows: int
-    rhs: np.ndarray | None = None
 
     @property
     def n1(self) -> int:

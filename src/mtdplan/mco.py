@@ -47,8 +47,6 @@ class Plan:
     fluence: np.ndarray
     dose: np.ndarray
     xi: np.ndarray
-    alpha: np.ndarray
-    eta_norm: float
     objective_value: float
     objective_coordinates: np.ndarray
     quality: np.ndarray
@@ -99,8 +97,7 @@ def solve_single_weight(case, weights, settings: ipm.SolverSettings | None = Non
                                                    case.quality_indices, case.criteria)
     return Plan(weights=np.asarray(weights, dtype=float),
                 trajectories=traj, fluence=fluence, dose=dose,
-                xi=lp.xi_values(result.x), alpha=lp.alpha_values(result.x),
-                eta_norm=float(np.linalg.norm(result.x[lp.n1:])),
+                xi=lp.xi_values(result.x),
                 objective_value=result.objective,
                 objective_coordinates=lp.objective_coordinates(result.x),
                 quality=quality, violations=violations,

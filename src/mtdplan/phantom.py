@@ -72,15 +72,14 @@ class ROI:
             raise PhantomError(f"ROI {self.name!r}: weights sum to {weights.sum()!r}, not 1")
 
     @staticmethod
-    def from_raw_volumes(name: str, kind: str, voxels, raw_volumes, volume_cc: float | None = None) -> "ROI":
-        """Build an ROI from raw (unnormalized) per-voxel overlap volumes."""
+    def from_raw_volumes(name: str, kind: str, voxels, raw_volumes) -> "ROI":
+        """Build an ROI from raw (unnormalized) per-voxel overlap volumes in mm^3."""
         raw = np.asarray(raw_volumes, dtype=float)
         total = float(raw.sum())
         if total <= 0.0:
             raise PhantomError(f"ROI {name!r}: raw volumes sum to zero")
-        vol_cc = float(volume_cc) if volume_cc is not None else total / 1000.0
         return ROI(name=name, kind=kind, voxels=np.asarray(voxels, dtype=np.int64),
-                   weights=raw / total, volume_cc=vol_cc)
+                   weights=raw / total, volume_cc=total / 1000.0)
 
 
 @dataclass(frozen=True)
@@ -125,14 +124,7 @@ class Phantom:
 
     def voxel_centers_mm(self) -> np.ndarray:
         """Centers of all voxels, shape (num_voxels, 3), C-order indexing."""
-        nx, ny, nz = self.grid_dims
-        sx, sy, sz = self.voxel_size_mm
-        ix, iy, iz = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
-        centers = np.empty((self.num_voxels, 3))
-        centers[:, 0] = (ix.ravel() + 0.5) * sx
-        centers[:, 1] = (iy.ravel() + 0.5) * sy
-        centers[:, 2] = (iz.ravel() + 0.5) * sz
-        return centers
+        return _voxel_centers(self.grid_dims, self.voxel_size_mm)
 
     def extent_mm(self) -> np.ndarray:
         return np.asarray(self.grid_dims, dtype=float) * np.asarray(self.voxel_size_mm, dtype=float)
@@ -275,6 +267,12 @@ class PhantomSpec:
     rois: tuple[RoiSpec, ...]
 
 
+def _voxel_centers(grid_dims, voxel_size_mm) -> np.ndarray:
+    """Centers of all voxels of a grid, shape (num_voxels, 3), C-order indexing."""
+    ix, iy, iz = np.meshgrid(*(np.arange(n) for n in grid_dims), indexing="ij")
+    return np.stack([(i.ravel() + 0.5) * s for i, s in zip((ix, iy, iz), voxel_size_mm)], axis=1)
+
+
 def _subsample_offsets(voxel_size: np.ndarray) -> np.ndarray:
     """Regular sub-voxel sample offsets relative to the voxel center."""
     k = _OVERLAP_SUBDIV
@@ -300,21 +298,16 @@ def _shape_membership(shape: RoiShapeSpec, points: np.ndarray) -> np.ndarray:
     raise PhantomError(f"unknown shape kind {shape.kind_of_shape!r}")
 
 
-def _voxelize_shape(phantom_dims, voxel_size, shape: RoiShapeSpec):
+def _voxelize_shape(centers: np.ndarray, voxel_size, shape: RoiShapeSpec):
     """Return (voxel indices, raw overlap volumes in mm^3) for a shape.
 
+    ``centers`` are the grid's voxel centers (:func:`_voxel_centers`).
     Membership is decided by the voxel center (keeps e.g. a sphere and
     the shell around it disjoint); the overlap fraction of each member
     voxel is estimated on a regular sub-voxel grid and floored at half a
     sample so degenerate shapes keep positive weight.
     """
-    dims = np.asarray(phantom_dims, dtype=int)
     vsize = np.asarray(voxel_size, dtype=float)
-    nx, ny, nz = dims
-    ix, iy, iz = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
-    centers = np.stack([(ix.ravel() + 0.5) * vsize[0],
-                        (iy.ravel() + 0.5) * vsize[1],
-                        (iz.ravel() + 0.5) * vsize[2]], axis=1)
     member = _shape_membership(shape, centers)
     idx = np.flatnonzero(member)
     if idx.size == 0:
@@ -352,24 +345,21 @@ def build_phantom(spec: PhantomSpec) -> Phantom:
 
     Rings are generated after all other ROIs so they can reference a
     target by name.  Raises :class:`PhantomError` when an ROI voxelizes
-    to the empty set or when names collide.
+    to the empty set or (through :class:`Phantom`) when names collide.
     """
     dims = tuple(int(d) for d in spec.grid_dims)
     vsize = tuple(float(s) for s in spec.voxel_size_mm)
     if any(d <= 0 for d in dims):
         raise PhantomError(f"grid dims must be positive, got {dims}")
 
-    names = [r.name for r in spec.rois]
-    if len(names) != len(set(names)):
-        raise PhantomError("duplicate ROI names in phantom spec")
-
+    centers = _voxel_centers(dims, vsize)
     rois: dict[str, ROI] = {}
     rings: list[RoiSpec] = []
     for roi_spec in spec.rois:
         if roi_spec.shape.kind_of_shape == "ring":
             rings.append(roi_spec)
             continue
-        idx, raw = _voxelize_shape(dims, vsize, roi_spec.shape)
+        idx, raw = _voxelize_shape(centers, vsize, roi_spec.shape)
         if idx.size == 0:
             raise PhantomError(f"ROI {roi_spec.name!r} is empty after voxelization")
         rois[roi_spec.name] = ROI.from_raw_volumes(roi_spec.name, roi_spec.kind, idx, raw)
@@ -383,7 +373,7 @@ def build_phantom(spec: PhantomSpec) -> Phantom:
             raise PhantomError(f"ROI {roi_spec.name!r} is empty after voxelization")
         rois[roi_spec.name] = ROI.from_raw_volumes(roi_spec.name, roi_spec.kind, idx, raw)
 
-    ordered = tuple(rois[name] for name in names)
+    ordered = tuple(rois[roi_spec.name] for roi_spec in spec.rois)
     return Phantom(grid_dims=dims, voxel_size_mm=vsize, rois=ordered)
 
 

@@ -328,11 +328,9 @@ def reference_weighted_instance(phantom, machine, influence, criteria, weights, 
 
     columns = []
     for k, criterion in enumerate(criteria):
-        voxelwise = criterion.is_dav or criterion.ctype in ("max", "min")
         columns.append(CriterionColumns(
             xi=xi_cols[k], alpha=alpha_cols[k], eta=eta_slices[k],
-            voxel_rows=voxel_row_slices[k],
-            voxels=phantom.roi(criterion.roi).voxels if voxelwise else None))
+            voxel_rows=voxel_row_slices[k]))
     return BlockLP(a11=a11, a12=a12, a21=a21, a22=a22,
                    b1=np.asarray(b1), b2=np.asarray(b2),
                    objective_vector=c, lower=lower, upper=upper,

@@ -129,6 +129,40 @@ def test_validate_bad_volume_exits_config_error(tmp_path, capsys):
     assert "$.criteria[0].volume" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value, path", [
+    ("machine", "transmission", 1.5, "$.machine"),
+    ("kernel", "lateral_sigma_mm", -1.0, "$.kernel"),
+    ("ptv60", "center_mm", [500.0, 500.0, 30.0], "$.phantom"),
+])
+def test_validate_bad_section_exits_config_error_with_path(tmp_path, capsys,
+                                                           section, key, value, path):
+    doc = demo_doc()
+    if section == "ptv60":
+        next(r for r in doc["phantom"]["rois"] if r["name"] == "ptv60")["shape"][key] = value
+    else:
+        doc[section][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--case", str(bad)]) == cli.EXIT_CONFIG_ERROR
+    assert f"configuration error: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("transmission", "x", "expected float"),
+    ("beam_angles_deg", [0.0, None, 240.0], "expected a list of numbers"),
+])
+def test_validate_wrong_type_in_wrapped_section_keeps_field_path(tmp_path, capsys,
+                                                                 key, value, message):
+    doc = demo_doc()
+    doc["machine"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--case", str(bad)]) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert f"configuration error: $.machine.{key}: {message}" in err
+    assert err.count("$.machine") == 1
+
+
 def test_validate_warns_when_budget_below_sweep_bound(tmp_path, capsys):
     doc = demo_doc()
     doc["machine"]["max_time_s"] = 1.0

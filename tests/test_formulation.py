@@ -318,9 +318,6 @@ def _assert_same_lp_blocks(lp, ref):
     for cols, ref_cols in zip(lp.columns, ref.columns):
         assert (cols.xi, cols.alpha, cols.eta, cols.voxel_rows) == \
             (ref_cols.xi, ref_cols.alpha, ref_cols.eta, ref_cols.voxel_rows)
-        assert (cols.voxels is None) == (ref_cols.voxels is None)
-        if cols.voxels is not None:
-            assert np.array_equal(cols.voxels, ref_cols.voxels)
 
 
 def test_sparse_build_matches_loop_reference_bitwise():
