@@ -19,7 +19,7 @@ def _lookup(module_name, attr):
     return getattr(importlib.import_module(module_name), attr, None)
 
 
-def test_every_trace_boundary_resolves_and_is_restored(capsys):
+def test_every_trace_boundary_resolves_and_is_restored():
     missing = [f"{m}.{a}" for m, a, _, _ in tracing.BOUNDARIES if _lookup(m, a) is None]
     assert missing == []
     originals = [_lookup(m, a) for m, a, _, _ in tracing.BOUNDARIES]
