@@ -3,8 +3,12 @@
 A case file is a single JSON document with sections ``phantom``,
 ``machine``, ``kernel``, ``criteria``, ``quality_indices`` and the
 optional ``solver`` and ``pareto`` sections.  See the repository README
-for the full schema.  Validation errors carry the JSON path of the
-offending field.
+for the full schema.  Each section is read through one table that names
+every key it takes and the JSON kind of each value.  A missing required
+key, a key the table does not name, a value of the wrong kind and a
+non-finite number (the non-standard ``NaN`` and ``Infinity`` tokens) are
+each a :class:`CaseError` at the JSON path of the offending field;
+defaults live on the dataclasses the sections build.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import importlib.resources
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .errors import CaseError, FormulationError, PhantomError
@@ -22,8 +27,35 @@ from .phantom import (DoseInfluence, KernelParams, MachineModel, Phantom, Phanto
                       RoiShapeSpec, RoiSpec, build_phantom, load_or_compute_dose_influence)
 
 _ROI_KINDS = ("target", "oar", "ring")
-_SHAPE_KINDS = ("sphere", "box", "shell", "ring")
-_REQUIRED = object()
+
+# One table per section, ``{key: kind}``.  A kind is a JSON type (``float``
+# takes any finite number, ``int`` excludes bools), ``(float,) * 3`` a list of
+# exactly three numbers or ``[float]`` a list of numbers of any length.
+_XYZ = (float,) * 3
+_CASE = {"name": str, "phantom": dict, "machine": dict, "kernel": dict, "criteria": list,
+         "quality_indices": list, "solver": dict, "pareto": dict}
+_PHANTOM = {"grid_dims": list, "voxel_size_mm": _XYZ, "rois": list}
+_ROI = {"name": str, "kind": str, "shape": dict}
+_SHAPES = {
+    "sphere": {"type": str, "center_mm": _XYZ, "radius_mm": float},
+    "box": {"type": str, "center_mm": _XYZ, "size_mm": _XYZ},
+    "shell": {"type": str, "center_mm": _XYZ, "inner_radius_mm": float, "outer_radius_mm": float},
+    "ring": {"type": str, "around": str, "inner_mm": float, "outer_mm": float},
+}
+_ANY_SHAPE = {key: kind for table in _SHAPES.values() for key, kind in table.items()}
+_MACHINE = {"num_beams": int, "leaf_pairs": int, "bixels_per_row": int,
+            "traverse_time_s": float, "min_gap_fraction": float, "transmission": float,
+            "dose_rate": float, "max_time_s": float, "beam_angles_deg": [float]}
+_KERNEL = dict.fromkeys(("lateral_sigma_mm", "attenuation_per_mm", "bixel_width_mm",
+                         "leaf_width_mm", "cutoff_sigmas", "output_factor"), float)
+_CRITERION = {"name": str, "roi": str, "type": str, "volume": float, "volume_cc": float,
+              "hard_lower": float, "hard_upper": float, "utopian_lower": float,
+              "utopian_upper": float, "objective": int}
+_QUALITY_INDEX = {"name": str, "roi": str, "kind": str, "aim": str, "volume": float,
+                  "low_pct": float, "high_pct": float}
+_SOLVER = {"dose_tolerance_gy": float, "max_iterations": int, "step_fraction": float,
+           "feasibility_tolerance": float}
+_PARETO = {"grid_order": int, "workers": int}
 
 
 @dataclass
@@ -57,7 +89,7 @@ class Case:
 def _reported_at(path):
     """Report a domain error raised inside the block as a :class:`CaseError` at ``path``.
 
-    A ``CaseError`` (say, from :func:`_expect`) passes through with its own,
+    A ``CaseError`` (say, from :func:`_fields`) passes through with its own,
     finer path.
     """
     try:
@@ -66,183 +98,141 @@ def _reported_at(path):
         raise CaseError(str(exc), path=path) from exc
 
 
-def _expect(mapping, key, kind, path, default=_REQUIRED):
-    """Fetch ``mapping[key]`` checking its JSON type; no default means required."""
-    if key not in mapping:
-        if default is _REQUIRED:
-            raise CaseError("missing required field", path=f"{path}.{key}")
-        return default
-    value = mapping[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise CaseError(f"expected {kind.__name__}, got {type(value).__name__}",
-                        path=f"{path}.{key}")
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _checked(value, kind, path):
+    """``value`` checked against ``kind`` (see the tables); numbers come back as floats."""
+    if isinstance(kind, (tuple, list)):
+        if not isinstance(value, list):
+            raise CaseError(f"expected list, got {type(value).__name__}", path=path)
+        if not all(_is_number(v) for v in value):
+            raise CaseError("expected a list of numbers", path=path)
+        if isinstance(kind, tuple) and len(value) != len(kind):
+            raise CaseError(f"expected a list of {len(kind)} numbers", path=path)
+        return tuple(_checked(v, float, path) for v in value)
+    if kind is float:
+        if not _is_number(value):
+            raise CaseError(f"expected float, got {type(value).__name__}", path=path)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise CaseError("expected a finite number", path=path)
+        return number
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise CaseError(f"expected {kind.__name__}, got {type(value).__name__}", path=path)
     return value
 
 
-def _floats(mapping, key, path, count=3):
-    """A list of JSON numbers as a float tuple; ``count=None`` allows any length."""
-    value = _expect(mapping, key, list, path)
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-        raise CaseError("expected a list of numbers", path=f"{path}.{key}")
-    if count is not None and len(value) != count:
-        raise CaseError(f"expected a list of {count} numbers", path=f"{path}.{key}")
-    return tuple(float(v) for v in value)
+def _fields(obj, path, kinds, required=()) -> dict:
+    """The keys of the JSON object ``obj``, each checked against its kind in ``kinds``.
+
+    A key missing from ``required``, a key ``kinds`` does not name and a value
+    of the wrong kind are each a :class:`CaseError` at the field's path.
+    """
+    if not isinstance(obj, dict):
+        raise CaseError("expected an object", path=path)
+    for key in required:
+        if key not in obj:
+            raise CaseError("missing required field", path=f"{path}.{key}")
+    for key in obj:
+        if key not in kinds:
+            raise CaseError("unknown field", path=f"{path}.{key}")
+    return {key: _checked(value, kinds[key], f"{path}.{key}") for key, value in obj.items()}
+
+
+def _section(cls, obj, path, kinds, required=()):
+    """``cls`` built from the checked fields of ``obj``; its own checks report at ``path``."""
+    fields = _fields(obj, path, kinds, required)
+    with _reported_at(path):
+        return cls(**fields)
 
 
 def _parse_shape(obj, path) -> RoiShapeSpec:
-    kind = _expect(obj, "type", str, path)
-    if kind not in _SHAPE_KINDS:
+    kind = _fields(obj, path, _ANY_SHAPE, required=("type",))["type"]
+    if kind not in _SHAPES:
         raise CaseError(f"unknown shape type {kind!r}", path=f"{path}.type")
-    if kind == "sphere":
-        return RoiShapeSpec(kind_of_shape="sphere",
-                            center_mm=_floats(obj, "center_mm", path),
-                            radius_mm=_expect(obj, "radius_mm", float, path))
-    if kind == "box":
-        return RoiShapeSpec(kind_of_shape="box",
-                            center_mm=_floats(obj, "center_mm", path),
-                            size_mm=_floats(obj, "size_mm", path))
-    if kind == "shell":
-        return RoiShapeSpec(kind_of_shape="shell",
-                            center_mm=_floats(obj, "center_mm", path),
-                            inner_radius_mm=_expect(obj, "inner_radius_mm", float, path),
-                            outer_radius_mm=_expect(obj, "outer_radius_mm", float, path))
-    return RoiShapeSpec(kind_of_shape="ring",
-                        around=_expect(obj, "around", str, path),
-                        inner_mm=_expect(obj, "inner_mm", float, path, default=0.0),
-                        outer_mm=_expect(obj, "outer_mm", float, path))
+    kinds = _SHAPES[kind]
+    fields = _fields(obj, path, kinds, required=[key for key in kinds if key != "inner_mm"])
+    fields["kind_of_shape"] = fields.pop("type")
+    if kind == "ring":
+        fields.setdefault("inner_mm", 0.0)
+    with _reported_at(path):
+        return RoiShapeSpec(**fields)
 
 
 def _parse_phantom(obj, path) -> Phantom:
-    grid = _expect(obj, "grid_dims", list, path)
+    fields = _fields(obj, path, _PHANTOM, required=_PHANTOM)
+    grid = fields["grid_dims"]
     if len(grid) != 3 or not all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in grid):
         raise CaseError("expected a list of 3 positive integers", path=f"{path}.grid_dims")
-    voxel = _floats(obj, "voxel_size_mm", path)
-    rois_json = _expect(obj, "rois", list, path)
     rois = []
-    for i, roi_obj in enumerate(rois_json):
+    for i, roi_obj in enumerate(fields["rois"]):
         roi_path = f"{path}.rois[{i}]"
-        if not isinstance(roi_obj, dict):
-            raise CaseError("expected an object", path=roi_path)
-        kind = _expect(roi_obj, "kind", str, roi_path)
-        if kind not in _ROI_KINDS:
-            raise CaseError(f"unknown ROI kind {kind!r}", path=f"{roi_path}.kind")
-        shape_obj = _expect(roi_obj, "shape", dict, roi_path)
-        rois.append(RoiSpec(name=_expect(roi_obj, "name", str, roi_path), kind=kind,
-                            shape=_parse_shape(shape_obj, f"{roi_path}.shape")))
-    spec = PhantomSpec(grid_dims=tuple(grid), voxel_size_mm=voxel, rois=tuple(rois))
+        roi = _fields(roi_obj, roi_path, _ROI, required=_ROI)
+        if roi["kind"] not in _ROI_KINDS:
+            raise CaseError(f"unknown ROI kind {roi['kind']!r}", path=f"{roi_path}.kind")
+        roi["shape"] = _parse_shape(roi["shape"], f"{roi_path}.shape")
+        rois.append(RoiSpec(**roi))
+    spec = PhantomSpec(grid_dims=tuple(grid), voxel_size_mm=fields["voxel_size_mm"],
+                       rois=tuple(rois))
     with _reported_at(path):
         return build_phantom(spec)
 
 
-def _parse_machine(obj, path) -> MachineModel:
-    with _reported_at(path):
-        return MachineModel(
-            num_beams=_expect(obj, "num_beams", int, path),
-            leaf_pairs=_expect(obj, "leaf_pairs", int, path),
-            bixels_per_row=_expect(obj, "bixels_per_row", int, path),
-            traverse_time_s=_expect(obj, "traverse_time_s", float, path),
-            min_gap_fraction=_expect(obj, "min_gap_fraction", float, path),
-            transmission=_expect(obj, "transmission", float, path),
-            dose_rate=_expect(obj, "dose_rate", float, path),
-            max_time_s=_expect(obj, "max_time_s", float, path),
-            beam_angles_deg=_floats(obj, "beam_angles_deg", path, count=None),
-        )
-
-
-def _parse_kernel(obj, path) -> KernelParams:
-    with _reported_at(path):
-        return KernelParams(
-            lateral_sigma_mm=_expect(obj, "lateral_sigma_mm", float, path, default=3.0),
-            attenuation_per_mm=_expect(obj, "attenuation_per_mm", float, path, default=0.005),
-            bixel_width_mm=_expect(obj, "bixel_width_mm", float, path, default=5.0),
-            leaf_width_mm=_expect(obj, "leaf_width_mm", float, path, default=10.0),
-            cutoff_sigmas=_expect(obj, "cutoff_sigmas", float, path, default=3.0),
-            output_factor=_expect(obj, "output_factor", float, path, default=1.0),
-        )
-
-
 def _parse_criterion(obj, path, phantom: Phantom) -> Criterion:
-    ctype = _expect(obj, "type", str, path)
-    volume = _expect(obj, "volume", float, path, default=None)
-    volume_cc = _expect(obj, "volume_cc", float, path, default=None)
-    roi_name = _expect(obj, "roi", str, path)
-    if volume is not None and volume_cc is not None:
-        raise CaseError("give either volume or volume_cc, not both", path=path)
+    fields = _fields(obj, path, _CRITERION, required=("type", "roi"))
+    fields["ctype"] = fields.pop("type")
+    volume_cc = fields.pop("volume_cc", None)
     if volume_cc is not None:
-        if not phantom.has_roi(roi_name):
-            raise CaseError(f"unknown ROI {roi_name!r}", path=f"{path}.roi")
-        volume = volume_cc / phantom.roi(roi_name).volume_cc
+        if "volume" in fields:
+            raise CaseError("give either volume or volume_cc, not both", path=path)
+        if not phantom.has_roi(fields["roi"]):
+            raise CaseError(f"unknown ROI {fields['roi']!r}", path=f"{path}.roi")
+        volume = fields["volume"] = volume_cc / phantom.roi(fields["roi"]).volume_cc
         if not (0.0 < volume < 1.0):
             raise CaseError(f"volume_cc={volume_cc} is {volume:.3g} of the ROI volume, "
                             "outside (0, 1)", path=f"{path}.volume_cc")
-    if volume is not None and not (0.0 < volume < 1.0):
-        raise CaseError(f"volume fraction must lie in (0, 1), got {volume}", path=f"{path}.volume")
+    elif "volume" in fields and not (0.0 < fields["volume"] < 1.0):
+        raise CaseError(f"volume fraction must lie in (0, 1), got {fields['volume']}",
+                        path=f"{path}.volume")
     with _reported_at(path):
-        return Criterion(
-            roi=roi_name,
-            ctype=ctype,
-            volume=volume,
-            hard_lower=_expect(obj, "hard_lower", float, path, default=None),
-            hard_upper=_expect(obj, "hard_upper", float, path, default=None),
-            utopian_lower=_expect(obj, "utopian_lower", float, path, default=None),
-            utopian_upper=_expect(obj, "utopian_upper", float, path, default=None),
-            objective=_expect(obj, "objective", int, path, default=None),
-            name=_expect(obj, "name", str, path, default=""),
-        )
+        return Criterion(**fields)
 
 
-def _parse_quality_index(obj, path) -> QualityIndexSpec:
+def at_least_one(key: str, value: int, path: str) -> int:
+    """The rule of the ``$.pareto`` integers, for the case file and the flags alike."""
+    if value < 1:
+        raise CaseError(f"{key} must be >= 1", path=path)
+    return value
+
+
+def overridden(settings, path: str, **changes):
+    """``settings`` with ``changes``, under the checks of its case section, reported at ``path``."""
     with _reported_at(path):
-        return QualityIndexSpec(
-            name=_expect(obj, "name", str, path),
-            roi=_expect(obj, "roi", str, path),
-            kind=_expect(obj, "kind", str, path),
-            aim=_expect(obj, "aim", str, path),
-            volume=_expect(obj, "volume", float, path, default=None),
-            low_pct=_expect(obj, "low_pct", float, path, default=None),
-            high_pct=_expect(obj, "high_pct", float, path, default=None),
-        )
-
-
-def _parse_solver(obj, path) -> SolverSettings:
-    kwargs = {}
-    for key, kind in (("dose_tolerance_gy", float), ("max_iterations", int),
-                      ("step_fraction", float), ("feasibility_tolerance", float)):
-        value = _expect(obj, key, kind, path, default=None)
-        if value is not None:
-            kwargs[key] = value
-    with _reported_at(path):
-        return SolverSettings(**kwargs)
+        return replace(settings, **changes)
 
 
 def case_from_dict(doc: dict, name_fallback: str = "case") -> Case:
     if not isinstance(doc, dict):
         raise CaseError("case document must be a JSON object", path="$")
-    name = _expect(doc, "name", str, "$", default=name_fallback)
-    phantom = _parse_phantom(_expect(doc, "phantom", dict, "$"), "$.phantom")
-    machine = _parse_machine(_expect(doc, "machine", dict, "$"), "$.machine")
-    kernel = _parse_kernel(_expect(doc, "kernel", dict, "$", default={}), "$.kernel")
+    fields = _fields(doc, "$", _CASE, required=("phantom", "machine", "criteria", "quality_indices"))
+    phantom = _parse_phantom(fields["phantom"], "$.phantom")
+    machine = _section(MachineModel, fields["machine"], "$.machine", _MACHINE, required=_MACHINE)
+    kernel = _section(KernelParams, fields.get("kernel", {}), "$.kernel", _KERNEL)
 
-    criteria_json = _expect(doc, "criteria", list, "$")
-    criteria_list = []
-    for i, obj in enumerate(criteria_json):
-        if not isinstance(obj, dict):
-            raise CaseError("expected an object", path=f"$.criteria[{i}]")
-        criteria_list.append(_parse_criterion(obj, f"$.criteria[{i}]", phantom))
+    criteria_list = [_parse_criterion(obj, f"$.criteria[{i}]", phantom)
+                     for i, obj in enumerate(fields["criteria"])]
     with _reported_at("$.criteria"):
         criteria = CriterionSet(criteria_list)
         criteria.validate_against(phantom)
 
-    indices_json = _expect(doc, "quality_indices", list, "$")
-    indices = []
-    for i, obj in enumerate(indices_json):
-        if not isinstance(obj, dict):
-            raise CaseError("expected an object", path=f"$.quality_indices[{i}]")
-        indices.append(_parse_quality_index(obj, f"$.quality_indices[{i}]"))
+    indices = [_section(QualityIndexSpec, obj, f"$.quality_indices[{i}]", _QUALITY_INDEX,
+                        required=("name", "roi", "kind", "aim"))
+               for i, obj in enumerate(fields["quality_indices"])]
     for i, spec in enumerate(indices):
         if not phantom.has_roi(spec.roi):
             raise CaseError(f"unknown ROI {spec.roi!r}", path=f"$.quality_indices[{i}].roi")
@@ -254,17 +244,12 @@ def case_from_dict(doc: dict, name_fallback: str = "case") -> Case:
             raise CaseError(f"index aim {spec.aim!r} conflicts with objective slot aim {aim!r}",
                             path=f"$.quality_indices[{i}].aim")
 
-    solver = _parse_solver(_expect(doc, "solver", dict, "$", default={}), "$.solver")
-    pareto = _expect(doc, "pareto", dict, "$", default={})
-    grid_order = _expect(pareto, "grid_order", int, "$.pareto", default=4)
-    workers = _expect(pareto, "workers", int, "$.pareto", default=1)
-    if grid_order < 1:
-        raise CaseError("grid_order must be >= 1", path="$.pareto.grid_order")
-    if workers < 1:
-        raise CaseError("workers must be >= 1", path="$.pareto.workers")
-    return Case(name=name, phantom=phantom, machine=machine, kernel=kernel,
-                criteria=criteria, quality_indices=tuple(indices), solver=solver,
-                grid_order=grid_order, workers=workers)
+    solver = _section(SolverSettings, fields.get("solver", {}), "$.solver", _SOLVER)
+    pareto = {key: at_least_one(key, value, f"$.pareto.{key}")
+              for key, value in _fields(fields.get("pareto", {}), "$.pareto", _PARETO).items()}
+    return Case(name=fields.get("name", name_fallback), phantom=phantom, machine=machine,
+                kernel=kernel, criteria=criteria, quality_indices=tuple(indices), solver=solver,
+                **pareto)
 
 
 def load_case(path) -> Case:

@@ -15,8 +15,8 @@ import time
 import numpy as np
 
 from . import evaluation, ipm, mco, svgplot
-from .case import Case, load_case
-from .dmlc import (fluence_from_trajectories, read_trajectories_csv, sweep_time_lower_bound,
+from .case import Case, at_least_one, load_case, overridden
+from .dmlc import (dose_from_trajectories, read_trajectories_csv, sweep_time_lower_bound,
                    validate_trajectories, write_fluence_csv, write_trajectories_csv)
 from .errors import CaseError, DataError, MtdplanError
 from .fileio import read_dose_volume, write_dose_volume
@@ -63,11 +63,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> Case:
+    """Load the case and apply the flags, each under the check of its case field."""
     case = load_case(args.case)
     if args.tol_gy is not None:
-        if args.tol_gy <= 0:
-            raise CaseError("tolerance must be positive", path="--tol-gy")
-        case.solver.dose_tolerance_gy = args.tol_gy
+        case.solver = overridden(case.solver, "--tol-gy", dose_tolerance_gy=args.tol_gy)
+    for flag, key in (("--grid-order", "grid_order"), ("--workers", "workers")):
+        if getattr(args, key, None) is not None:
+            setattr(case, key, at_least_one(key, getattr(args, key), flag))
     return case
 
 
@@ -79,8 +81,8 @@ def _parse_weights(text: str, num_slots: int) -> np.ndarray:
     if len(values) != num_slots:
         raise CaseError(f"expected {num_slots} weights, got {len(values)}", path="--weights")
     w = np.asarray(values)
-    if np.any(w < 0) or w.sum() <= 0:
-        raise CaseError("weights must be nonnegative and not all zero", path="--weights")
+    if not (np.all(np.isfinite(w) & (w >= 0)) and w.sum() > 0):
+        raise CaseError("weights must be finite, nonnegative and not all zero", path="--weights")
     return w / w.sum()
 
 
@@ -101,8 +103,6 @@ def cmd_validate(args) -> int:
             dead = int(np.sum(np.asarray(row_doses).ravel() == 0.0))
             if dead:
                 problems.append(f"target {roi.name!r} has {dead} voxels receiving no dose")
-    if not any(r.kind == "target" for r in case.phantom.rois):
-        problems.append("no target ROI defined")
 
     zero_fluence = np.zeros((case.machine.num_beams, case.machine.leaf_pairs,
                              case.machine.bixels_per_row))
@@ -178,14 +178,12 @@ def cmd_solve(args) -> int:
 
 def cmd_pareto(args) -> int:
     case = _load(args)
-    grid_order = args.grid_order if args.grid_order is not None else case.grid_order
-    workers = args.workers if args.workers is not None else case.workers
     out = args.out or f"{case.name}-{time.strftime('%Y%m%d-%H%M%S')}"
     os.makedirs(out, exist_ok=True)
 
-    grid = mco.weight_grid(case.criteria.num_slots, grid_order)
+    grid = mco.weight_grid(case.criteria.num_slots, case.grid_order)
     pareto = mco.generate_pareto_set(case, grid, settings=case.solver_settings(),
-                                     workers=workers)
+                                     workers=case.workers)
     mco.write_pareto_csv(os.path.join(out, "pareto.csv"), pareto,
                          case.criteria, case.quality_indices)
 
@@ -241,8 +239,7 @@ def cmd_evaluate(args) -> int:
         violations = validate_trajectories(traj, case.machine)
         if violations:
             print(f"warning: stored trajectories violate {len(violations)} deliverability rows")
-        fluence = fluence_from_trajectories(traj, case.machine)
-        dose = case.dose_influence().matrix @ fluence.ravel()
+        dose = dose_from_trajectories(case.dose_influence(), traj, case.machine)
     else:
         dose, dims = read_dose_volume(plan_path)
         if tuple(dims) != tuple(case.phantom.grid_dims):

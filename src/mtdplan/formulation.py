@@ -223,7 +223,6 @@ class BlockLP:
     criteria: CriterionSet
     weights: np.ndarray
     columns: tuple[CriterionColumns, ...]
-    num_deliverability_rows: int
     row_labels1: tuple[str, ...] = field(repr=False, default=())
     name: str = ""
 
@@ -464,7 +463,6 @@ def build_weighted_instance(phantom: Phantom, machine: MachineModel, influence: 
                    objective_vector=c, lower=lower, upper=upper,
                    num_zero_rows=num_zero_rows, machine=machine,
                    criteria=criteria, weights=w, columns=columns,
-                   num_deliverability_rows=deliv.rhs.size,
                    row_labels1=tuple(labels1), name=name)
 
 

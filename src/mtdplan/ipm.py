@@ -84,10 +84,15 @@ class SolverSettings:
     log_kkt: bool = False              # retain per-iteration systems (tests)
 
     def __post_init__(self):
-        if self.dose_tolerance_gy <= 0:
-            raise ValueError("dose_tolerance_gy must be > 0")
-        if not (0.0 < self.step_fraction < 1.0):
+        # Written so that NaN fails.
+        if not 0.0 < self.dose_tolerance_gy < np.inf:
+            raise ValueError("dose_tolerance_gy must be finite and > 0")
+        if not self.max_iterations >= 1:
+            raise ValueError("max_iterations must be >= 1")
+        if not 0.0 < self.step_fraction < 1.0:
             raise ValueError("step_fraction must lie in (0, 1)")
+        if not 0.0 < self.feasibility_tolerance < np.inf:
+            raise ValueError("feasibility_tolerance must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -252,6 +252,19 @@ class RoiShapeSpec:
     inner_mm: float | None = None
     outer_mm: float | None = None
 
+    def __post_init__(self):
+        # Written so that NaN fails.  A zero radius or size is the degenerate
+        # one-voxel shape that the sub-sample floor of _voxelize_shape keeps.
+        kind = self.kind_of_shape
+        if kind == "sphere" and not self.radius_mm >= 0.0:
+            raise PhantomError("sphere requires radius_mm >= 0")
+        if kind == "box" and not all(s >= 0.0 for s in self.size_mm):
+            raise PhantomError("box requires size_mm >= 0")
+        if kind == "shell" and not 0.0 <= self.inner_radius_mm < self.outer_radius_mm:
+            raise PhantomError("shell requires 0 <= inner_radius_mm < outer_radius_mm")
+        if kind == "ring" and not 0.0 <= self.inner_mm < self.outer_mm:
+            raise PhantomError("ring requires 0 <= inner_mm < outer_mm")
+
 
 @dataclass(frozen=True)
 class RoiSpec:
@@ -315,11 +328,9 @@ def _voxelize_shape(centers: np.ndarray, voxel_size, shape: RoiShapeSpec):
 
     offsets = _subsample_offsets(vsize)
     n_sub = offsets.shape[0]
-    frac = np.empty(idx.size)
-    for out, i in enumerate(idx):
-        pts = centers[i] + offsets
-        frac[out] = np.count_nonzero(_shape_membership(shape, pts)) / n_sub
-    frac = np.maximum(frac, 0.5 / n_sub)
+    points = (centers[idx, None, :] + offsets).reshape(-1, 3)
+    inside = _shape_membership(shape, points).reshape(idx.size, n_sub)
+    frac = np.maximum(np.count_nonzero(inside, axis=1) / n_sub, 0.5 / n_sub)
     voxel_volume = float(np.prod(vsize))
     return idx, frac * voxel_volume
 
@@ -332,8 +343,6 @@ def _voxelize_ring(phantom_dims, voxel_size, shape: RoiShapeSpec, target: ROI):
     dist = distance_transform_edt(~mask, sampling=voxel_size)
     inner = float(shape.inner_mm)
     outer = float(shape.outer_mm)
-    if not (0.0 <= inner < outer):
-        raise PhantomError("ring requires 0 <= inner_mm < outer_mm")
     band = (dist.ravel() > inner) & (dist.ravel() <= outer) & (dist.ravel() > 0.0)
     idx = np.flatnonzero(band)
     voxel_volume = float(np.prod(np.asarray(voxel_size, dtype=float)))

@@ -336,5 +336,4 @@ def reference_weighted_instance(phantom, machine, influence, criteria, weights, 
                    objective_vector=c, lower=lower, upper=upper,
                    num_zero_rows=num_zero_rows, machine=machine,
                    criteria=criteria, weights=w, columns=tuple(columns),
-                   num_deliverability_rows=deliv.rhs.size,
                    row_labels1=tuple(labels1), name=name)

@@ -163,6 +163,58 @@ def test_validate_wrong_type_in_wrapped_section_keeps_field_path(tmp_path, capsy
     assert err.count("$.machine") == 1
 
 
+def _put(keys, value):
+    """An edit of the demo document that sets the entry at ``keys`` to ``value``."""
+    def edit(doc):
+        *parents, last = keys
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, argv, reported", [
+    pytest.param(_put(["solverr"], {}), [], "$.solverr: unknown field", id="unknown-top-level"),
+    pytest.param(_put(["machine", "dose_rat"], 1.0), [], "$.machine.dose_rat: unknown field",
+                 id="unknown-in-section"),
+    pytest.param(_put(["criteria", 3, "hard_uper"], 50.0), [],
+                 "$.criteria[3].hard_uper: unknown field", id="unknown-in-criterion"),
+    pytest.param(_put(["phantom", "rois", 0, "shape", "radius"], 15.0), [],
+                 "$.phantom.rois[0].shape.radius: unknown field", id="unknown-in-shape"),
+    pytest.param(_put(["machine", "max_time_s"], float("nan")), [],
+                 "$.machine.max_time_s: expected a finite number", id="nan"),
+    pytest.param(_put(["criteria", 3, "hard_upper"], float("inf")), [],
+                 "$.criteria[3].hard_upper: expected a finite number", id="infinity"),
+    pytest.param(_put(["machine", "max_time_s"], 10 ** 400), [],
+                 "$.machine.max_time_s: expected a finite number", id="integer-beyond-float"),
+    pytest.param(_put(["phantom", "rois", 1, "shape", "radius_mm"], -12.0), [],
+                 "$.phantom.rois[1].shape: sphere requires radius_mm >= 0", id="negative-radius"),
+    pytest.param(_put(["solver", "max_iterations"], 0), [],
+                 "$.solver: max_iterations must be >= 1", id="zero-max-iterations"),
+    pytest.param(None, ["pareto", "--grid-order", "0"], "--grid-order: grid_order must be >= 1",
+                 id="grid-order-flag"),
+    pytest.param(None, ["pareto", "--grid-order", "1", "--workers", "0"],
+                 "--workers: workers must be >= 1", id="workers-flag"),
+    pytest.param(None, ["validate", "--tol-gy", "nan"], "--tol-gy: dose_tolerance_gy must be",
+                 id="tol-gy-flag"),
+    pytest.param(None, ["validate", "--tol-gy", "inf"], "--tol-gy: dose_tolerance_gy must be",
+                 id="tol-gy-flag-infinite"),
+    pytest.param(None, ["solve", "--weights", "nan,1,1"], "--weights: weights must be finite",
+                 id="weights-flag"),
+])
+def test_bad_value_exits_config_error_naming_path_or_flag(tmp_path, capsys, edit, argv, reported):
+    doc = demo_doc()
+    if edit is not None:
+        edit(doc)
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(doc))  # NaN and Infinity go out as the bare JSON tokens
+    command, *flags = argv or ["validate"]
+    if command != "validate":
+        flags += ["--out", str(tmp_path / "out")]
+    assert cli.main([command, "--case", str(case), *flags]) == cli.EXIT_CONFIG_ERROR
+    assert f"configuration error: {reported}" in capsys.readouterr().err
+
+
 def test_validate_warns_when_budget_below_sweep_bound(tmp_path, capsys):
     doc = demo_doc()
     doc["machine"]["max_time_s"] = 1.0

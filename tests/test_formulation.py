@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from mtdplan import evaluation, ipm
+from mtdplan.dmlc import build_deliverability_constraints
 from mtdplan.errors import FormulationError
 from mtdplan.formulation import (BlockLP, Criterion, CriterionSet, build_weighted_instance,
                                  dump_lp, partition_report, scalarized_objective_value)
@@ -229,8 +230,7 @@ def test_optimum_invariant_under_conformal_permutation():
         lower=np.concatenate([lp.lower[:lp.n1][col_perm], lp.lower[lp.n1:]]),
         upper=np.concatenate([lp.upper[:lp.n1][col_perm], lp.upper[lp.n1:]]),
         num_zero_rows=lp.num_zero_rows, machine=lp.machine, criteria=lp.criteria,
-        weights=lp.weights, columns=lp.columns,
-        num_deliverability_rows=lp.num_deliverability_rows)
+        weights=lp.weights, columns=lp.columns)
     settings = ipm.SolverSettings(dose_tolerance_gy=1e-7)
     base = ipm.solve(lp, settings)
     perm = ipm.solve(permuted, settings)
@@ -356,7 +356,7 @@ def test_zero_transmission_stores_nothing_in_transmission_columns():
     _assert_same_lp_blocks(lp, reference_weighted_instance(phantom, machine, influence,
                                                            criteria, [0.5, 0.5]))
     t_cols = 2 * machine.num_bixels + np.arange(machine.num_beams)
-    deliverability = lp.num_deliverability_rows
+    deliverability = build_deliverability_constraints(machine).rhs.size
     assert lp.a21[:, t_cols].nnz == 0
     assert lp.a11[deliverability:, t_cols].nnz == 0
     assert lp.a21.nnz > 0 and lp.a11[deliverability:].nnz > 0

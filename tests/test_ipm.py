@@ -24,7 +24,7 @@ def raw_lp(a11, b1, c, lower, upper):
                    b2=np.zeros(0), objective_vector=np.asarray(c, dtype=float),
                    lower=np.asarray(lower, dtype=float), upper=np.asarray(upper, dtype=float),
                    num_zero_rows=0, machine=None, criteria=None, weights=None,
-                   columns=(), num_deliverability_rows=m1)
+                   columns=())
 
 
 def random_kkt(rng, n1=6, n2=8, m1=5, m2_zero=3, density=0.6):

@@ -4,8 +4,9 @@ import pytest
 from mtdplan.errors import PhantomError
 from mtdplan.phantom import (KernelParams, MachineModel, Phantom, PhantomSpec, ROI,
                              RoiShapeSpec, RoiSpec, build_phantom, compute_dose_influence,
-                             influence_content_hash, load_or_compute_dose_influence,
-                             roi_weight_vector)
+                             _shape_membership, _subsample_offsets, _voxel_centers,
+                             _voxelize_shape, influence_content_hash,
+                             load_or_compute_dose_influence, roi_weight_vector)
 
 from helpers import make_machine
 
@@ -70,6 +71,41 @@ def test_ring_around_target_excludes_target():
     ring = phantom.roi("ring")
     assert ring.voxels.size > 0
     assert not target & set(ring.voxels.tolist())
+
+
+@pytest.mark.parametrize("shape", [
+    RoiShapeSpec(kind_of_shape="sphere", center_mm=(61.0, 58.2, 30.4), radius_mm=19.0),
+    RoiShapeSpec(kind_of_shape="box", center_mm=(30.3, 31.7, 29.9), size_mm=(20.5, 13.0, 17.2)),
+    RoiShapeSpec(kind_of_shape="shell", center_mm=(61.0, 58.2, 30.4),
+                 inner_radius_mm=20.0, outer_radius_mm=26.5),
+], ids=["sphere", "box", "shell"])
+def test_voxelize_shape_matches_per_voxel_reference(shape):
+    size = (7.1, 5.3, 10.9)  # anisotropic, so each axis has its own sub-sample offsets
+    centers = _voxel_centers((17, 23, 11), size)
+    idx, raw = _voxelize_shape(centers, size, shape)
+    assert np.array_equal(idx, np.flatnonzero(_shape_membership(shape, centers)))
+    offsets = _subsample_offsets(np.asarray(size))
+    n_sub = offsets.shape[0]
+    frac = [max(np.count_nonzero(_shape_membership(shape, centers[i] + offsets)) / n_sub,
+                0.5 / n_sub) for i in idx]
+    assert np.array_equal(raw, np.asarray(frac) * float(np.prod(size)))
+    assert 0 < np.count_nonzero(raw < raw.max()) < raw.size  # partial voxels on the boundary
+
+
+@pytest.mark.parametrize("fields", [
+    dict(kind_of_shape="sphere", center_mm=(0.0, 0.0, 0.0), radius_mm=-12.0),
+    dict(kind_of_shape="sphere", center_mm=(0.0, 0.0, 0.0), radius_mm=float("nan")),
+    dict(kind_of_shape="box", center_mm=(0.0, 0.0, 0.0), size_mm=(1.0, -1.0, 1.0)),
+    dict(kind_of_shape="shell", center_mm=(0.0, 0.0, 0.0), inner_radius_mm=-1.0,
+         outer_radius_mm=2.0),
+    dict(kind_of_shape="shell", center_mm=(0.0, 0.0, 0.0), inner_radius_mm=2.0,
+         outer_radius_mm=2.0),
+    dict(kind_of_shape="ring", around="target", inner_mm=3.0, outer_mm=1.0),
+], ids=["negative-radius", "nan-radius", "negative-size", "negative-inner", "empty-shell",
+        "inverted-ring"])
+def test_shape_geometry_checked_at_construction(fields):
+    with pytest.raises(PhantomError):
+        RoiShapeSpec(**fields)
 
 
 def test_roi_weights_normalized_and_positive():
