@@ -36,14 +36,22 @@ with xx < 0, so G_RR is positive definite and Cholesky-factored; G^-1 is
 1/D3 off R.  Eliminating dy1 leaves the positive definite matrix of
 trajectory order n1
 
-    M = D1 + A21^T diag(aa, rr) A21 + A11_~R^T D3_~R^-1 A11_~R + F_R^T G_RR^-1 F_R,
+    M = D1 + A21^T diag(aa, rr) A21 + A11_~R^T D3_~R^-1 A11_~R + F_R^T G_RR^-1 F_R.
 
-whose voxel term is one dense ``syrk`` of A21 with its rows scaled by
-sqrt(aa, rr).  M is factored by dense Cholesky (with one diagonal bump,
-flagged as ``regularized``, should that fail).  The iterate-independent
-part - A21 dense and as CSR, the transposes and the split on R - is built
-once per LP (``_NewtonStructure``), so each iteration costs O(voxels)
-in one BLAS call and scaling, plus one small factorization.
+M is factored by dense Cholesky (with one diagonal bump, flagged as
+``regularized``, should that fail).  A21 enters through its distinct
+columns: with ``A21 = A21c E``, where A21c keeps one column per group of
+nonzero columns equal up to sign and E maps each group back to its
+columns with their signs, the voxel term is E^T (A21c^T diag(aa, rr) A21c) E.
+It is one dense ``syrk`` of A21c with its rows scaled by sqrt(aa, rr),
+scattered with signs into M.  The dose substitution d = P(l - r) pairs
+every nonzero ``l`` column with an opposite ``r`` column, and bixels that
+reach no voxelwise criterion give zero columns, so the demo's 301 columns
+fold to 98.  The mat-vecs with A21 and A21^T gather onto the groups, take
+one CSR product with A21c and scatter back.  The iterate-independent part
+- A21c dense and as CSR, the grouping, the transposes and the split on R
+- is built once per LP (``_NewtonStructure``), so each iteration costs
+O(voxels) in one BLAS call and scaling, plus one small factorization.
 
 Upper-bound duals ``w`` and gaps ``upper - x`` exist only on the columns
 ``up`` with a finite upper bound (the xi caps of a weighted-sum LP);
@@ -233,30 +241,79 @@ def _scale_columns(matrix: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
                          shape=matrix.shape)
 
 
+def _signed_column_groups(a21: sp.csr_matrix):
+    """Group the nonzero columns of ``a21`` that are equal up to sign.
+
+    Returns the nonzero columns ``nz`` (increasing), the group of each and
+    its sign, and the first column of every group, so that
+    ``a21[:, nz] == a21[:, first][:, group] * sign`` by value.  One
+    mat-vec ``|a21|^T r`` with ``r`` drawn from [1, 2) finds the nonzero
+    columns and proposes each one's candidate, the first column with the
+    same fingerprint.  The sparse difference of the two columns, with
+    the sign taken from ``a21^T r``, confirms the candidate when it stores
+    no entry (sparse subtraction stores no zero); a fingerprint collision
+    costs a fold, never a wrong one.  O(nnz) plus a sort of the ``n1``
+    fingerprints.
+    """
+    r = np.random.default_rng(0).uniform(1.0, 2.0, a21.shape[0])
+    magnitude = sp.csr_matrix((np.abs(a21.data), a21.indices, a21.indptr), shape=a21.shape)
+    fingerprint = magnitude.T @ r
+    nz = np.flatnonzero(fingerprint)
+    _, first, inverse = np.unique(fingerprint[nz], return_index=True, return_inverse=True)
+    rep = nz[first[inverse]]
+    sign = np.ones(nz.size)
+    pending = np.flatnonzero(rep != nz)
+    if pending.size:
+        col, other = nz[pending], rep[pending]
+        signed = a21.T @ r
+        flip = np.sign(signed[col]) * np.sign(signed[other])
+        residual = a21[:, col] - _scale_columns(a21[:, other], flip)
+        differs = np.bincount(residual.indices, minlength=col.size) > 0
+        rep[pending[differs]] = col[differs]
+        sign[pending] = np.where(differs, 1.0, flip)
+    firsts = nz[rep == nz]
+    return nz, np.searchsorted(firsts, rep), sign, firsts
+
+
 class _NewtonStructure:
     """The part of every Newton system of one LP that the diagonals leave alone.
 
-    Holds A21 densely (the ``syrk`` operand for ``M``) and as its zero/eta
-    CSR split with transposes (for the mat-vecs), A12 with its transpose,
-    and A11 split on the rows ``R`` that A12 touches: outside ``R`` the
-    block ``G`` is D3 and ``F`` equals A11.  Those untouched rows are kept
-    as CSR for the back-solve mat-vecs and densely as the right operand of
-    their term of ``M``, where a sparse-dense product measures faster than
-    a sparse-sparse one.  Built once per LP; its memory is linear in the
-    voxel count (A21 has ``n1`` columns).
+    Holds A21 once, through its distinct columns: the nonzero columns
+    ``nz`` fall into groups of columns equal up to sign, and
+    ``A21[:, nz] = A21c[:, group] * sign``.  ``d = P(l - r)`` makes every
+    nonzero ``l`` column the negative of an ``r`` column, and bixels that
+    reach no voxelwise criterion give all-zero columns, so the demo's 301
+    columns fold to 98 (188 nonzero: 90 opposite pairs and 8 singles) and
+    the 8x-refined case's to 144 (280: 136 pairs and 8 singles).  A21c is
+    kept as CSR with its transpose (for the mat-vecs) and densely in C
+    order (the ``syrk`` operand for ``M``); with every column its own
+    group, A21c is A21 and nothing is copied twice.  ``m_index``,
+    ``gram_index`` and ``pair_sign`` scatter the order-``k`` Gram matrix
+    of A21c into ``M``'s upper triangle.  Also held: A12 with its
+    transpose, and A11 split on the rows ``R`` that A12 touches: outside
+    ``R`` the block ``G`` is D3 and ``F`` equals A11.  Those untouched
+    rows are kept as CSR for the back-solve mat-vecs and densely as the
+    right operand of their term of ``M``, where a sparse-dense product
+    measures faster than a sparse-sparse one.  Built once per LP; its
+    memory is linear in the voxel count.
     """
 
     def __init__(self, system: KKTSystem):
-        mz = system.num_zero_rows
         a21 = sp.csr_matrix(system.a21)
-        self.a21 = a21.toarray()
-        self.a21_zero = a21[:mz]
-        self.a21_zero_t = self.a21_zero.T.tocsr()
-        self.a21_eta = a21[mz:]
-        self.a21_eta_t = self.a21_eta.T.tocsr()
+        self.n1 = n1 = a21.shape[1]
+        self.nz, self.group, self.sign, firsts = _signed_column_groups(a21)
+        self.a21c = a21 if firsts.size == n1 else a21[:, firsts]
+        self.a21c_t = self.a21c.T.tocsr()
+        self.a21c_dense = self.a21c.toarray()
+        upper_a, upper_b = np.triu_indices(self.nz.size)
+        low = np.minimum(self.group[upper_a], self.group[upper_b])
+        high = np.maximum(self.group[upper_a], self.group[upper_b])
+        self.m_index = self.nz[upper_a] * n1 + self.nz[upper_b]
+        self.gram_index = low + high * firsts.size   # (low, high) in Fortran order
+        self.pair_sign = self.sign[upper_a] * self.sign[upper_b]
+
         self.a12 = sp.csr_matrix(system.a12)
         self.a12_t = self.a12.T.tocsr()
-
         touched = np.diff(self.a12.indptr) > 0
         self.rows = np.flatnonzero(touched)
         self.rest = np.flatnonzero(~touched)
@@ -267,6 +324,18 @@ class _NewtonStructure:
         self.a11_rest_dense = self.a11_rest.toarray()
         self.a12_rows = self.a12[self.rows]
         self.a12_rows_t = self.a12_rows.T.tocsr()
+
+    def a21_matvec(self, v: np.ndarray) -> np.ndarray:
+        """``A21 @ v``: gather ``v`` onto the groups, then one CSR product."""
+        grouped = np.bincount(self.group, weights=self.sign * v[self.nz],
+                              minlength=self.a21c.shape[1])
+        return self.a21c @ grouped
+
+    def a21_rmatvec(self, u: np.ndarray) -> np.ndarray:
+        """``A21^T @ u``: one CSR product, then a signed scatter to ``nz``."""
+        out = np.zeros(self.n1)
+        out[self.nz] = self.sign * (self.a21c_t @ u)[self.group]
+        return out
 
 
 class _SchurFactorization:
@@ -288,19 +357,24 @@ class _SchurFactorization:
 
         # Outside R:  G = D3 and F = A11.  On R:
         #   F_R = A11_R - A12_R diag(xr) A21_eta,  G_RR = D3_R + A12_R diag(-xx) A12_R^T
-        self.f_rows = st.a11_rows - _scale_columns(st.a12_rows, q.xr) @ st.a21[mz:]
+        self.f_rows = st.a11_rows.copy()
+        coupling = _scale_columns(st.a12_rows, q.xr) @ st.a21c_dense[mz:]
+        self.f_rows[:, st.nz] -= coupling[:, st.group] * st.sign
         g_rows = (_scale_columns(st.a12_rows, -q.xx) @ st.a12_rows_t).toarray()
         g_rows[np.diag_indices_from(g_rows)] += d3[st.rows]
         self.g_chol = scipy.linalg.cho_factor(g_rows)
 
         # M = D1 + A21^T diag(aa, rr) A21 + A11_rest^T D3_rest^-1 A11_rest + F_R^T G_RR^-1 F_R.
-        # dsyrk adds the A21 term to the upper triangle only, which is all
-        # that cho_factor (lower=False) reads.
+        # The A21 term is the Gram matrix of A21c's scaled rows, one dsyrk
+        # of order k, scattered with signs into the upper triangle only,
+        # which is all that cho_factor (lower=False) reads.
         m = _scale_columns(st.a11_rest_t, self.inv_d3[st.rest]) @ st.a11_rest_dense
         m += self.f_rows.T @ scipy.linalg.cho_solve(self.g_chol, self.f_rows)
         m[np.diag_indices_from(m)] += system.d1
-        scaled = st.a21 * np.sqrt(np.concatenate([q.aa, q.rr]))[:, None]
-        m = scipy.linalg.blas.dsyrk(1.0, scaled.T, beta=1.0, c=m, trans=0, overwrite_c=1)
+        if st.m_index.size:
+            scaled = st.a21c_dense * np.sqrt(np.concatenate([q.aa, q.rr]))[:, None]
+            gram = scipy.linalg.blas.dsyrk(1.0, scaled.T, trans=0)
+            m.reshape(-1)[st.m_index] += st.pair_sign * gram.reshape(-1, order="F")[st.gram_index]
         self.regularized = False
         try:
             self.m_chol = scipy.linalg.cho_factor(m)
@@ -339,7 +413,7 @@ class _SchurFactorization:
 
         # top rhs minus TR * Qinv * bottom rhs
         qx2, qy_zero, qy_eta = self.quadrant.apply(rx2, ry_zero, ry_eta)
-        g_x1 = rx1 - (st.a21_zero_t @ qy_zero + st.a21_eta_t @ qy_eta)
+        g_x1 = rx1 - st.a21_rmatvec(np.concatenate([qy_zero, qy_eta]))
         g_y1 = ry1 - (st.a12 @ qx2)
 
         # top solve: [[-E, F^T], [F, G]] (dx1, dy1) = (g_x1, g_y1)
@@ -348,9 +422,8 @@ class _SchurFactorization:
 
         # bottom solve: Qinv * (bottom rhs - BL * top)
         ux2 = rx2 - (st.a12_t @ dy1)
-        uy_zero = ry_zero - (st.a21_zero @ dx1)
-        uy_eta = ry_eta - (st.a21_eta @ dx1)
-        dx2, dy_zero, dy_eta = self.quadrant.apply(ux2, uy_zero, uy_eta)
+        uy2 = ry2 - st.a21_matvec(dx1)
+        dx2, dy_zero, dy_eta = self.quadrant.apply(ux2, uy2[:mz], uy2[mz:])
         return np.concatenate([dx1, dx2, dy1, dy_zero, dy_eta])
 
 

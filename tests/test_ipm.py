@@ -7,7 +7,8 @@ import pytest
 import scipy.sparse as sp
 
 from mtdplan import ipm
-from mtdplan.formulation import BlockLP
+from mtdplan.case import load_case
+from mtdplan.formulation import BlockLP, build_weighted_instance
 from mtdplan.ipm import (DualSolution, KKTSystem, SolverSettings, _SchurFactorization,
                          duality_gap_in_dose, invert_voxelwise_quadrant, rearrange_kkt,
                          schur_solve, solve)
@@ -202,6 +203,91 @@ def test_schur_solve_row_split_matches_dense(touched):
         dense = np.linalg.solve(system.assemble().toarray(), rhs)
         assert np.linalg.norm(delta - dense) <= 1e-10 * max(1.0, np.linalg.norm(dense))
         assert not info["regularized"]
+
+
+def with_a21(system, a21):
+    return KKTSystem(a11=system.a11, a12=system.a12, a21=a21, a22=system.a22,
+                     d1=system.d1, d2=system.d2, d3=system.d3, d4=system.d4,
+                     num_zero_rows=system.num_zero_rows)
+
+
+def folded_a21(rng, m2):
+    """A21 whose 11 columns fold to 5 groups, stored with explicit zeros.
+
+    Columns: b0, -b0, 0, b1, b1, b2, -b1, 0, b3, -b2, c, where every ``b``
+    has zero entries and ``|c| == |b0|`` with one sign flipped, so ``c``
+    shares b0's magnitude fingerprint without being equal up to sign.
+    Explicit ``0.0`` and ``-0.0`` entries are stored in some columns but
+    not in their twins, and column 7 stores only ``-0.0``.
+    """
+    b = rng.standard_normal((m2, 4)) * (rng.random((m2, 4)) < 0.6)
+    b[0] = 0.0
+    b[1] = 1.0
+    c = b[:, 0].copy()
+    c[1] = -1.0
+    dense = np.stack([b[:, 0], -b[:, 0], 0 * b[:, 0], b[:, 1], b[:, 1], b[:, 2], -b[:, 1],
+                      -0.0 * b[:, 0], b[:, 3], -b[:, 2], c], axis=1)
+    rows, cols = np.nonzero(dense)
+    vals = dense[rows, cols]
+    rows = np.concatenate([rows, [0, 0, 0, 0]])
+    cols = np.concatenate([cols, [1, 6, 7, 9]])
+    vals = np.concatenate([vals, [-0.0, 0.0, -0.0, -0.0]])
+    return sp.csr_matrix((vals, (rows, cols)), shape=dense.shape), dense
+
+
+def test_schur_solve_matches_dense_with_folded_a21_columns():
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        system = random_kkt(rng, n1=11, n2=int(rng.integers(2, 12)),
+                            m1=int(rng.integers(1, 8)), m2_zero=int(rng.integers(0, 6)))
+        a21, dense_a21 = folded_a21(rng, system.m2)
+        system = with_a21(system, a21)
+        structure = _SchurFactorization(system).structure
+        assert np.array_equal(structure.nz, [0, 1, 3, 4, 5, 6, 8, 9, 10])
+        assert np.array_equal(structure.group, [0, 0, 1, 1, 2, 1, 3, 2, 4])
+        assert np.array_equal(structure.sign, [1, -1, 1, 1, 1, -1, 1, -1, 1])
+        assert np.array_equal(structure.a21c_dense, dense_a21[:, [0, 3, 5, 8, 10]])
+        assert structure.a21c_dense.flags.c_contiguous
+        rhs = rng.standard_normal(system.order)
+        delta, info = schur_solve(system, rhs)
+        dense = np.linalg.solve(system.assemble().toarray(), rhs)
+        assert np.linalg.norm(delta - dense) <= 1e-10 * max(1.0, np.linalg.norm(dense))
+        assert info["relative_residual"] <= 1e-10
+
+
+def test_schur_solve_matches_dense_with_no_nonzero_a21_column(capfd):
+    rng = np.random.default_rng(43)
+    system = random_kkt(rng, n1=5, n2=6, m1=4, m2_zero=2)
+    zeros = sp.csr_matrix((np.array([0.0, -0.0, -0.0]), (np.array([0, 3, 7]), np.array([1, 1, 4]))),
+                          shape=(system.m2, system.n1))
+    system = with_a21(system, zeros)
+    structure = _SchurFactorization(system).structure
+    assert structure.nz.size == 0 and structure.a21c.shape == (system.m2, 0)
+    rhs = rng.standard_normal(system.order)
+    delta, info = schur_solve(system, rhs)
+    dense = np.linalg.solve(system.assemble().toarray(), rhs)
+    assert np.linalg.norm(delta - dense) <= 1e-10 * max(1.0, np.linalg.norm(dense))
+    assert not info["regularized"]
+    assert capfd.readouterr() == ("", "")   # BLAS is never called with an empty operand
+
+
+def test_newton_structure_folds_demo_opposite_columns():
+    # d = P(l - r) makes each nonzero l column of A21 the negative of an r
+    # column; bixels that reach no voxelwise criterion give zero columns.
+    case = load_case("demo:prostate_demo")
+    slots = case.criteria.num_slots
+    lp = build_weighted_instance(case.phantom, case.machine, case.dose_influence(),
+                                 case.criteria, np.full(slots, 1.0 / slots), name=case.name)
+    system = KKTSystem(a11=lp.a11, a12=lp.a12, a21=lp.a21, a22=lp.a22, d1=np.ones(lp.n1),
+                       d2=np.ones(lp.n2), d3=np.ones(lp.m1), d4=np.ones(lp.m2),
+                       num_zero_rows=lp.num_zero_rows)
+    structure = ipm._NewtonStructure(system)
+    sizes = np.bincount(structure.group)
+    assert (lp.n1, structure.nz.size, sizes.size) == (301, 188, 98)
+    assert np.count_nonzero(sizes == 2) == 90 and np.count_nonzero(sizes == 1) == 8
+    assert np.count_nonzero(structure.sign < 0) == 90
+    assert np.array_equal(structure.a21c_dense[:, structure.group] * structure.sign,
+                          lp.a21[:, structure.nz].toarray())
 
 
 def test_schur_solve_singular_reduced_matrix_is_regularized():
