@@ -121,13 +121,13 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _write_plan_artifacts(case: Case, plan: Plan, out: str, tag: str = "plan") -> None:
+def _write_plan_artifacts(case: Case, plan: Plan, out: str) -> None:
     os.makedirs(out, exist_ok=True)
-    write_trajectories_csv(os.path.join(out, f"{tag}_trajectories.csv"), plan.trajectories)
+    write_trajectories_csv(os.path.join(out, "plan_trajectories.csv"), plan.trajectories)
     for b in range(case.machine.num_beams):
-        write_fluence_csv(os.path.join(out, f"{tag}_fluence_beam{b}.csv"), plan.fluence, b)
-    write_dose_volume(os.path.join(out, f"{tag}_dose.bin"), plan.dose, case.phantom.grid_dims)
-    _write_quality_report(case, plan.dose, plan.quality, plan.violations, out, tag, plan)
+        write_fluence_csv(os.path.join(out, f"plan_fluence_beam{b}.csv"), plan.fluence, b)
+    write_dose_volume(os.path.join(out, "plan_dose.bin"), plan.dose, case.phantom.grid_dims)
+    _write_quality_report(case, plan.dose, plan.quality, plan.violations, out, "plan", plan)
 
 
 def _write_quality_report(case: Case, dose: np.ndarray, quality: np.ndarray, violations: list,

@@ -35,6 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError
+from .fileio import write_csv
 from .phantom import DoseInfluence, MachineModel
 
 
@@ -128,12 +129,12 @@ def build_deliverability_constraints(machine: MachineModel) -> ConstraintBlock:
     return ConstraintBlock(matrix=matrix, rhs=rhs, labels=tuple(labels))
 
 
-def validate_trajectories(traj: Trajectories, machine: MachineModel, tol: float = 1e-9):
-    """Report every deliverability row violated by more than ``tol`` seconds."""
+def validate_trajectories(traj: Trajectories, machine: MachineModel):
+    """Report every deliverability row violated by more than 1e-9 seconds."""
     block = build_deliverability_constraints(machine)
     slack = block.matrix @ traj.stacked() - block.rhs
     out = []
-    for i in np.flatnonzero(slack < -tol):
+    for i in np.flatnonzero(slack < -1e-9):
         kind, b, n, j = block.labels[i]
         out.append(TrajectoryViolation(kind=kind, beam=b, leaf_pair=n, bixel=j,
                                        amount_s=float(-slack[i])))
@@ -182,17 +183,10 @@ def sweep_time_lower_bound(fluence: np.ndarray, machine: MachineModel) -> float:
 
 def write_trajectories_csv(path, traj: Trajectories) -> None:
     """Columns (beam, leaf_pair, bixel, l_time_s, r_time_s) plus T rows."""
-    B, N, J = traj.l.shape
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["record", "beam", "leaf_pair", "bixel", "l_time_s", "r_time_s"])
-        for b in range(B):
-            for n in range(N):
-                for j in range(J):
-                    writer.writerow(["bixel", b, n, j, repr(float(traj.l[b, n, j])),
-                                     repr(float(traj.r[b, n, j]))])
-        for b in range(B):
-            writer.writerow(["beam_on", b, "", "", repr(float(traj.T[b])), ""])
+    rows = [["bixel", b, n, j, traj.l[b, n, j], traj.r[b, n, j]]
+            for b, n, j in np.ndindex(traj.l.shape)]
+    rows += [["beam_on", b, "", "", t, ""] for b, t in enumerate(traj.T)]
+    write_csv(path, ["record", "beam", "leaf_pair", "bixel", "l_time_s", "r_time_s"], rows)
 
 
 def read_trajectories_csv(path, machine: MachineModel) -> Trajectories:
@@ -212,10 +206,15 @@ def read_trajectories_csv(path, machine: MachineModel) -> Trajectories:
             try:
                 if row[0] == "bixel":
                     b, n, j = int(row[1]), int(row[2]), int(row[3])
+                    if min(b, n, j) < 0:  # too large an index raises IndexError below
+                        raise ValueError(f"negative index in bixel ({b}, {n}, {j})")
                     l[b, n, j] = float(row[4])
                     r[b, n, j] = float(row[5])
                 elif row[0] == "beam_on":
-                    T[int(row[1])] = float(row[4])
+                    b = int(row[1])
+                    if b < 0:
+                        raise ValueError(f"negative beam index {b}")
+                    T[b] = float(row[4])
                 else:
                     raise ValueError(f"unknown record {row[0]!r}")
             except (ValueError, IndexError) as exc:
@@ -228,8 +227,4 @@ def read_trajectories_csv(path, machine: MachineModel) -> Trajectories:
 def write_fluence_csv(path, fluence: np.ndarray, beam: int) -> None:
     """One beam's fluence as an N x J grid, leaf pairs as rows."""
     weights = np.asarray(fluence, dtype=float)[beam]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"bixel_{j}" for j in range(weights.shape[1])])
-        for row in weights:
-            writer.writerow([repr(float(x)) for x in row])
+    write_csv(path, [f"bixel_{j}" for j in range(weights.shape[1])], weights)

@@ -9,15 +9,15 @@ fractionally, so the hottest ``v``-fraction has total weight exactly
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .fileio import write_csv
 from .phantom import Phantom, roi_weight_vector
 
 _EPS = 1e-12
+_DVH_STEP_GY = 0.1
 
 
 @dataclass(frozen=True)
@@ -250,49 +250,22 @@ def evaluate_plan(phantom: Phantom, d: np.ndarray, index_specs, criteria):
     return quality, violations
 
 
-def default_dose_grid(d: np.ndarray, resolution_gy: float = 0.1) -> np.ndarray:
-    """Regular DVH grid from 0 to just above the maximum dose."""
+def default_dose_grid(d: np.ndarray) -> np.ndarray:
+    """Regular DVH grid, ``_DVH_STEP_GY`` apart, from 0 to just above the maximum dose."""
     top = float(np.max(d)) if np.asarray(d).size else 0.0
-    n = max(int(np.ceil(top / resolution_gy)) + 2, 2)
-    return np.arange(n) * resolution_gy
+    n = max(int(np.ceil(top / _DVH_STEP_GY)) + 2, 2)
+    return np.arange(n) * _DVH_STEP_GY
 
 
 def write_dvh_csv(path, dose_grid: np.ndarray, curves: dict[str, np.ndarray]) -> None:
     """DVH export: one dose column plus one cumulative-fraction column per ROI."""
     names = list(curves)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dose_gy"] + names)
-        for i, dose in enumerate(dose_grid):
-            writer.writerow([repr(float(dose))] + [repr(float(curves[name][i])) for name in names])
+    write_csv(path, ["dose_gy"] + names,
+              np.column_stack([dose_grid] + [curves[name] for name in names]))
 
 
 def write_violation_csv(path, violations) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["criterion", "roi", "statistic", "achieved_gy", "tail_gy",
-                         "bound_gy", "bound_kind", "relative_violation", "over_1pct"])
-        for v in violations:
-            writer.writerow([v.criterion, v.roi, v.statistic, repr(v.achieved_gy),
-                             repr(v.tail_gy), repr(v.bound_gy), v.bound_kind,
-                             repr(v.relative_violation), int(v.over_1pct)])
-
-
-def read_dvh_csv(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty DVH file", line=1)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError("wrong column count", line=lineno)
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError:
-                raise DataError("non-numeric value", line=lineno)
-    data = np.asarray(rows)
-    grid = data[:, 0]
-    return grid, {name: data[:, i + 1] for i, name in enumerate(header[1:])}
+    write_csv(path, ["criterion", "roi", "statistic", "achieved_gy", "tail_gy", "bound_gy",
+                     "bound_kind", "relative_violation", "over_1pct"],
+              ([v.criterion, v.roi, v.statistic, v.achieved_gy, v.tail_gy, v.bound_gy,
+                v.bound_kind, v.relative_violation, int(v.over_1pct)] for v in violations))

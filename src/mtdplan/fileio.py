@@ -1,12 +1,13 @@
-"""Binary dose volume format.
+"""Artifact file formats: CSV tables, and the binary dose volume.
 
-Layout (all little-endian): 4-byte magic ``MTDD``, uint32 version (1),
-three uint32 grid dimensions, then nx*ny*nz float64 dose values in C
-order.
+Dose volume layout (all little-endian): 4-byte magic ``MTDD``, uint32
+version (1), three uint32 grid dimensions, then nx*ny*nz float64 dose
+values in C order.
 """
 
 from __future__ import annotations
 
+import csv
 import struct
 
 import numpy as np
@@ -15,6 +16,19 @@ from .errors import DataError
 
 MAGIC = b"MTDD"
 VERSION = 1
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` as CSV.
+
+    A Python or numpy float is written as ``repr(float(v))``, which
+    ``float()`` reads back exactly; any other value as its text.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                          for v in row] for row in rows)
 
 
 def write_dose_volume(path, dose: np.ndarray, grid_dims) -> None:
@@ -38,11 +52,10 @@ def read_dose_volume(path) -> tuple[np.ndarray, tuple[int, int, int]]:
         version, nx, ny, nz = struct.unpack("<IIII", header)
         if version != VERSION:
             raise DataError(f"unsupported dose volume version {version}")
-        payload = fh.read(8 * nx * ny * nz)
-        if len(payload) != 8 * nx * ny * nz:
-            raise DataError("truncated dose volume payload")
-        extra = fh.read(1)
-        if extra:
-            raise DataError("trailing bytes after dose volume payload")
+        # Read what the file holds, never the size the header claims.
+        payload = fh.read()
+    if len(payload) != 8 * nx * ny * nz:
+        raise DataError(f"dose volume payload has {len(payload)} bytes; "
+                        f"the header's {nx}x{ny}x{nz} grid needs {8 * nx * ny * nz}")
     dose = np.frombuffer(payload, dtype="<f8").copy()
     return dose, (nx, ny, nz)

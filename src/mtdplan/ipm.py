@@ -67,7 +67,6 @@ to within the dose tolerance (default 1 cGy).
 from __future__ import annotations
 
 import contextlib
-import csv
 import time
 from dataclasses import dataclass, field
 
@@ -76,6 +75,7 @@ import scipy.linalg
 import scipy.linalg.blas
 import scipy.sparse as sp
 
+from .fileio import write_csv
 from .formulation import BlockLP
 
 _STEP_FLOOR = 1e-13
@@ -702,14 +702,11 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
 
 
 def write_iteration_log(path, history) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "primal_residual", "dual_residual",
-                         "gap_gy", "mu", "step_primal", "step_dual", "sigma", "regularized"])
-        for rec in history:
-            writer.writerow([rec.iteration, repr(rec.primal_residual), repr(rec.dual_residual),
-                             repr(rec.gap_gy), repr(rec.mu), repr(rec.step_primal),
-                             repr(rec.step_dual), repr(rec.sigma), int(rec.regularized)])
+    write_csv(path, ["iteration", "primal_residual", "dual_residual", "gap_gy", "mu",
+                     "step_primal", "step_dual", "sigma", "regularized"],
+              ([rec.iteration, rec.primal_residual, rec.dual_residual, rec.gap_gy, rec.mu,
+                rec.step_primal, rec.step_dual, rec.sigma, int(rec.regularized)]
+               for rec in history))
 
 
 def time_newton_solve(system: KKTSystem, rhs: np.ndarray, repeats: int = 3) -> float:

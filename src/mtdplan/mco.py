@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -11,6 +10,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from . import evaluation, ipm
 from .dmlc import Trajectories, dose_from_trajectories, fluence_from_trajectories
+from .fileio import write_csv
 from .formulation import build_weighted_instance
 
 
@@ -124,6 +124,7 @@ def generate_pareto_set(case, grid: np.ndarray, settings: ipm.SolverSettings | N
     of the worker count, so output is deterministic.
     """
     grid = np.asarray(grid, dtype=float)
+    case.dose_influence()  # computed once here, so each task carries it to its worker
     tasks = [(i, case, grid[i], settings) for i in range(grid.shape[0])]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -221,33 +222,25 @@ def write_pareto_csv(path, pareto: ParetoSet, criteria, index_specs) -> None:
     header += [f"obj_{spec.name}" for spec in index_specs]
     header += [f"quality_{spec.name}" for spec in index_specs]
     header += ["violations_over_1pct", "balanced"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for entry in pareto.entries:
-            row = [entry.index, entry.status]
-            if entry.plan is None:
-                row += [""] * (len(header) - 2)
-            else:
-                plan = entry.plan
-                row += [plan.iterations, repr(plan.gap_gy)]
-                row += [repr(float(v)) for v in entry.weights]
-                row += [repr(float(v)) for v in plan.xi]
-                row += [repr(float(v)) for v in plan.objective_coordinates]
-                row += [repr(float(v)) for v in plan.quality]
-                row += [sum(1 for v in plan.violations if v.over_1pct),
-                        int(entry.index == pareto.balanced_index)]
-            writer.writerow(row)
+    rows = []
+    for entry in pareto.entries:
+        row = [entry.index, entry.status]
+        if entry.plan is None:
+            row += [""] * (len(header) - 2)
+        else:
+            plan = entry.plan
+            row += [plan.iterations, plan.gap_gy, *entry.weights, *plan.xi,
+                    *plan.objective_coordinates, *plan.quality,
+                    sum(1 for v in plan.violations if v.over_1pct),
+                    int(entry.index == pareto.balanced_index)]
+        rows.append(row)
+    write_csv(path, header, rows)
 
 
 def write_shift_report_csv(path, report: ShiftReport, index_specs) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        names = [spec.name for spec in index_specs]
-        writer.writerow(["record"] + names)
-        writer.writerow(["mean_displacement"] + [repr(float(v)) for v in report.mean_displacement])
-        writer.writerow(["residual_rms", repr(report.residual_rms)])
-        writer.writerow(["residual_max", repr(report.residual_max)])
-        writer.writerow(["degenerate", int(report.degenerate), report.note])
-        for i, row in enumerate(report.displacement):
-            writer.writerow([f"displacement_{i}"] + [repr(float(v)) for v in row])
+    rows = [["mean_displacement", *report.mean_displacement],
+            ["residual_rms", report.residual_rms],
+            ["residual_max", report.residual_max],
+            ["degenerate", int(report.degenerate), report.note]]
+    rows += [[f"displacement_{i}", *row] for i, row in enumerate(report.displacement)]
+    write_csv(path, ["record"] + [spec.name for spec in index_specs], rows)

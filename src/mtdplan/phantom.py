@@ -155,6 +155,8 @@ class MachineModel:
         object.__setattr__(self, "beam_angles_deg", tuple(float(a) for a in self.beam_angles_deg))
         if self.num_beams <= 0 or self.leaf_pairs <= 0 or self.bixels_per_row <= 0:
             raise PhantomError("machine dimensions must be positive")
+        if self.num_bixels > np.iinfo(np.intp).max:  # bounds each dimension too
+            raise PhantomError(f"machine has {self.num_bixels} bixels, more than numpy can index")
         if len(self.beam_angles_deg) != self.num_beams:
             raise PhantomError("beam_angles_deg length must equal num_beams")
         if self.traverse_time_s <= 0:

@@ -6,6 +6,8 @@ import numpy as np
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
+_VIEWS = ((35.0, 25.0), (125.0, 25.0))  # (azimuth, elevation) of each panel, degrees
+
 _CUBE_EDGES = [
     ((0, 0, 0), (1, 0, 0)), ((0, 0, 0), (0, 1, 0)), ((0, 0, 0), (0, 0, 1)),
     ((1, 1, 0), (0, 1, 0)), ((1, 1, 0), (1, 0, 0)), ((1, 1, 0), (1, 1, 1)),
@@ -67,9 +69,8 @@ def _panel(points01, filled, labels, best_corner01, azimuth, elevation,
                          f'stroke="{_PALETTE[0]}" stroke-width="1.4"/>')
 
 
-def scatter3d_two_views(path, points, labels, aims, filled=None,
-                        views=((35.0, 25.0), (125.0, 25.0))) -> None:
-    """Two-angle 3-D scatter of quality index points.
+def scatter3d_two_views(path, points, labels, aims, filled) -> None:
+    """Two-angle 3-D scatter of quality index points, seen from ``_VIEWS``.
 
     Violating plans should be passed unfilled via ``filled``; the corner
     of best values (per-axis best given each aim) is marked with an open
@@ -78,7 +79,7 @@ def scatter3d_two_views(path, points, labels, aims, filled=None,
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("scatter3d_two_views expects (n, 3) points")
-    filled = np.ones(pts.shape[0], dtype=bool) if filled is None else np.asarray(filled, dtype=bool)
+    filled = np.asarray(filled, dtype=bool)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     rng = np.where(hi - lo > 1e-12, hi - lo, 1.0)
@@ -89,19 +90,19 @@ def scatter3d_two_views(path, points, labels, aims, filled=None,
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{2 * size}" height="{size}" '
              f'viewBox="0 0 {2 * size} {size}">',
              '<rect width="100%" height="100%" fill="white"/>']
-    for panel, (azimuth, elevation) in enumerate(views):
+    for panel, (azimuth, elevation) in enumerate(_VIEWS):
         _panel(pts01, filled, labels, best, azimuth, elevation, panel * size, size, lines)
     lines.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def dvh_bands(path, dose_grid, bands, highlight=None) -> None:
-    """Min/max DVH envelopes per ROI with an optional highlighted plan.
+def dvh_bands(path, dose_grid, bands, highlight) -> None:
+    """Min/max DVH envelopes per ROI with one highlighted plan.
 
     ``bands`` maps ROI name to an (n_plans, n_grid) array of cumulative
-    volume fractions; ``highlight`` maps ROI name to one curve drawn on
-    top of its band.
+    volume fractions; ``highlight`` maps each of those names to one curve
+    drawn on top of its band.
     """
     grid = np.asarray(dose_grid, dtype=float)
     width, height, pad = 560, 360, 48
@@ -138,10 +139,9 @@ def dvh_bands(path, dose_grid, bands, highlight=None) -> None:
         backward = [f"{sx(d):.2f},{sy(f):.2f}" for d, f in zip(grid[::-1], bottom[::-1])]
         lines.append(f'<polygon points="{" ".join(forward + backward)}" fill="{color}" '
                      f'fill-opacity="0.25" stroke="none"/>')
-        if highlight and name in highlight:
-            pts = " ".join(f"{sx(d):.2f},{sy(f):.2f}" for d, f in zip(grid, highlight[name]))
-            lines.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                         f'stroke-width="1.8"/>')
+        pts = " ".join(f"{sx(d):.2f},{sy(f):.2f}" for d, f in zip(grid, highlight[name]))
+        lines.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                     f'stroke-width="1.8"/>')
         lines.append(f'<text x="{width - pad - 150}" y="{pad + 14 + 14 * i}" font-size="11" '
                      f'fill="{color}">{name}</text>')
     lines.append("</svg>")

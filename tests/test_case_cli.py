@@ -6,7 +6,8 @@ import pytest
 from mtdplan import cli
 from mtdplan.case import case_from_dict, demo_case_path, load_case
 from mtdplan.errors import CaseError, DataError
-from mtdplan.fileio import read_dose_volume, write_dose_volume
+from mtdplan.evaluation import evaluate_plan
+from mtdplan.fileio import read_dose_volume, write_csv, write_dose_volume
 
 
 def demo_doc():
@@ -77,7 +78,17 @@ def test_unknown_demo_case():
         load_case("demo:oncology_ward")
 
 
-# --- dose binary -------------------------------------------------------------------
+# --- artifact files -----------------------------------------------------------------
+
+def test_write_csv_cell_text(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b", "c", "d", "e"],
+              [[np.float64(58.95921744955405), 0.1, 3, "x,y", ""],
+               [np.float32(0.5), 1e-300, -2, "s", 7.0]])
+    assert path.read_bytes() == (b'a,b,c,d,e\r\n'
+                                 b'58.95921744955405,0.1,3,"x,y",\r\n'
+                                 b'0.5,1e-300,-2,s,7.0\r\n')
+
 
 def test_dose_volume_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
@@ -102,6 +113,15 @@ def test_dose_volume_truncation(tmp_path):
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(DataError):
         read_dose_volume(path)
+
+
+def test_evaluate_dose_binary_with_oversized_header_exits_data_error(tmp_path, capsys):
+    plan = tmp_path / "huge.bin"
+    plan.write_bytes(b"MTDD" + np.array([1, 2 ** 31, 2 ** 31, 2 ** 31], dtype="<u4").tobytes())
+    code = cli.main(["evaluate", "--case", demo_case_path(), "--out", str(tmp_path / "o"),
+                     "--plan", str(plan)])
+    assert code == cli.EXIT_DATA_ERROR
+    assert "dose volume payload has 0 bytes" in capsys.readouterr().err
 
 
 # --- CLI ----------------------------------------------------------------------------
@@ -189,6 +209,8 @@ def _put(keys, value):
                  "$.machine.max_time_s: expected a finite number", id="integer-beyond-float"),
     pytest.param(_put(["phantom", "rois", 1, "shape", "radius_mm"], -12.0), [],
                  "$.phantom.rois[1].shape: sphere requires radius_mm >= 0", id="negative-radius"),
+    pytest.param(_put(["machine", "leaf_pairs"], 10 ** 30), [],
+                 "$.machine: machine has", id="bixels-beyond-index-range"),
     pytest.param(_put(["solver", "max_iterations"], 0), [],
                  "$.solver: max_iterations must be >= 1", id="zero-max-iterations"),
     pytest.param(None, ["pareto", "--grid-order", "0"], "--grid-order: grid_order must be >= 1",
@@ -298,6 +320,38 @@ def test_evaluate_corrupted_csv_exits_data_error(solved_dir, tmp_path, capsys):
                      "--plan", str(corrupted)])
     assert code == cli.EXIT_DATA_ERROR
     assert "line 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, reported", [
+    pytest.param("bixel,-1,0,0,0.0,0.0", "negative index in bixel (-1, 0, 0)", id="bixel-beam"),
+    pytest.param("beam_on,-1,,,9.0,", "negative beam index -1", id="beam-on"),
+    pytest.param("bixel,0,6,0,0.0,0.0", "out of bounds for axis 1", id="leaf-pair-too-large"),
+])
+def test_evaluate_out_of_range_trajectory_index_exits_data_error(solved_dir, tmp_path, capsys,
+                                                                  row, reported):
+    corrupted = tmp_path / "bad.csv"
+    lines = (solved_dir / "plan_trajectories.csv").read_text().splitlines()
+    lines.insert(4, row)  # every bixel stays covered, so only the index can be at fault
+    corrupted.write_text("\n".join(lines) + "\n")
+    code = cli.main(["evaluate", "--case", demo_case_path(), "--out", str(tmp_path / "o"),
+                     "--plan", str(corrupted)])
+    assert code == cli.EXIT_DATA_ERROR
+    err = capsys.readouterr().err
+    assert "line 5" in err and reported in err
+
+
+def test_solve_violation_csv_numbers_parse_to_computed_values(solved_dir):
+    case = load_case(demo_case_path())
+    dose, _ = read_dose_volume(solved_dir / "plan_dose.bin")
+    _, violations = evaluate_plan(case.phantom, dose, case.quality_indices, case.criteria)
+    import csv as csvmod
+    with open(solved_dir / "plan_violations.csv", newline="") as fh:
+        rows = list(csvmod.DictReader(fh))
+    assert len(rows) == len(violations)
+    for row, v in zip(rows, violations):
+        for key in ("achieved_gy", "tail_gy", "bound_gy", "relative_violation"):
+            assert float(row[key]) == getattr(v, key), (v.criterion, key)
+        assert float(row["over_1pct"]) == v.over_1pct
 
 
 def test_pareto_order_one_produces_three_plans(tmp_path):

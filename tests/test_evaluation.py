@@ -281,7 +281,8 @@ def test_dvh_csv_roundtrip(tmp_path):
     curves = {"a": np.array([1.0, 0.625, 0.0]), "b": np.array([1.0, 1.0, 0.3333333333333333])}
     path = tmp_path / "dvh.csv"
     evaluation.write_dvh_csv(path, grid, curves)
-    grid2, curves2 = evaluation.read_dvh_csv(path)
-    assert np.array_equal(grid, grid2)
-    for name in curves:
-        assert np.array_equal(curves[name], curves2[name])
+    assert path.read_text().splitlines()[0] == "dose_gy,a,b"
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(grid, data[:, 0])
+    assert np.array_equal(curves["a"], data[:, 1])
+    assert np.array_equal(curves["b"], data[:, 2])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mtdplan import mco
 from mtdplan.case import load_case
 from mtdplan.mco import (generate_pareto_set, hull_and_shift_report, nondominated_subset,
                          solve_single_weight, weight_grid)
@@ -150,6 +151,32 @@ def test_parallel_matches_serial(tiny_case):
         assert a.status == b.status
         assert np.array_equal(a.plan.objective_coordinates, b.plan.objective_coordinates)
         assert np.array_equal(a.plan.dose, b.plan.dose)
+
+
+def test_parallel_tasks_carry_the_dose_influence(monkeypatch):
+    handed_over = []
+
+    class RecordingPool:
+        """Records whether each task's case holds its influence when handed over."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            handed_over.extend(task[1]._influence is not None for task in tasks)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(mco, "ProcessPoolExecutor", RecordingPool)
+    case = load_case("demo:prostate_demo")
+    generate_pareto_set(case, weight_grid(3, 1), workers=2)
+    assert handed_over == [True, True, True]
 
 
 def test_balanced_entry_flagged(tiny_case):
