@@ -144,6 +144,8 @@ def _write_quality_report(case: Case, dose: np.ndarray, quality: np.ndarray, vio
         fh.write(f"case: {case.name}\n")
         if plan is not None:
             fh.write(f"status: {plan.status}\n")
+            if plan.message:
+                fh.write(f"message: {plan.message}\n")
             fh.write(f"iterations: {plan.iterations}\n")
             fh.write(f"duality gap [Gy]: {plan.gap_gy!r}\n")
             fh.write(f"weights: {','.join(repr(float(v)) for v in plan.weights)}\n")
@@ -171,6 +173,8 @@ def cmd_solve(args) -> int:
         dump_lp(lp, os.path.join(args.out, "instance.lp"))
     print(f"status: {plan.status}; objective {plan.objective_value!r} Gy; "
           f"gap {plan.gap_gy!r} Gy; {plan.iterations} iterations")
+    if plan.message:
+        print(f"{plan.status}: {plan.message}", file=sys.stderr)
     if not plan.feasible:
         return EXIT_SOLVER_FAILURE
     return EXIT_OK

@@ -189,6 +189,13 @@ def write_trajectories_csv(path, traj: Trajectories) -> None:
     write_csv(path, ["record", "beam", "leaf_pair", "bixel", "l_time_s", "r_time_s"], rows)
 
 
+def _finite_times(*cells: str) -> list[float]:
+    times = [float(cell) for cell in cells]
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"non-finite time in {', '.join(cells)}")
+    return times
+
+
 def read_trajectories_csv(path, machine: MachineModel) -> Trajectories:
     B, N, J = machine.num_beams, machine.leaf_pairs, machine.bixels_per_row
     l = np.full((B, N, J), np.nan)
@@ -204,17 +211,22 @@ def read_trajectories_csv(path, machine: MachineModel) -> Trajectories:
             raise DataError("missing trajectory header", line=1)
         for lineno, row in enumerate(reader, start=2):
             try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells where the header has {len(header)}")
                 if row[0] == "bixel":
                     b, n, j = int(row[1]), int(row[2]), int(row[3])
                     if min(b, n, j) < 0:  # too large an index raises IndexError below
                         raise ValueError(f"negative index in bixel ({b}, {n}, {j})")
-                    l[b, n, j] = float(row[4])
-                    r[b, n, j] = float(row[5])
+                    if not np.isnan(l[b, n, j]):
+                        raise ValueError(f"bixel ({b}, {n}, {j}) given twice")
+                    l[b, n, j], r[b, n, j] = _finite_times(row[4], row[5])
                 elif row[0] == "beam_on":
                     b = int(row[1])
                     if b < 0:
                         raise ValueError(f"negative beam index {b}")
-                    T[b] = float(row[4])
+                    if not np.isnan(T[b]):
+                        raise ValueError(f"beam_on {b} given twice")
+                    T[b] = _finite_times(row[4])[0]
                 else:
                     raise ValueError(f"unknown record {row[0]!r}")
             except (ValueError, IndexError) as exc:

@@ -225,6 +225,7 @@ class BlockLP:
     columns: tuple[CriterionColumns, ...]
     row_labels1: tuple[str, ...] = field(repr=False, default=())
     name: str = ""
+    num_deliverability_rows: int = 0   # leading rows of A11, from the machine model
 
     # -- dimensions ------------------------------------------------------
     @property
@@ -463,7 +464,8 @@ def build_weighted_instance(phantom: Phantom, machine: MachineModel, influence: 
                    objective_vector=c, lower=lower, upper=upper,
                    num_zero_rows=num_zero_rows, machine=machine,
                    criteria=criteria, weights=w, columns=columns,
-                   row_labels1=tuple(labels1), name=name)
+                   row_labels1=tuple(labels1), name=name,
+                   num_deliverability_rows=deliv.rhs.size)
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,20 @@ The iteration stops once primal and dual residuals are below the
 feasibility tolerance and the duality gap - which is expressed in the
 same Gy-weighted scale as the objective - certifies the objective value
 to within the dose tolerance (default 1 cGy).
+
+It stops with ``infeasible`` only on a checked Farkas certificate: row
+multipliers y >= 0, lower-bound multipliers z' >= 0 and upper-bound
+multipliers w >= 0 with A^T y + z' - w = 0 and b.y + lower.z' - upper.w > 0,
+which no x can satisfy.  Every iteration forms one from the dual
+iterate at no extra mat-vec cost: A^T y - w is c - rd - z, z' is its
+negative part, and the ray is scaled to unit 1-norm.  The solve stops
+when the ray's remaining violation max(A^T y - w, 0) is at most the
+feasibility tolerance and its value exceeds it; both numbers go into the
+message.  The message then names the hard bounds, and the deliverability
+rows of A11, whose multipliers are at least 1e-3 of the largest.  For
+each bound it gives value / multiplier: the bound must move at least
+that many Gy before this ray stops certifying infeasibility.  The check
+only reads the iterate, so solves it does not stop are unchanged.
 """
 
 from __future__ import annotations
@@ -500,6 +514,38 @@ def duality_gap_in_dose(lp: BlockLP, x: np.ndarray, dual: DualSolution) -> float
     return float(np.dot(lp.objective_vector, x)) - dual_obj
 
 
+def _conflict_report(lp: BlockLP, y: np.ndarray, z_ray: np.ndarray, w: np.ndarray,
+                     up: np.ndarray, value: float) -> str:
+    """Name the hard bounds and deliverability rows that carry a Farkas ray.
+
+    Takes the normalized ray: row multipliers ``y``, lower-bound
+    multipliers ``z_ray`` and upper-bound multipliers ``w`` on ``up``.  A
+    hard bound's multiplier is that of its xi column on the bound's side.
+    Every bound and deliverability row whose multiplier is at least 1e-3
+    of the largest is named.  Moving one bound by ``d`` Gy changes the
+    ray's value by its multiplier times ``d``, so the ray keeps certifying
+    infeasibility until that bound alone has moved ``value / multiplier``
+    Gy: a lower bound on the move that bound needs.
+    """
+    w_full = np.zeros(z_ray.size)
+    w_full[up] = w
+    carriers = []   # (multiplier, name, whether it is a hard bound in Gy)
+    for criterion, cols in zip(lp.criteria, lp.columns):
+        if criterion.hard_lower is not None:
+            carriers.append((z_ray[cols.xi], f"{criterion.describe()} >= {criterion.hard_lower:g} Gy",
+                             True))
+        elif criterion.hard_upper is not None:
+            carriers.append((w_full[cols.xi], f"{criterion.describe()} <= {criterion.hard_upper:g} Gy",
+                             True))
+    carriers += [(y[i], f"deliverability row {lp.row_labels1[i]}", False)
+                 for i in range(lp.num_deliverability_rows)]
+    largest = max((multiplier for multiplier, _, _ in carriers), default=0.0)
+    named = [f"{name} (multiplier {multiplier:.2g}"
+             + (f", must move >= {value / multiplier:.1f} Gy)" if in_gy else ")")
+             for multiplier, name, in_gy in carriers if multiplier >= 1e-3 * largest > 0.0]
+    return "conflict: " + ("; ".join(named) or "no hard bound or deliverability row carries the ray")
+
+
 def _max_step(values: np.ndarray, deltas: np.ndarray) -> float:
     """Largest step keeping values + step*deltas nonnegative."""
     shrinking = deltas < 0
@@ -626,12 +672,18 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
             return result("converged")
         if not np.isfinite(mu) or not np.isfinite(gap):
             return result("numerical_failure", "non-finite iterate")
-        # Dual objective running away while the primal residual refuses to
-        # drop is the standard certificate pattern for an infeasible primal.
-        dual_obj = float(np.dot(c, x)) - gap
-        if iteration >= 10 and rel_p > 1e3 * settings.feasibility_tolerance \
-                and dual_obj > 1e10 * (b_scale + c_scale):
-            return result("infeasible", "dual objective diverging with primal residual stalled")
+        # Farkas ray from the dual iterate: A^T y - w is c - rd - z, and z'
+        # takes up its negative part (see the module docstring).
+        atyw = c - rd - z
+        z_ray = np.maximum(-atyw, 0.0)
+        norm = float(np.sum(y) + np.sum(z_ray) + np.sum(w))
+        violation = float(np.max(atyw, initial=0.0)) / norm
+        value = (float(np.dot(b, y)) + float(np.dot(lower, z_ray))
+                 - float(np.dot(upper[up], w))) / norm
+        if violation <= settings.feasibility_tolerance < value:
+            return result("infeasible",
+                          f"Farkas ray with violation {violation:.1e} and value {value:.3e}; "
+                          + _conflict_report(lp, y / norm, z_ray / norm, w / norm, up, value))
 
         dx_diag = z / x_shift
         dx_diag[up] += w / up_gap

@@ -55,6 +55,7 @@ class Plan:
     iterations: int
     status: str
     solver_history: list = field(default_factory=list)
+    message: str = ""   # the solver's account of a status other than converged
 
     @property
     def feasible(self) -> bool:
@@ -102,7 +103,7 @@ def solve_single_weight(case, weights, settings: ipm.SolverSettings | None = Non
                 objective_coordinates=lp.objective_coordinates(result.x),
                 quality=quality, violations=violations,
                 gap_gy=result.gap_gy, iterations=result.iterations,
-                status=result.status, solver_history=result.history)
+                status=result.status, solver_history=result.history, message=result.message)
 
 
 def _solve_entry(args) -> ParetoEntry:

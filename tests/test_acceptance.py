@@ -200,8 +200,8 @@ def test_acceptance_4_and_5_solver_oracle_and_stopping_rule():
         ref = linprog_reference(lp)
         if ref.status == 2:
             res = solve(lp, SolverSettings(dose_tolerance_gy=tol))
-            if res.status == "converged":
-                failures.append(f"seed {seed - 1}: converged on an infeasible instance")
+            if res.status != "infeasible":
+                failures.append(f"seed {seed - 1}: {res.status} on an infeasible instance")
             continue
         if ref.status != 0:
             continue

@@ -271,8 +271,25 @@ def test_solve_writes_artifacts(solved_dir):
     quality = (solved_dir / "plan_quality.txt").read_text()
     assert "xi [Gy]:" in quality
     assert "status: converged" in quality
+    assert "message:" not in quality
     log_header = (solved_dir / "plan_solver_log.csv").read_text().splitlines()[0]
     assert log_header.split(",")[-1] == "regularized"
+
+
+def test_solve_contradictory_bounds_reports_conflict(tmp_path, capsys):
+    doc = demo_doc()
+    next(c for c in doc["criteria"] if c["name"] == "ptv_dav50_floor")["hard_lower"] = 66.0
+    case_file = tmp_path / "floor66.json"
+    case_file.write_text(json.dumps(doc))
+    out = tmp_path / "floor66"
+    code = cli.main(["solve", "--case", str(case_file), "--out", str(out)])
+    assert code == cli.EXIT_SOLVER_FAILURE
+    captured = capsys.readouterr()
+    assert "status: infeasible" in captured.out
+    message = next(line for line in captured.err.splitlines() if line.startswith("infeasible: "))
+    assert "ptv_dav1 <= 63 Gy" in message and "ptv_dav50_floor >= 66 Gy" in message
+    assert f"message: {message.removeprefix('infeasible: ')}\n" \
+        in (out / "plan_quality.txt").read_text()
 
 
 def test_solve_reruns_bit_identical(solved_dir, tmp_path):
@@ -338,6 +355,39 @@ def test_evaluate_out_of_range_trajectory_index_exits_data_error(solved_dir, tmp
     assert code == cli.EXIT_DATA_ERROR
     err = capsys.readouterr().err
     assert "line 5" in err and reported in err
+
+
+def _row_replaced(index, text):
+    return lambda lines: lines[:index] + [text] + lines[index + 1:]
+
+
+@pytest.mark.parametrize("edit, reported", [
+    pytest.param(lambda lines: lines[:4] + lines[3:], "bixel (0, 0, 2) given twice",
+                 id="bixel-twice"),
+    pytest.param(lambda lines: lines + lines[-1:], "beam_on 2 given twice", id="beam-on-twice"),
+    pytest.param(_row_replaced(3, "bixel,0,0,2,0.0,0.0,7.0"), "7 cells where the header has 6",
+                 id="extra-cell"),
+    pytest.param(_row_replaced(3, "bixel,0,0,2,0.0"), "5 cells where the header has 6",
+                 id="missing-cell"),
+    pytest.param(_row_replaced(3, "bixel,0,0,2,nan,0.0"), "non-finite time in nan, 0.0",
+                 id="nan-l-time"),
+    pytest.param(_row_replaced(3, "bixel,0,0,2,0.0,inf"), "non-finite time in 0.0, inf",
+                 id="inf-r-time"),
+    pytest.param(_row_replaced(-1, "beam_on,2,,,nan,"), "non-finite time in nan",
+                 id="nan-beam-on"),
+])
+def test_evaluate_malformed_trajectory_record_exits_data_error(solved_dir, tmp_path, capsys,
+                                                               edit, reported):
+    lines = (solved_dir / "plan_trajectories.csv").read_text().splitlines()
+    edited = edit(lines)
+    corrupted = tmp_path / "bad.csv"
+    corrupted.write_text("\n".join(edited) + "\n")
+    code = cli.main(["evaluate", "--case", demo_case_path(), "--out", str(tmp_path / "o"),
+                     "--plan", str(corrupted)])
+    assert code == cli.EXIT_DATA_ERROR
+    first_edited = next(i for i, (a, b) in enumerate(zip(edited, lines + [""])) if a != b)
+    err = capsys.readouterr().err
+    assert f"line {first_edited + 1}: {reported}" in err
 
 
 def test_solve_violation_csv_numbers_parse_to_computed_values(solved_dir):

@@ -1,6 +1,7 @@
 import gc
 import time
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.sparse as sp
 
 from mtdplan import ipm
 from mtdplan.case import load_case
-from mtdplan.formulation import BlockLP, build_weighted_instance
+from mtdplan.formulation import BlockLP, CriterionSet, build_weighted_instance
 from mtdplan.ipm import (DualSolution, KKTSystem, SolverSettings, _SchurFactorization,
                          duality_gap_in_dose, invert_voxelwise_quadrant, rearrange_kkt,
                          schur_solve, solve)
@@ -24,7 +25,7 @@ def raw_lp(a11, b1, c, lower, upper):
                    a22=sp.csr_matrix((0, 0)), b1=np.asarray(b1, dtype=float),
                    b2=np.zeros(0), objective_vector=np.asarray(c, dtype=float),
                    lower=np.asarray(lower, dtype=float), upper=np.asarray(upper, dtype=float),
-                   num_zero_rows=0, machine=None, criteria=None, weights=None,
+                   num_zero_rows=0, machine=None, criteria=(), weights=None,
                    columns=())
 
 
@@ -459,7 +460,50 @@ def test_infeasible_problem_not_reported_converged():
     ref = linprog_reference(lp)
     assert ref.status == 2
     res = solve(lp, SolverSettings(max_iterations=60))
-    assert res.status != "converged"
+    assert res.status == "infeasible", res.message
+
+
+def test_infeasible_verdicts_agree_with_highs_on_random_instances():
+    infeasible = 0
+    for seed in range(300):
+        *_, lp = random_block_instance(seed)
+        ref = linprog_reference(lp)
+        res = solve(lp, SolverSettings())
+        if ref.status == 2:
+            infeasible += 1
+            assert res.status == "infeasible", f"seed {seed}: {res.status} ({res.message})"
+            assert res.iterations <= 40, f"seed {seed}: {res.iterations} iterations"
+        elif ref.status == 0:
+            assert res.status != "infeasible", f"seed {seed}: {res.message}"
+    assert infeasible >= 5
+
+
+def test_contradictory_demo_bounds_certified_infeasible_and_named():
+    # ptv_dav1 caps the top 1% tail at 63 Gy; a 66 Gy floor on the lower 50%
+    # tail contradicts it by 3 Gy.
+    case = load_case("demo:prostate_demo")
+    criteria = CriterionSet(replace(c, hard_lower=66.0) if c.name == "ptv_dav50_floor" else c
+                            for c in case.criteria)
+    lp = build_weighted_instance(case.phantom, case.machine, case.dose_influence(),
+                                 criteria, np.full(3, 1.0 / 3.0))
+    res = solve(lp, case.solver_settings())
+    assert res.status == "infeasible", res.message
+    assert res.iterations <= 40
+    assert "ptv_dav1 <= 63 Gy (multiplier" in res.message
+    assert "ptv_dav50_floor >= 66 Gy (multiplier" in res.message
+    assert res.message.count("must move >= 3.0 Gy") == 2
+    assert res.message.count("(multiplier") == 2   # nothing else carries the ray
+
+    # The certificate, checked from the returned duals with the explicit A^T:
+    # y, z', w >= 0 with A^T y + z' - w = 0 and b.y + lower.z' - upper.w > 0.
+    y, w = res.dual.y, res.dual.w
+    atyw = lp.matrix().T @ y - w
+    z_ray = np.maximum(-atyw, 0.0)
+    norm = y.sum() + z_ray.sum() + w.sum()
+    up = np.isfinite(lp.upper)
+    value = (lp.rhs() @ y + lp.lower @ z_ray - lp.upper[up] @ w[up]) / norm
+    assert np.all(y > 0) and np.all(w[up] > 0) and np.all(w[~up] == 0)
+    assert np.max(atyw, initial=0.0) / norm <= 1e-8 < value
 
 
 def test_iteration_limit_status():
