@@ -161,7 +161,7 @@ def _write_quality_report(case: Case, dose: np.ndarray, quality: np.ndarray, vio
 def cmd_solve(args) -> int:
     case = _load(args)
     num_slots = case.criteria.num_slots
-    weights = (_parse_weights(args.weights, num_slots) if args.weights
+    weights = (_parse_weights(args.weights, num_slots) if args.weights is not None
                else np.full(num_slots, 1.0 / num_slots))
     plan = solve_single_weight(case, weights)
     os.makedirs(args.out, exist_ok=True)

@@ -47,11 +47,11 @@ It is one dense ``syrk`` of A21c with its rows scaled by sqrt(aa, rr),
 scattered with signs into M.  The dose substitution d = P(l - r) pairs
 every nonzero ``l`` column with an opposite ``r`` column, and bixels that
 reach no voxelwise criterion give zero columns, so the demo's 301 columns
-fold to 98.  The mat-vecs with A21 and A21^T gather onto the groups, take
-one CSR product with A21c and scatter back.  The iterate-independent part
-- A21c dense and as CSR, the grouping, the transposes and the split on R
-- is built once per LP (``_NewtonStructure``), so each iteration costs
-O(voxels) in one BLAS call and scaling, plus one small factorization.
+fold to 98.  ``_NewtonStructure`` holds each block of A once per LP in
+the forms its products need, and every product with A or A^T (start
+point, residuals, back-solves) goes through those blocks; A itself is
+never formed.  Each iteration costs O(voxels) in one BLAS call and
+scaling, plus one small factorization.
 
 Upper-bound duals ``w`` and gaps ``upper - x`` exist only on the columns
 ``up`` with a finite upper bound (the xi caps of a weighted-sum LP);
@@ -303,13 +303,14 @@ class _NewtonStructure:
     order (the ``syrk`` operand for ``M``); with every column its own
     group, A21c is A21 and nothing is copied twice.  ``m_index``,
     ``gram_index`` and ``pair_sign`` scatter the order-``k`` Gram matrix
-    of A21c into ``M``'s upper triangle.  Also held: A12 with its
-    transpose, and A11 split on the rows ``R`` that A12 touches: outside
-    ``R`` the block ``G`` is D3 and ``F`` equals A11.  Those untouched
-    rows are kept as CSR for the back-solve mat-vecs and densely as the
-    right operand of their term of ``M``, where a sparse-dense product
-    measures faster than a sparse-sparse one.  Built once per LP; its
-    memory is linear in the voxel count.
+    of A21c into ``M``'s upper triangle.  Also held: A12 as CSR with its
+    transpose, and A11 split on the rows ``R`` that A12 touches.  The rows
+    ``R`` are dense; the back-solves swap in ``F``'s.  The rest, where
+    ``G`` is D3 and ``F`` is A11, are CSR with its transpose, and dense as
+    the right operand of their term of ``M`` (a sparse-dense product
+    measures faster than a sparse-sparse one).  A22 = [0 I]^T is a shift
+    onto the eta rows.  ``matvec`` and ``rmatvec`` apply A and A^T from
+    these blocks.  Built once per LP; memory linear in the voxel count.
     """
 
     def __init__(self, system: KKTSystem):
@@ -332,6 +333,7 @@ class _NewtonStructure:
         self.rows = np.flatnonzero(touched)
         self.rest = np.flatnonzero(~touched)
         a11 = sp.csr_matrix(system.a11)
+        self.m1, self.num_zero_rows = a11.shape[0], system.num_zero_rows
         self.a11_rows = a11[self.rows].toarray()
         self.a11_rest = a11[self.rest]
         self.a11_rest_t = self.a11_rest.T.tocsr()
@@ -350,6 +352,30 @@ class _NewtonStructure:
         out = np.zeros(self.n1)
         out[self.nz] = self.sign * (self.a21c_t @ u)[self.group]
         return out
+
+    def a11_matvec(self, v: np.ndarray, rows_r: np.ndarray) -> np.ndarray:
+        """``A11 @ v`` with the rows ``R`` replaced by ``rows_r`` (A11's own or F's)."""
+        out = np.empty(self.m1)
+        out[self.rest] = self.a11_rest @ v
+        out[self.rows] = rows_r @ v
+        return out
+
+    def a11_rmatvec(self, u: np.ndarray, rows_r: np.ndarray) -> np.ndarray:
+        """``A11^T @ u`` with the rows ``R`` replaced by ``rows_r`` (A11's own or F's)."""
+        return self.a11_rest_t @ u[self.rest] + rows_r.T @ u[self.rows]
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``A @ x``; A22 = [0 I]^T adds ``x2`` to the eta rows."""
+        x1, x2 = x[:self.n1], x[self.n1:]
+        bottom = self.a21_matvec(x1)
+        bottom[self.num_zero_rows:] += x2
+        return np.concatenate([self.a11_matvec(x1, self.a11_rows) + self.a12 @ x2, bottom])
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """``A^T @ y``; A22^T takes the eta rows of ``y2`` onto ``x2``."""
+        y1, y2 = y[:self.m1], y[self.m1:]
+        return np.concatenate([self.a11_rmatvec(y1, self.a11_rows) + self.a21_rmatvec(y2),
+                               self.a12_t @ y1 + y2[self.num_zero_rows:]])
 
 
 class _SchurFactorization:
@@ -402,17 +428,6 @@ class _SchurFactorization:
         out[self.structure.rows] = scipy.linalg.cho_solve(self.g_chol, v[self.structure.rows])
         return out
 
-    def _f(self, v: np.ndarray) -> np.ndarray:
-        st = self.structure
-        out = np.empty(self.system.m1)
-        out[st.rest] = st.a11_rest @ v
-        out[st.rows] = self.f_rows @ v
-        return out
-
-    def _f_t(self, u: np.ndarray) -> np.ndarray:
-        st = self.structure
-        return st.a11_rest_t @ u[st.rest] + self.f_rows.T @ u[st.rows]
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the full augmented system for one (x1, x2, y1, y2) rhs."""
         system, st = self.system, self.structure
@@ -431,8 +446,9 @@ class _SchurFactorization:
         g_y1 = ry1 - (st.a12 @ qx2)
 
         # top solve: [[-E, F^T], [F, G]] (dx1, dy1) = (g_x1, g_y1)
-        dx1 = scipy.linalg.cho_solve(self.m_chol, self._f_t(self._g_solve(g_y1)) - g_x1)
-        dy1 = self._g_solve(g_y1 - self._f(dx1))
+        f_t_g = st.a11_rmatvec(self._g_solve(g_y1), self.f_rows)
+        dx1 = scipy.linalg.cho_solve(self.m_chol, f_t_g - g_x1)
+        dy1 = self._g_solve(g_y1 - st.a11_matvec(dx1, self.f_rows))
 
         # bottom solve: Qinv * (bottom rhs - BL * top)
         ux2 = rx2 - (st.a12_t @ dy1)
@@ -574,12 +590,8 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
     start = time.perf_counter()
     timings = dict.fromkeys(("structure", "factorization", "back_solve"), 0.0)
     settings = settings or SolverSettings()
-    n1, n2 = lp.n1, lp.n2
-    m1, m2 = lp.m1, lp.m2
-    n = n1 + n2
-    m = m1 + m2
-    A = lp.matrix()
-    A_t = A.T.tocsr()
+    n1, m1 = lp.n1, lp.m1
+    n, m = lp.num_variables, lp.num_rows
     b = lp.rhs()
     c = lp.objective_vector
     lower = lp.lower
@@ -606,11 +618,11 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
     margin = np.minimum(0.1 * (1.0 + np.abs(x_ls)), 0.25 * (upper - lower))
     x = np.clip(x_ls, lower + margin, upper - margin)
 
-    z_hat = c - A_t @ y_ls
+    z_hat = c - structure.rmatvec(y_ls)
     dz = 0.1 * (1.0 + float(np.mean(np.abs(z_hat))))
     z = np.maximum(z_hat, 0.0) + dz
     w = np.maximum(-z_hat[up], 0.0) + dz
-    s_hat = A @ x - b
+    s_hat = structure.matvec(x) - b
     ds_shift = 0.1 * (1.0 + float(np.mean(np.abs(s_hat))))
     s = np.maximum(s_hat, ds_shift)
     y = np.maximum(y_ls, 0.0) + 0.1 * (1.0 + float(np.mean(np.abs(y_ls))))
@@ -622,8 +634,8 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
 
     def residuals():
         """``b - A x + s``, ``c - A^T y - z + w`` and their scaled max norms."""
-        rp = b - A @ x + s
-        rd = c - A_t @ y - z
+        rp = b - structure.matvec(x) + s
+        rd = c - structure.rmatvec(y) - z
         rd[up] += w
         return rp, rd, float(np.max(np.abs(rp))) / b_scale, float(np.max(np.abs(rd))) / c_scale
 
@@ -705,7 +717,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
                 delta = fact.solve(rhs)
             ddx = delta[:n]
             ddy = delta[n:]
-            dds = A @ ddx - rp
+            dds = structure.matvec(ddx) - rp
             ddz = (rc_xz - z * ddx) / x_shift
             ddw = (rc_xw + w * ddx[up]) / up_gap
             if settings.log_kkt:

@@ -454,13 +454,10 @@ def compute_dose_influence(phantom: Phantom, machine: MachineModel, kernel: Kern
         if beam_nnz[b] == 0:
             raise PhantomError(f"beam {b} misses the phantom grid entirely")
 
-    if rows:
-        matrix = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(phantom.num_voxels, machine.num_bixels),
-        )
-    else:  # unreachable given the per-beam check, kept for shape safety
-        matrix = sp.csr_matrix((phantom.num_voxels, machine.num_bixels))
+    matrix = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(phantom.num_voxels, machine.num_bixels),
+    )
     matrix.sort_indices()
     return DoseInfluence(matrix=matrix, num_beams=B, leaf_pairs=N, bixels_per_row=J)
 

@@ -223,6 +223,8 @@ def _put(keys, value):
                  id="tol-gy-flag-infinite"),
     pytest.param(None, ["solve", "--weights", "nan,1,1"], "--weights: weights must be finite",
                  id="weights-flag"),
+    pytest.param(None, ["solve", "--weights", ""], "--weights: cannot parse weights",
+                 id="weights-flag-empty"),
 ])
 def test_bad_value_exits_config_error_naming_path_or_flag(tmp_path, capsys, edit, argv, reported):
     doc = demo_doc()

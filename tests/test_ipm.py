@@ -272,23 +272,50 @@ def test_schur_solve_matches_dense_with_no_nonzero_a21_column(capfd):
     assert capfd.readouterr() == ("", "")   # BLAS is never called with an empty operand
 
 
-def test_newton_structure_folds_demo_opposite_columns():
-    # d = P(l - r) makes each nonzero l column of A21 the negative of an r
-    # column; bixels that reach no voxelwise criterion give zero columns.
+def demo_lp():
     case = load_case("demo:prostate_demo")
     slots = case.criteria.num_slots
-    lp = build_weighted_instance(case.phantom, case.machine, case.dose_influence(),
-                                 case.criteria, np.full(slots, 1.0 / slots), name=case.name)
+    return build_weighted_instance(case.phantom, case.machine, case.dose_influence(),
+                                   case.criteria, np.full(slots, 1.0 / slots), name=case.name)
+
+
+def unit_structure(lp):
     system = KKTSystem(a11=lp.a11, a12=lp.a12, a21=lp.a21, a22=lp.a22, d1=np.ones(lp.n1),
                        d2=np.ones(lp.n2), d3=np.ones(lp.m1), d4=np.ones(lp.m2),
                        num_zero_rows=lp.num_zero_rows)
-    structure = ipm._NewtonStructure(system)
+    return ipm._NewtonStructure(system)
+
+
+def test_newton_structure_folds_demo_opposite_columns():
+    # d = P(l - r) makes each nonzero l column of A21 the negative of an r
+    # column; bixels that reach no voxelwise criterion give zero columns.
+    lp = demo_lp()
+    structure = unit_structure(lp)
     sizes = np.bincount(structure.group)
     assert (lp.n1, structure.nz.size, sizes.size) == (301, 188, 98)
     assert np.count_nonzero(sizes == 2) == 90 and np.count_nonzero(sizes == 1) == 8
     assert np.count_nonzero(structure.sign < 0) == 90
     assert np.array_equal(structure.a21c_dense[:, structure.group] * structure.sign,
                           lp.a21[:, structure.nz].toarray())
+
+
+@pytest.mark.parametrize("seed", [None, 2, 4], ids=["demo", "no-dav-criterion", "no-zero-rows"])
+def test_newton_structure_products_match_full_matrix(seed):
+    lp = demo_lp() if seed is None else random_block_instance(seed)[-1]
+    structure = unit_structure(lp)
+    if seed == 2:
+        assert structure.rows.size == 0 and lp.num_zero_rows > 0
+    elif seed == 4:
+        assert lp.num_zero_rows == 0 and structure.rows.size > 0
+    else:
+        assert lp.num_zero_rows > 0 and lp.n2 > 0 and structure.rows.size > 0
+    assert structure.nz.size < lp.n1   # some columns of A21 are all zero
+    full = lp.matrix()
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(lp.num_variables)
+    y = rng.standard_normal(lp.num_rows)
+    for product, expected in ((structure.matvec(x), full @ x), (structure.rmatvec(y), full.T @ y)):
+        assert np.linalg.norm(product - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_schur_solve_singular_reduced_matrix_is_regularized():
@@ -362,6 +389,17 @@ def test_solve_builds_newton_structure_once(monkeypatch):
         assert res.converged
         assert res.iterations > 2
         assert len(built) == 1
+
+
+def test_solve_never_forms_full_matrix(monkeypatch):
+    # Every product with A goes through the Newton structure's blocks.
+    def refuse(self):
+        raise AssertionError("ipm.solve formed the whole constraint matrix")
+
+    lp = demo_lp()
+    monkeypatch.setattr(BlockLP, "matrix", refuse)
+    res = solve(lp, SolverSettings())
+    assert res.converged, res.message
 
 
 def test_solve_reports_phase_timings():
