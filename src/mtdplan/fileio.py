@@ -58,4 +58,8 @@ def read_dose_volume(path) -> tuple[np.ndarray, tuple[int, int, int]]:
         raise DataError(f"dose volume payload has {len(payload)} bytes; "
                         f"the header's {nx}x{ny}x{nz} grid needs {8 * nx * ny * nz}")
     dose = np.frombuffer(payload, dtype="<f8").copy()
+    bad = np.flatnonzero(~np.isfinite(dose))
+    if bad.size:
+        raise DataError(f"dose volume voxel {bad[0]} is {float(dose[bad[0]])!r}, not a finite "
+                        f"dose; {bad.size} of {dose.size} voxels are not finite")
     return dose, (nx, ny, nz)

@@ -39,19 +39,26 @@ trajectory order n1
     M = D1 + A21^T diag(aa, rr) A21 + A11_~R^T D3_~R^-1 A11_~R + F_R^T G_RR^-1 F_R.
 
 M is factored by dense Cholesky (with one diagonal bump, flagged as
-``regularized``, should that fail).  A21 enters through its distinct
-columns: with ``A21 = A21c E``, where A21c keeps one column per group of
-nonzero columns equal up to sign and E maps each group back to its
-columns with their signs, the voxel term is E^T (A21c^T diag(aa, rr) A21c) E.
-It is one dense ``syrk`` of A21c with its rows scaled by sqrt(aa, rr),
-scattered with signs into M.  The dose substitution d = P(l - r) pairs
-every nonzero ``l`` column with an opposite ``r`` column, and bixels that
-reach no voxelwise criterion give zero columns, so the demo's 301 columns
-fold to 98.  ``_NewtonStructure`` holds each block of A once per LP in
-the forms its products need, and every product with A or A^T (start
-point, residuals, back-solves) goes through those blocks; A itself is
-never formed.  Each iteration costs O(voxels) in one BLAS call and
-scaling, plus one small factorization.
+``regularized``, should that fail).  A21 enters folded on both sides:
+A21 = A21c E, where A21c keeps one column per group of nonzero columns
+equal up to sign and E maps each group back to its columns with their
+signs (d = P(l - r) pairs every nonzero ``l`` column with an opposite
+``r`` column; the demo's 301 columns fold to 98).  Each criterion on an
+ROI repeats that ROI's dose rows, so A21c = [S b | C]: b holds the
+distinct trajectory rows (the demo's 600 rows fold to 192, the
+8x-refined case's 4116 to 1380), S maps rows onto them with signs, and
+C, the K trailing criterion (xi/alpha) columns, has at most one entry
+per row.  With D = diag(aa, rr) the voxel term is E^T (A21c^T D A21c) E,
+
+    A21c^T D A21c = ( b^T diag(S^T D S) b   b^T S^T D C )
+                    (      C^T D S b           C^T D C  ) ,
+
+one dense ``syrk`` over the distinct rows, a rank-K product and a
+diagonal, scattered with signs into M.  ``_NewtonStructure`` holds each
+block of A once per LP in the forms its products need, and every product
+with A or A^T (start point, residuals, back-solves) goes through those
+blocks; A itself is never formed.  Each iteration costs O(voxels) in one
+BLAS call and scaling, plus one small factorization.
 
 Upper-bound duals ``w`` and gaps ``upper - x`` exist only on the columns
 ``up`` with a finite upper bound (the xi caps of a weighted-sum LP);
@@ -90,7 +97,7 @@ import scipy.linalg.blas
 import scipy.sparse as sp
 
 from .fileio import write_csv
-from .formulation import BlockLP
+from .formulation import BlockLP, _scale_rows
 
 _STEP_FLOOR = 1e-13
 _REGULARIZATION = 1e-10   # added to every complementarity diagonal
@@ -255,35 +262,39 @@ def _scale_columns(matrix: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
                          shape=matrix.shape)
 
 
-def _signed_column_groups(a21: sp.csr_matrix):
-    """Group the nonzero columns of ``a21`` that are equal up to sign.
+def _signed_groups(matrix: sp.spmatrix, axis: int):
+    """Group the nonzero rows (``axis=0``) or columns (``axis=1``) of ``matrix`` equal up to sign.
 
-    Returns the nonzero columns ``nz`` (increasing), the group of each and
-    its sign, and the first column of every group, so that
-    ``a21[:, nz] == a21[:, first][:, group] * sign`` by value.  One
-    mat-vec ``|a21|^T r`` with ``r`` drawn from [1, 2) finds the nonzero
-    columns and proposes each one's candidate, the first column with the
-    same fingerprint.  The sparse difference of the two columns, with
-    the sign taken from ``a21^T r``, confirms the candidate when it stores
-    no entry (sparse subtraction stores no zero); a fingerprint collision
-    costs a fold, never a wrong one.  O(nnz) plus a sort of the ``n1``
+    Returns the nonzero vectors ``nz`` (increasing), the group of each and
+    its sign, and the first vector of every group, so that for columns
+    ``matrix[:, nz] == matrix[:, firsts][:, group] * sign`` by value (and
+    likewise for rows).  With V holding one vector per row, one mat-vec
+    ``|V| r`` with ``r`` drawn from [1, 2) finds the nonzero vectors and
+    proposes each one's candidate, the first vector with the same
+    fingerprint.  The sparse difference of the two, with the sign taken
+    from ``V r``, confirms the candidate when it stores no entry (sparse
+    subtraction sums duplicates and stores no zero); a fingerprint
+    collision costs a fold, never a wrong one.  O(nnz) plus a sort of the
     fingerprints.
     """
-    r = np.random.default_rng(0).uniform(1.0, 2.0, a21.shape[0])
-    magnitude = sp.csr_matrix((np.abs(a21.data), a21.indices, a21.indptr), shape=a21.shape)
-    fingerprint = magnitude.T @ r
+    vectors = matrix.T if axis else matrix   # one vector per row; a view
+    r = np.random.default_rng(0).uniform(1.0, 2.0, vectors.shape[1])
+    # abs() would sum duplicates in place, in the caller's arrays
+    magnitude = type(vectors)((np.abs(vectors.data), vectors.indices, vectors.indptr),
+                              shape=vectors.shape)
+    fingerprint = magnitude @ r
     nz = np.flatnonzero(fingerprint)
     _, first, inverse = np.unique(fingerprint[nz], return_index=True, return_inverse=True)
     rep = nz[first[inverse]]
     sign = np.ones(nz.size)
     pending = np.flatnonzero(rep != nz)
     if pending.size:
-        col, other = nz[pending], rep[pending]
-        signed = a21.T @ r
-        flip = np.sign(signed[col]) * np.sign(signed[other])
-        residual = a21[:, col] - _scale_columns(a21[:, other], flip)
-        differs = np.bincount(residual.indices, minlength=col.size) > 0
-        rep[pending[differs]] = col[differs]
+        vec, other = nz[pending], rep[pending]
+        signed = vectors @ r
+        flip = np.sign(signed[vec]) * np.sign(signed[other])
+        residual = vectors[vec].tocsr() - _scale_rows(vectors[other].tocsr(), flip)
+        differs = np.diff(residual.indptr) > 0
+        rep[pending[differs]] = vec[differs]
         sign[pending] = np.where(differs, 1.0, flip)
     firsts = nz[rep == nz]
     return nz, np.searchsorted(firsts, rep), sign, firsts
@@ -292,39 +303,57 @@ def _signed_column_groups(a21: sp.csr_matrix):
 class _NewtonStructure:
     """The part of every Newton system of one LP that the diagonals leave alone.
 
-    Holds A21 once, through its distinct columns: the nonzero columns
-    ``nz`` fall into groups of columns equal up to sign, and
-    ``A21[:, nz] = A21c[:, group] * sign``.  ``d = P(l - r)`` makes every
-    nonzero ``l`` column the negative of an ``r`` column, and bixels that
-    reach no voxelwise criterion give all-zero columns, so the demo's 301
-    columns fold to 98 (188 nonzero: 90 opposite pairs and 8 singles) and
-    the 8x-refined case's to 144 (280: 136 pairs and 8 singles).  A21c is
-    kept as CSR with its transpose (for the mat-vecs) and densely in C
-    order (the ``syrk`` operand for ``M``); with every column its own
-    group, A21c is A21 and nothing is copied twice.  ``m_index``,
-    ``gram_index`` and ``pair_sign`` scatter the order-``k`` Gram matrix
+    Holds A21 once, folded on both sides (see the module docstring).
+    Columns: the nonzero columns ``nz`` fall into groups equal up to sign,
+    ``A21[:, nz] = A21c[:, group] * sign``; the demo's 301 columns fold to
+    98 (188 nonzero: 90 opposite pairs and 8 singles), the 8x-refined
+    case's to 144 (280: 136 pairs and 8 singles).  Rows: the criterion
+    columns C are the longest tail of A21c's columns with at most one
+    stored entry per row (the 5 xi/alpha columns on both cases), those
+    before ``split`` the trajectory part.  Its nonzero rows ``row_nz``
+    fall into groups equal up to sign, one row of ``b`` each, so
+    A21c = [S b | C] with S the signed membership; ``expand`` is [S | C].
+    The demo's 600 rows fold to 192, the refined case's 4116 to 1380.
+    ``b`` and C are dense: ``b`` is the ``syrk`` operand, and at its 28 %
+    fill on the refined case dense products measure faster than CSR ones.
+    ``expand`` is CSR with its transpose and its eta rows.
+    ``m_index``, ``gram_index`` and ``pair_sign`` scatter the Gram matrix
     of A21c into ``M``'s upper triangle.  Also held: A12 as CSR with its
-    transpose, and A11 split on the rows ``R`` that A12 touches.  The rows
-    ``R`` are dense; the back-solves swap in ``F``'s.  The rest, where
-    ``G`` is D3 and ``F`` is A11, are CSR with its transpose, and dense as
-    the right operand of their term of ``M`` (a sparse-dense product
-    measures faster than a sparse-sparse one).  A22 = [0 I]^T is a shift
-    onto the eta rows.  ``matvec`` and ``rmatvec`` apply A and A^T from
-    these blocks.  Built once per LP; memory linear in the voxel count.
+    transpose, and A11 split on the rows ``R`` that A12 touches.  The
+    rows ``R`` are dense; the back-solves swap in ``F``'s.  The rest,
+    where ``G`` is D3 and ``F`` is A11, are CSR with its transpose, and
+    dense as the right operand of their term of ``M`` (a sparse-dense
+    product measures faster than a sparse-sparse one).  A22 = [0 I]^T is
+    a shift onto the eta rows.  ``matvec`` and ``rmatvec`` apply A and
+    A^T from these blocks.  Built once per LP; memory linear in the voxel
+    count.
     """
 
     def __init__(self, system: KKTSystem):
         a21 = sp.csr_matrix(system.a21)
         self.n1 = n1 = a21.shape[1]
-        self.nz, self.group, self.sign, firsts = _signed_column_groups(a21)
-        self.a21c = a21 if firsts.size == n1 else a21[:, firsts]
-        self.a21c_t = self.a21c.T.tocsr()
-        self.a21c_dense = self.a21c.toarray()
+        self.nz, self.group, self.sign, firsts = _signed_groups(a21, axis=1)
+        self.k = firsts.size
+        a21c = a21[:, firsts]
+        a21c.sort_indices()
+        # the split is one past the largest second-to-last column of any row
+        second_last = a21c.indices[a21c.indptr[1:][np.diff(a21c.indptr) > 1] - 2]
+        self.split = split = int(second_last.max(initial=-1)) + 1
+        trajectory = a21c[:, :split]
+        self.row_nz, self.row_group, row_sign, row_firsts = _signed_groups(trajectory, axis=0)
+        self.b = trajectory[row_firsts].toarray()
+        criterion = a21c[:, split:]
+        self.criterion = criterion.toarray()
+        membership = sp.csr_matrix((row_sign, (self.row_nz, self.row_group)),
+                                   shape=(a21c.shape[0], row_firsts.size))
+        self.expand = sp.hstack([membership, criterion], format="csr")
+        self.expand_t = self.expand.T.tocsr()
+        self.expand_eta = self.expand[system.num_zero_rows:]
         upper_a, upper_b = np.triu_indices(self.nz.size)
         low = np.minimum(self.group[upper_a], self.group[upper_b])
         high = np.maximum(self.group[upper_a], self.group[upper_b])
         self.m_index = self.nz[upper_a] * n1 + self.nz[upper_b]
-        self.gram_index = low + high * firsts.size   # (low, high) in Fortran order
+        self.gram_index = low + high * self.k   # (low, high) in Fortran order
         self.pair_sign = self.sign[upper_a] * self.sign[upper_b]
 
         self.a12 = sp.csr_matrix(system.a12)
@@ -341,16 +370,20 @@ class _NewtonStructure:
         self.a12_rows = self.a12[self.rows]
         self.a12_rows_t = self.a12_rows.T.tocsr()
 
+    def to_columns(self, folded: np.ndarray) -> np.ndarray:
+        """``[b^T f_S; f_C]``: takes ``[S | C]^T X`` to ``A21c^T X`` for a vector or matrix X."""
+        groups = self.b.shape[0]
+        return np.concatenate([self.b.T @ folded[:groups], folded[groups:]])
+
     def a21_matvec(self, v: np.ndarray) -> np.ndarray:
-        """``A21 @ v``: gather ``v`` onto the groups, then one CSR product."""
-        grouped = np.bincount(self.group, weights=self.sign * v[self.nz],
-                              minlength=self.a21c.shape[1])
-        return self.a21c @ grouped
+        """``A21 @ v``: gather ``v`` onto the column groups, apply ``b``, expand the rows."""
+        grouped = np.bincount(self.group, weights=self.sign * v[self.nz], minlength=self.k)
+        return self.expand @ np.concatenate([self.b @ grouped[:self.split], grouped[self.split:]])
 
     def a21_rmatvec(self, u: np.ndarray) -> np.ndarray:
-        """``A21^T @ u``: one CSR product, then a signed scatter to ``nz``."""
+        """``A21^T @ u``: fold the rows, apply ``b^T``, then a signed scatter to ``nz``."""
         out = np.zeros(self.n1)
-        out[self.nz] = self.sign * (self.a21c_t @ u)[self.group]
+        out[self.nz] = self.sign * self.to_columns(self.expand_t @ u)[self.group]
         return out
 
     def a11_matvec(self, v: np.ndarray, rows_r: np.ndarray) -> np.ndarray:
@@ -398,22 +431,30 @@ class _SchurFactorization:
         # Outside R:  G = D3 and F = A11.  On R:
         #   F_R = A11_R - A12_R diag(xr) A21_eta,  G_RR = D3_R + A12_R diag(-xx) A12_R^T
         self.f_rows = st.a11_rows.copy()
-        coupling = _scale_columns(st.a12_rows, q.xr) @ st.a21c_dense[mz:]
-        self.f_rows[:, st.nz] -= coupling[:, st.group] * st.sign
+        folded = (_scale_columns(st.a12_rows, q.xr) @ st.expand_eta).toarray()
+        self.f_rows[:, st.nz] -= st.to_columns(folded.T).T[:, st.group] * st.sign
         g_rows = (_scale_columns(st.a12_rows, -q.xx) @ st.a12_rows_t).toarray()
         g_rows[np.diag_indices_from(g_rows)] += d3[st.rows]
         self.g_chol = scipy.linalg.cho_factor(g_rows)
 
         # M = D1 + A21^T diag(aa, rr) A21 + A11_rest^T D3_rest^-1 A11_rest + F_R^T G_RR^-1 F_R.
-        # The A21 term is the Gram matrix of A21c's scaled rows, one dsyrk
-        # of order k, scattered with signs into the upper triangle only,
-        # which is all that cho_factor (lower=False) reads.
+        # With A21c = [S b | C] the A21 term's Gram matrix of A21c is
+        #   [ b^T diag(S^T D S) b   b^T (S^T D C) ]
+        #   [        .                C^T D C     ],
+        # one dsyrk over b's distinct rows, a rank-K product and a diagonal,
+        # scattered with signs into the upper triangle only, which is all
+        # that cho_factor (lower=False) reads.
         m = _scale_columns(st.a11_rest_t, self.inv_d3[st.rest]) @ st.a11_rest_dense
         m += self.f_rows.T @ scipy.linalg.cho_solve(self.g_chol, self.f_rows)
         m[np.diag_indices_from(m)] += system.d1
         if st.m_index.size:
-            scaled = st.a21c_dense * np.sqrt(np.concatenate([q.aa, q.rr]))[:, None]
-            gram = scipy.linalg.blas.dsyrk(1.0, scaled.T, trans=0)
+            d = np.concatenate([q.aa, q.rr])
+            gram = np.zeros((st.k, st.k))
+            if st.b.size:
+                group_d = np.bincount(st.row_group, weights=d[st.row_nz], minlength=st.b.shape[0])
+                scaled = st.b * np.sqrt(group_d)[:, None]
+                gram[:st.split, :st.split] = scipy.linalg.blas.dsyrk(1.0, scaled.T, trans=0)
+            gram[:, st.split:] = st.to_columns(st.expand_t @ (st.criterion * d[:, None]))
             m.reshape(-1)[st.m_index] += st.pair_sign * gram.reshape(-1, order="F")[st.gram_index]
         self.regularized = False
         try:

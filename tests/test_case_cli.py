@@ -115,6 +115,22 @@ def test_dose_volume_truncation(tmp_path):
         read_dose_volume(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_evaluate_non_finite_dose_volume_exits_data_error(tmp_path, capsys, value):
+    case = load_case(demo_case_path())
+    voxel = int(case.phantom.roi("ptv60").voxels[0])
+    dose = np.zeros(case.phantom.num_voxels)
+    dose[voxel] = value
+    plan = tmp_path / "plan_dose.bin"
+    write_dose_volume(plan, dose, case.phantom.grid_dims)
+    with pytest.raises(DataError, match=f"voxel {voxel} is {value!r}, not a finite dose"):
+        read_dose_volume(plan)
+    code = cli.main(["evaluate", "--case", demo_case_path(), "--out", str(tmp_path / "o"),
+                     "--plan", str(plan)])
+    assert code == cli.EXIT_DATA_ERROR
+    assert f"data error: dose volume voxel {voxel} is {value!r}" in capsys.readouterr().err
+
+
 def test_evaluate_dose_binary_with_oversized_header_exits_data_error(tmp_path, capsys):
     plan = tmp_path / "huge.bin"
     plan.write_bytes(b"MTDD" + np.array([1, 2 ** 31, 2 ** 31, 2 ** 31], dtype="<u4").tobytes())

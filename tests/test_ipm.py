@@ -212,43 +212,129 @@ def with_a21(system, a21):
                      num_zero_rows=system.num_zero_rows)
 
 
-def folded_a21(rng, m2):
-    """A21 whose 11 columns fold to 5 groups, stored with explicit zeros.
+def raw_csr(rows, cols, vals, shape):
+    """CSR matrix storing every given entry as is: duplicates are not summed."""
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
+    return sp.csr_matrix((np.asarray(vals, dtype=float)[order], np.asarray(cols)[order], indptr),
+                         shape=shape)
+
+
+def folded_a21(rng, m2, num_zero_rows):
+    """A21 whose 11 columns fold to 5 groups and whose rows repeat up to sign.
 
     Columns: b0, -b0, 0, b1, b1, b2, -b1, 0, b3, -b2, c, where every ``b``
     has zero entries and ``|c| == |b0|`` with one sign flipped, so ``c``
     shares b0's magnitude fingerprint without being equal up to sign.
-    Explicit ``0.0`` and ``-0.0`` entries are stored in some columns but
-    not in their twins, and column 7 stores only ``-0.0``.
+    Row 0 of every ``b`` is zero and row 1 is one.  Every other row of the
+    ``b``s is a signed copy of one of three rows, the third equal to the
+    second but for the sign of its b0 entry (a magnitude twin that must not
+    fold); each of the three is copied into the first ``num_zero_rows``
+    rows and into the rest.  Explicit ``0.0`` and ``-0.0`` entries are
+    stored in some columns but not in their twins, column 7 stores only
+    ``-0.0``.  Row 1 stores its entries in columns 3 and 4, and the last
+    row those in columns 0 and 1, as two halves each.  Halves add up
+    exactly where they open a fingerprint's sum (row 1 in columns 3 and
+    4, column 0 of the last row) and meet halves in the twin column
+    elsewhere, so every fold the test expects still happens.
     """
-    b = rng.standard_normal((m2, 4)) * (rng.random((m2, 4)) < 0.6)
-    b[0] = 0.0
-    b[1] = 1.0
+    base = rng.standard_normal((3, 4))
+    base[0, 2] = 0.0
+    base[2] = base[1]
+    base[2, 0] *= -1.0
+    copies = np.concatenate([[0, 1, 2], rng.integers(0, 3, num_zero_rows - 5), [0, 1, 2],
+                             rng.integers(0, 3, m2 - num_zero_rows - 3)])
+    b = base[copies] * rng.choice([-1.0, 1.0], (m2 - 2, 1))
+    b = np.vstack([np.zeros(4), np.ones(4), b])
     c = b[:, 0].copy()
     c[1] = -1.0
     dense = np.stack([b[:, 0], -b[:, 0], 0 * b[:, 0], b[:, 1], b[:, 1], b[:, 2], -b[:, 1],
                       -0.0 * b[:, 0], b[:, 3], -b[:, 2], c], axis=1)
     rows, cols = np.nonzero(dense)
     vals = dense[rows, cols]
-    rows = np.concatenate([rows, [0, 0, 0, 0]])
-    cols = np.concatenate([cols, [1, 6, 7, 9]])
-    vals = np.concatenate([vals, [-0.0, 0.0, -0.0, -0.0]])
-    return sp.csr_matrix((vals, (rows, cols)), shape=dense.shape), dense
+    halves = [(1, 3), (1, 4), (m2 - 1, 0), (m2 - 1, 1)]
+    halved = np.isin(rows * 11 + cols, [i * 11 + j for i, j in halves])
+    vals[halved] *= 0.5
+    rows = np.concatenate([rows, [0, 0, 0, 0], [i for i, _ in halves]])
+    cols = np.concatenate([cols, [1, 6, 7, 9], [j for _, j in halves]])
+    vals = np.concatenate([vals, [-0.0, 0.0, -0.0, -0.0], [0.5 * dense[i, j] for i, j in halves]])
+    a21 = raw_csr(rows, cols, vals, dense.shape)
+    assert a21.nnz == len(vals)   # the duplicate halves are stored as such
+    return a21, dense
+
+
+def signed_row_groups(rows):
+    """Reference row grouping by dense comparison.
+
+    A nonzero row joins the group of the first row with the same
+    magnitudes if it equals that row up to sign, and otherwise starts its
+    own group: a magnitude twin costs a fold, never a wrong one.
+    """
+    row_nz = np.flatnonzero(np.any(rows != 0, axis=1))
+    firsts, group = [], []
+    for i in row_nz:
+        first = next(j for j in row_nz if np.array_equal(np.abs(rows[j]), np.abs(rows[i])))
+        if first != i and (np.array_equal(rows[i], rows[first])
+                           or np.array_equal(rows[i], -rows[first])):
+            group.append(group[list(row_nz).index(first)])
+        else:
+            firsts.append(i)
+            group.append(len(firsts) - 1)
+    return row_nz, np.array(group, dtype=int)
+
+
+def unfolded_a21c(structure):
+    """``[S b | C]``: the column-folded A21 rebuilt from the folded blocks.
+
+    Also checks the blocks' form: ``[S | C]`` is ``expand``, S holds one
+    entry of +-1 on each row of ``row_nz``, in the column of its group,
+    and C at most one entry per row.
+    """
+    groups = structure.b.shape[0]
+    membership = structure.expand[:, :groups].toarray()
+    assert np.array_equal(np.flatnonzero(membership.any(axis=1)), structure.row_nz)
+    assert np.array_equal(np.nonzero(membership[structure.row_nz])[1], structure.row_group)
+    assert np.all(np.abs(membership).sum(axis=1) <= 1) and np.all(np.isin(membership, [-1, 0, 1]))
+    assert np.array_equal(structure.expand[:, groups:].toarray(), structure.criterion)
+    assert np.all(np.count_nonzero(structure.criterion, axis=1) <= 1)
+    assert structure.b.flags.c_contiguous
+    return np.hstack([membership @ structure.b, structure.criterion])
+
+
+def unfolded_a21(structure):
+    """A21 rebuilt from the folded blocks and the column groups and signs."""
+    a21c = unfolded_a21c(structure)
+    out = np.zeros((a21c.shape[0], structure.n1))
+    out[:, structure.nz] = a21c[:, structure.group] * structure.sign
+    return out
 
 
 def test_schur_solve_matches_dense_with_folded_a21_columns():
     rng = np.random.default_rng(41)
     for _ in range(10):
-        system = random_kkt(rng, n1=11, n2=int(rng.integers(2, 12)),
-                            m1=int(rng.integers(1, 8)), m2_zero=int(rng.integers(0, 6)))
-        a21, dense_a21 = folded_a21(rng, system.m2)
+        system = random_kkt(rng, n1=11, n2=int(rng.integers(3, 12)),
+                            m1=int(rng.integers(1, 8)), m2_zero=int(rng.integers(5, 8)))
+        a21, dense_a21 = folded_a21(rng, system.m2, system.num_zero_rows)
+        stored = [array.copy() for array in (a21.data, a21.indices, a21.indptr)]
         system = with_a21(system, a21)
         structure = _SchurFactorization(system).structure
+        # the LP's A21 is left as stored, duplicates included
+        assert all(np.array_equal(array, copy)
+                   for array, copy in zip((a21.data, a21.indices, a21.indptr), stored))
         assert np.array_equal(structure.nz, [0, 1, 3, 4, 5, 6, 8, 9, 10])
         assert np.array_equal(structure.group, [0, 0, 1, 1, 2, 1, 3, 2, 4])
         assert np.array_equal(structure.sign, [1, -1, 1, 1, 1, -1, 1, -1, 1])
-        assert np.array_equal(structure.a21c_dense, dense_a21[:, [0, 3, 5, 8, 10]])
-        assert structure.a21c_dense.flags.c_contiguous
+        # c is the one criterion column (row 1 holds both b3 and c); the
+        # rows fold on b0..b3: row 1, the first two copied rows, and each
+        # copy of the magnitude twin on its own
+        assert structure.split == 4
+        row_nz, row_group = signed_row_groups(dense_a21[:, [0, 3, 5, 8]])
+        assert np.array_equal(structure.row_nz, row_nz) and row_nz[0] == 1
+        assert np.array_equal(structure.row_group, row_group)
+        assert structure.b.shape == (row_group.max() + 1, 4) and structure.b.shape[0] < row_nz.size
+        assert np.count_nonzero(row_group == row_group[row_nz == 4]) == 1   # row 4 is a twin
+        assert np.array_equal(unfolded_a21c(structure), dense_a21[:, [0, 3, 5, 8, 10]])
+        assert np.array_equal(unfolded_a21(structure), dense_a21)
         rhs = rng.standard_normal(system.order)
         delta, info = schur_solve(system, rhs)
         dense = np.linalg.solve(system.assemble().toarray(), rhs)
@@ -263,7 +349,42 @@ def test_schur_solve_matches_dense_with_no_nonzero_a21_column(capfd):
                           shape=(system.m2, system.n1))
     system = with_a21(system, zeros)
     structure = _SchurFactorization(system).structure
-    assert structure.nz.size == 0 and structure.a21c.shape == (system.m2, 0)
+    assert structure.nz.size == 0 and structure.row_nz.size == 0 and structure.split == 0
+    assert structure.b.shape == (0, 0) and structure.criterion.shape == (system.m2, 0)
+    rhs = rng.standard_normal(system.order)
+    delta, info = schur_solve(system, rhs)
+    dense = np.linalg.solve(system.assemble().toarray(), rhs)
+    assert np.linalg.norm(delta - dense) <= 1e-10 * max(1.0, np.linalg.norm(dense))
+    assert not info["regularized"]
+    assert capfd.readouterr() == ("", "")   # BLAS is never called with an empty operand
+
+
+@pytest.mark.parametrize("case", ["distinct-rows", "no-criterion-column", "no-trajectory-part",
+                                  "empty"])
+def test_schur_solve_row_fold_edge_cases(case, capfd):
+    rng = np.random.default_rng(47)
+    system = random_kkt(rng, n1=6, n2=0 if case == "empty" else 7, m1=4,
+                        m2_zero=0 if case == "empty" else 3, density=0.8)
+    a21 = system.a21.toarray()
+    if case == "no-trajectory-part":
+        # at most one entry per row: every column is a criterion column
+        a21 = a21 * (np.arange(6) == rng.integers(0, 6, (system.m2, 1)))
+    a21 = sp.csr_matrix(a21)
+    if case == "no-criterion-column":
+        # a duplicate pair counts as two entries, so even the last column
+        # carries two on one row and nothing is split off
+        coo = a21.tocoo()
+        a21 = raw_csr(np.append(coo.row, [2, 2]), np.append(coo.col, [5, 5]),
+                      np.append(coo.data, [0.5, 0.5]), a21.shape)
+    system = with_a21(system, a21)
+    structure = _SchurFactorization(system).structure
+    groups = structure.b.shape[0]
+    expected = {"distinct-rows": (5, system.m2, system.m2),
+                "no-criterion-column": (6, system.m2, system.m2),
+                "no-trajectory-part": (0, 0, 0), "empty": (0, 0, 0)}[case]
+    assert (structure.split, structure.row_nz.size, groups) == expected
+    assert np.array_equal(structure.row_group, np.arange(groups))
+    assert np.array_equal(unfolded_a21(structure), a21.toarray())
     rhs = rng.standard_normal(system.order)
     delta, info = schur_solve(system, rhs)
     dense = np.linalg.solve(system.assemble().toarray(), rhs)
@@ -295,8 +416,19 @@ def test_newton_structure_folds_demo_opposite_columns():
     assert (lp.n1, structure.nz.size, sizes.size) == (301, 188, 98)
     assert np.count_nonzero(sizes == 2) == 90 and np.count_nonzero(sizes == 1) == 8
     assert np.count_nonzero(structure.sign < 0) == 90
-    assert np.array_equal(structure.a21c_dense[:, structure.group] * structure.sign,
+    assert np.array_equal(unfolded_a21c(structure)[:, structure.group] * structure.sign,
                           lp.a21[:, structure.nz].toarray())
+
+
+def test_newton_structure_folds_demo_rows():
+    # every criterion on an ROI repeats that ROI's dose rows up to sign,
+    # beside its own xi/alpha entry: the 5 criterion columns
+    lp = demo_lp()
+    structure = unit_structure(lp)
+    assert (lp.m2, structure.row_nz.size, structure.b.shape) == (600, 600, (192, 93))
+    assert structure.criterion.shape == (600, 5)
+    assert np.all(np.count_nonzero(structure.criterion, axis=1) == 1)
+    assert np.array_equal(unfolded_a21(structure), lp.a21.toarray())
 
 
 @pytest.mark.parametrize("seed", [None, 2, 4], ids=["demo", "no-dav-criterion", "no-zero-rows"])
