@@ -24,7 +24,10 @@ from .evaluation import QualityIndexSpec
 from .formulation import Criterion, CriterionSet
 from .ipm import SolverSettings
 from .phantom import (DoseInfluence, KernelParams, MachineModel, Phantom, PhantomSpec,
-                      RoiShapeSpec, RoiSpec, build_phantom, load_or_compute_dose_influence)
+                      RoiShapeSpec, RoiSpec, build_phantom, compute_dose_influence)
+
+# The benchmark tracer (benchmarks/tracing.py) wraps the influence under this name.
+load_or_compute_dose_influence = compute_dose_influence
 
 _ROI_KINDS = ("target", "oar", "ring")
 

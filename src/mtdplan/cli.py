@@ -35,28 +35,31 @@ def _parser() -> argparse.ArgumentParser:
                                      description="Mean-tail-dose DMLC plan optimization")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def command(name, help, run, out=None):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--case", required=True, help="case file path or demo:<name>")
-        p.add_argument("--out", required=needs_out, help="output directory")
-        p.add_argument("--tol-gy", type=float, default=None, help="duality-gap tolerance override [Gy]")
+        if out is not None:
+            p.add_argument("--out", required=out, help="output directory")
+        return p
 
-    p_validate = sub.add_parser("validate", help="check a case file and report diagnostics")
-    common(p_validate, needs_out=False)
+    command("validate", "check a case file and report diagnostics", cmd_validate)
 
-    p_solve = sub.add_parser("solve", help="solve one weighted-sum instance")
-    common(p_solve)
+    p_solve = command("solve", "solve one weighted-sum instance", cmd_solve, out=True)
     p_solve.add_argument("--weights", default=None,
                          help="comma-separated objective weights (default: balanced)")
     p_solve.add_argument("--dump-lp", action="store_true",
                          help="also write the expanded LP in sparse triplet text form")
 
-    p_pareto = sub.add_parser("pareto", help="sweep a weight grid and analyze the plan cloud")
-    common(p_pareto, needs_out=False)  # defaults to <case>-<timestamp>/
+    p_pareto = command("pareto", "sweep a weight grid and analyze the plan cloud", cmd_pareto,
+                       out=False)  # defaults to <case>-<timestamp>/
     p_pareto.add_argument("--grid-order", type=int, default=None, help="simplex lattice order")
     p_pareto.add_argument("--workers", type=int, default=None, help="parallel solver processes")
+    for p in (p_solve, p_pareto):
+        p.add_argument("--tol-gy", type=float, default=None, help="duality-gap tolerance override [Gy]")
 
-    p_eval = sub.add_parser("evaluate", help="evaluate a stored plan against the case")
-    common(p_eval)
+    p_eval = command("evaluate", "evaluate a stored plan against the case", cmd_evaluate,
+                     out=True)
     p_eval.add_argument("--plan", required=True,
                         help="trajectories CSV or dose volume binary from a previous run")
     return parser
@@ -65,12 +68,21 @@ def _parser() -> argparse.ArgumentParser:
 def _load(args) -> Case:
     """Load the case and apply the flags, each under the check of its case field."""
     case = load_case(args.case)
-    if args.tol_gy is not None:
+    if getattr(args, "tol_gy", None) is not None:
         case.solver = overridden(case.solver, "--tol-gy", dose_tolerance_gy=args.tol_gy)
     for flag, key in (("--grid-order", "grid_order"), ("--workers", "workers")):
         if getattr(args, key, None) is not None:
             setattr(case, key, at_least_one(key, getattr(args, key), flag))
     return case
+
+
+def _out_dir(path: str) -> str:
+    """Create ``--out`` before any solving or reading, so a bad path costs no work."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise CaseError(f"cannot create output directory: {exc}", path="--out")
+    return path
 
 
 def _parse_weights(text: str, num_slots: int) -> np.ndarray:
@@ -163,14 +175,14 @@ def cmd_solve(args) -> int:
     num_slots = case.criteria.num_slots
     weights = (_parse_weights(args.weights, num_slots) if args.weights is not None
                else np.full(num_slots, 1.0 / num_slots))
+    out = _out_dir(args.out)
     plan = solve_single_weight(case, weights)
-    os.makedirs(args.out, exist_ok=True)
-    _write_plan_artifacts(case, plan, args.out)
-    ipm.write_iteration_log(os.path.join(args.out, "plan_solver_log.csv"), plan.solver_history)
+    _write_plan_artifacts(case, plan, out)
+    ipm.write_iteration_log(os.path.join(out, "plan_solver_log.csv"), plan.solver_history)
     if args.dump_lp:
         lp = build_weighted_instance(case.phantom, case.machine, case.dose_influence(),
                                      case.criteria, weights, name=case.name)
-        dump_lp(lp, os.path.join(args.out, "instance.lp"))
+        dump_lp(lp, os.path.join(out, "instance.lp"))
     print(f"status: {plan.status}; objective {plan.objective_value!r} Gy; "
           f"gap {plan.gap_gy!r} Gy; {plan.iterations} iterations")
     if plan.message:
@@ -182,8 +194,7 @@ def cmd_solve(args) -> int:
 
 def cmd_pareto(args) -> int:
     case = _load(args)
-    out = args.out or f"{case.name}-{time.strftime('%Y%m%d-%H%M%S')}"
-    os.makedirs(out, exist_ok=True)
+    out = _out_dir(args.out or f"{case.name}-{time.strftime('%Y%m%d-%H%M%S')}")
 
     grid = mco.weight_grid(case.criteria.num_slots, case.grid_order)
     pareto = mco.generate_pareto_set(case, grid, settings=case.solver_settings(),
@@ -218,9 +229,7 @@ def cmd_pareto(args) -> int:
 
 
 def _write_dvh_band_svg(case: Case, pareto: mco.ParetoSet, out: str) -> None:
-    converged = pareto.converged()
-    if not converged:
-        return
+    converged = pareto.converged()  # not empty: the caller checks
     grid = evaluation.default_dose_grid(np.array([e.plan.dose.max() for e in converged]))
     bands = {}
     highlight = {}
@@ -237,21 +246,23 @@ def _write_dvh_band_svg(case: Case, pareto: mco.ParetoSet, out: str) -> None:
 
 def cmd_evaluate(args) -> int:
     case = _load(args)
-    plan_path = args.plan
-    if plan_path.endswith(".csv"):
-        traj = read_trajectories_csv(plan_path, case.machine)
-        violations = validate_trajectories(traj, case.machine)
-        if violations:
-            print(f"warning: stored trajectories violate {len(violations)} deliverability rows")
-        dose = dose_from_trajectories(case.dose_influence(), traj, case.machine)
-    else:
-        dose, dims = read_dose_volume(plan_path)
-        if tuple(dims) != tuple(case.phantom.grid_dims):
-            raise DataError(f"dose grid {dims} does not match case grid {case.phantom.grid_dims}")
-    os.makedirs(args.out, exist_ok=True)
+    out = _out_dir(args.out)
+    try:  # reading the plan is the only file access here
+        if args.plan.endswith(".csv"):
+            traj = read_trajectories_csv(args.plan, case.machine)
+            violations = validate_trajectories(traj, case.machine)
+            if violations:
+                print(f"warning: stored trajectories violate {len(violations)} deliverability rows")
+            dose = dose_from_trajectories(case.dose_influence(), traj, case.machine)
+        else:
+            dose, dims = read_dose_volume(args.plan)
+            if tuple(dims) != tuple(case.phantom.grid_dims):
+                raise DataError(f"dose grid {dims} does not match case grid {case.phantom.grid_dims}")
+    except OSError as exc:
+        raise DataError(f"cannot read --plan: {exc}")
     quality, violations = evaluation.evaluate_plan(case.phantom, dose,
                                                    case.quality_indices, case.criteria)
-    _write_quality_report(case, dose, quality, violations, args.out, tag="evaluated")
+    _write_quality_report(case, dose, quality, violations, out, tag="evaluated")
     for spec, value in zip(case.quality_indices, quality):
         print(f"{spec.name}: {float(value)!r} Gy")
     return EXIT_OK
@@ -260,15 +271,7 @@ def cmd_evaluate(args) -> int:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            return cmd_validate(args)
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "pareto":
-            return cmd_pareto(args)
-        if args.command == "evaluate":
-            return cmd_evaluate(args)
-        raise AssertionError(args.command)
+        return args.run(args)
     except CaseError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

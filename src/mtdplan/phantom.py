@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -483,26 +482,3 @@ def influence_content_hash(phantom: Phantom, machine: MachineModel, kernel: Kern
         h.update(roi.weights.tobytes())
     return h.hexdigest()
 
-
-def load_or_compute_dose_influence(phantom: Phantom, machine: MachineModel, kernel: KernelParams,
-                                   cache_dir: str | None = None) -> DoseInfluence:
-    """Compute the dose influence, consulting the binary cache if enabled.
-
-    The cache directory comes from ``cache_dir`` or the ``MTD_CACHE_DIR``
-    environment variable; with neither set the matrix is recomputed.
-    """
-    cache_dir = cache_dir or os.environ.get("MTD_CACHE_DIR")
-    if not cache_dir:
-        return compute_dose_influence(phantom, machine, kernel)
-    key = influence_content_hash(phantom, machine, kernel)
-    path = os.path.join(cache_dir, f"dose_influence_{key}.npz")
-    if os.path.exists(path):
-        matrix = sp.load_npz(path).tocsr()
-        return DoseInfluence(matrix=matrix, num_beams=machine.num_beams,
-                             leaf_pairs=machine.leaf_pairs, bixels_per_row=machine.bixels_per_row)
-    influence = compute_dose_influence(phantom, machine, kernel)
-    os.makedirs(cache_dir, exist_ok=True)
-    tmp = path + ".tmp.npz"
-    sp.save_npz(tmp, influence.matrix.tocoo())
-    os.replace(tmp, path)
-    return influence

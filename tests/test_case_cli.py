@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mtdplan import cli
 from mtdplan.case import case_from_dict, demo_case_path, load_case
 from mtdplan.errors import CaseError, DataError
 from mtdplan.evaluation import evaluate_plan
 from mtdplan.fileio import read_dose_volume, write_csv, write_dose_volume
+from mtdplan.phantom import influence_content_hash
 
 
 def demo_doc():
@@ -233,9 +235,9 @@ def _put(keys, value):
                  id="grid-order-flag"),
     pytest.param(None, ["pareto", "--grid-order", "1", "--workers", "0"],
                  "--workers: workers must be >= 1", id="workers-flag"),
-    pytest.param(None, ["validate", "--tol-gy", "nan"], "--tol-gy: dose_tolerance_gy must be",
+    pytest.param(None, ["solve", "--tol-gy", "nan"], "--tol-gy: dose_tolerance_gy must be",
                  id="tol-gy-flag"),
-    pytest.param(None, ["validate", "--tol-gy", "inf"], "--tol-gy: dose_tolerance_gy must be",
+    pytest.param(None, ["solve", "--tol-gy", "inf"], "--tol-gy: dose_tolerance_gy must be",
                  id="tol-gy-flag-infinite"),
     pytest.param(None, ["solve", "--weights", "nan,1,1"], "--weights: weights must be finite",
                  id="weights-flag"),
@@ -253,6 +255,54 @@ def test_bad_value_exits_config_error_naming_path_or_flag(tmp_path, capsys, edit
         flags += ["--out", str(tmp_path / "out")]
     assert cli.main([command, "--case", str(case), *flags]) == cli.EXIT_CONFIG_ERROR
     assert f"configuration error: {reported}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["validate", "--tol-gy", "0.01"], id="validate-tol-gy"),
+    pytest.param(["validate", "--out", "x"], id="validate-out"),
+    pytest.param(["evaluate", "--tol-gy", "0.01", "--out", "x", "--plan", "x.csv"],
+                 id="evaluate-tol-gy"),
+])
+def test_flag_a_command_does_not_read_is_rejected(capsys, argv):
+    command, *flags = argv
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--case", demo_case_path(), *flags])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, work, flags", [
+    pytest.param("solve", "mtdplan.cli.solve_single_weight", [], id="solve"),
+    pytest.param("pareto", "mtdplan.mco.generate_pareto_set", ["--grid-order", "1"], id="pareto"),
+    pytest.param("evaluate", "mtdplan.cli.read_dose_volume", ["--plan", "plan.bin"],
+                 id="evaluate"),
+])
+def test_out_that_is_a_file_exits_config_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                command, work, flags):
+    def never(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+    monkeypatch.setattr(work, never)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = cli.main([command, "--case", demo_case_path(), "--out", str(taken), *flags])
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert "configuration error: --out: cannot create output directory" in capsys.readouterr().err
+
+
+def test_validate_reads_no_influence_cache(tmp_path, monkeypatch):
+    """A truncated file where the deleted ``MTD_CACHE_DIR`` cache kept its entry is not read."""
+    case = load_case(demo_case_path())
+    key = influence_content_hash(case.phantom, case.machine, case.kernel)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    stale = cache / f"dose_influence_{key}.npz"
+    sp.save_npz(stale, case.dose_influence().matrix.tocoo())
+    truncated = stale.read_bytes()[:100]
+    stale.write_bytes(truncated)
+    monkeypatch.setenv("MTD_CACHE_DIR", str(cache))
+    assert cli.main(["validate", "--case", demo_case_path()]) == cli.EXIT_OK
+    assert [p.name for p in cache.iterdir()] == [stale.name]
+    assert stale.read_bytes() == truncated
 
 
 def test_validate_warns_when_budget_below_sweep_bound(tmp_path, capsys):
@@ -355,6 +405,20 @@ def test_evaluate_corrupted_csv_exits_data_error(solved_dir, tmp_path, capsys):
                      "--plan", str(corrupted)])
     assert code == cli.EXIT_DATA_ERROR
     assert "line 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("plan", [
+    pytest.param("missing.csv", id="missing-csv"),
+    pytest.param("missing.bin", id="missing-bin"),
+    pytest.param("", id="directory"),
+])
+def test_evaluate_unreadable_plan_exits_data_error_naming_file(tmp_path, capsys, plan):
+    path = tmp_path / plan
+    code = cli.main(["evaluate", "--case", demo_case_path(), "--out", str(tmp_path / "o"),
+                     "--plan", str(path)])
+    assert code == cli.EXIT_DATA_ERROR
+    err = capsys.readouterr().err
+    assert "data error: cannot read --plan: " in err and f"'{path}'" in err
 
 
 @pytest.mark.parametrize("row, reported", [

@@ -1,12 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
+from mtdplan.case import case_from_dict, demo_case_path, load_case, read_case_text
 from mtdplan.errors import PhantomError
 from mtdplan.phantom import (KernelParams, MachineModel, Phantom, PhantomSpec, ROI,
                              RoiShapeSpec, RoiSpec, build_phantom, compute_dose_influence,
                              _shape_membership, _subsample_offsets, _voxel_centers,
-                             _voxelize_shape, influence_content_hash,
-                             load_or_compute_dose_influence, roi_weight_vector)
+                             _voxelize_shape, influence_content_hash, roi_weight_vector)
 
 from helpers import make_machine
 
@@ -215,16 +217,23 @@ def test_beam_missing_grid_raises():
         compute_dose_influence(phantom, machine, kernel)
 
 
-def test_influence_cache_roundtrip(tmp_path):
-    phantom = _ray_phantom()
-    machine = make_machine(B=1, N=2, J=2, angles=(45.0,))
-    kernel = KernelParams(lateral_sigma_mm=1.0, attenuation_per_mm=0.01,
-                          bixel_width_mm=1.0, leaf_width_mm=1.0)
-    fresh = load_or_compute_dose_influence(phantom, machine, kernel, cache_dir=str(tmp_path))
-    key = influence_content_hash(phantom, machine, kernel)
-    assert (tmp_path / f"dose_influence_{key}.npz").exists()
-    cached = load_or_compute_dose_influence(phantom, machine, kernel, cache_dir=str(tmp_path))
-    assert (fresh.matrix != cached.matrix).nnz == 0
+def _demo_hash(section=None, key=None, value=None):
+    doc = json.loads(read_case_text(demo_case_path()))
+    if section is not None:
+        doc[section][key] = value
+    case = case_from_dict(doc)
+    return influence_content_hash(case.phantom, case.machine, case.kernel)
+
+
+def test_influence_hash_keys_exactly_the_influence_inputs():
+    demo = load_case(demo_case_path())
+    reference = _demo_hash()
+    assert influence_content_hash(demo.phantom, demo.machine, demo.kernel) == reference
+    assert _demo_hash("kernel", "lateral_sigma_mm", 3.5) != reference
+    assert _demo_hash("phantom", "grid_dims", [26, 24, 12]) != reference
+    # Transmission and dose rate scale delivered dose, not the influence matrix.
+    assert _demo_hash("machine", "transmission", 0.05) == reference
+    assert _demo_hash("machine", "dose_rate", 2.0) == reference
 
 
 def test_machine_model_invariants():

@@ -35,4 +35,5 @@ def test_every_trace_boundary_resolves_and_is_restored():
     for (module_name, attr, _, _), original in zip(tracing.BOUNDARIES, originals):
         assert _lookup(module_name, attr) is original, (module_name, attr)
     names = {span["name"] for span in tracer.spans}
-    assert {"case.load_case", "phantom.build_phantom"} <= names
+    # The benchmark takes per-layer medians of these spans; an empty list fails its run.
+    assert {"case.load_case", "phantom.build_phantom", "phantom.dose_influence"} <= names
