@@ -158,6 +158,7 @@ def _write_quality_report(case: Case, dose: np.ndarray, quality: np.ndarray, vio
             fh.write(f"status: {plan.status}\n")
             if plan.message:
                 fh.write(f"message: {plan.message}\n")
+            fh.write(f"start: {plan.start}\n")
             fh.write(f"iterations: {plan.iterations}\n")
             fh.write(f"duality gap [Gy]: {plan.gap_gy!r}\n")
             fh.write(f"weights: {','.join(repr(float(v)) for v in plan.weights)}\n")
@@ -179,10 +180,9 @@ def cmd_solve(args) -> int:
     plan = solve_single_weight(case, weights)
     _write_plan_artifacts(case, plan, out)
     ipm.write_iteration_log(os.path.join(out, "plan_solver_log.csv"), plan.solver_history)
-    if args.dump_lp:
-        lp = build_weighted_instance(case.phantom, case.machine, case.dose_influence(),
-                                     case.criteria, weights, name=case.name)
-        dump_lp(lp, os.path.join(out, "instance.lp"))
+    if args.dump_lp:  # the LP just solved
+        dump_lp(mco.prepared_instance(case).lp.reweighted(weights),
+                os.path.join(out, "instance.lp"))
     print(f"status: {plan.status}; objective {plan.objective_value!r} Gy; "
           f"gap {plan.gap_gy!r} Gy; {plan.iterations} iterations")
     if plan.message:

@@ -29,6 +29,7 @@ together with "l-order" and is therefore not emitted.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,36 +202,40 @@ def read_trajectories_csv(path, machine: MachineModel) -> Trajectories:
     l = np.full((B, N, J), np.nan)
     r = np.full((B, N, J), np.nan)
     T = np.full(B, np.nan)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not a text file: {exc}")
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("empty trajectory file", line=1)
+    if header[:1] != ["record"]:
+        raise DataError("missing trajectory header", line=1)
+    for lineno, row in enumerate(reader, start=2):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty trajectory file", line=1)
-        if header[:1] != ["record"]:
-            raise DataError("missing trajectory header", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} cells where the header has {len(header)}")
-                if row[0] == "bixel":
-                    b, n, j = int(row[1]), int(row[2]), int(row[3])
-                    if min(b, n, j) < 0:  # too large an index raises IndexError below
-                        raise ValueError(f"negative index in bixel ({b}, {n}, {j})")
-                    if not np.isnan(l[b, n, j]):
-                        raise ValueError(f"bixel ({b}, {n}, {j}) given twice")
-                    l[b, n, j], r[b, n, j] = _finite_times(row[4], row[5])
-                elif row[0] == "beam_on":
-                    b = int(row[1])
-                    if b < 0:
-                        raise ValueError(f"negative beam index {b}")
-                    if not np.isnan(T[b]):
-                        raise ValueError(f"beam_on {b} given twice")
-                    T[b] = _finite_times(row[4])[0]
-                else:
-                    raise ValueError(f"unknown record {row[0]!r}")
-            except (ValueError, IndexError) as exc:
-                raise DataError(str(exc), line=lineno)
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} cells where the header has {len(header)}")
+            if row[0] == "bixel":
+                b, n, j = int(row[1]), int(row[2]), int(row[3])
+                if min(b, n, j) < 0:  # too large an index raises IndexError below
+                    raise ValueError(f"negative index in bixel ({b}, {n}, {j})")
+                if not np.isnan(l[b, n, j]):
+                    raise ValueError(f"bixel ({b}, {n}, {j}) given twice")
+                l[b, n, j], r[b, n, j] = _finite_times(row[4], row[5])
+            elif row[0] == "beam_on":
+                b = int(row[1])
+                if b < 0:
+                    raise ValueError(f"negative beam index {b}")
+                if not np.isnan(T[b]):
+                    raise ValueError(f"beam_on {b} given twice")
+                T[b] = _finite_times(row[4])[0]
+            else:
+                raise ValueError(f"unknown record {row[0]!r}")
+        except (ValueError, IndexError) as exc:
+            raise DataError(str(exc), line=lineno)
     if np.any(np.isnan(l)) or np.any(np.isnan(r)) or np.any(np.isnan(T)):
         raise DataError("trajectory file does not cover every bixel/beam")
     return Trajectories(l=l, r=r, T=T)

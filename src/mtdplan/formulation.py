@@ -40,7 +40,7 @@ slices with ``s = -w`` (avg-min) or ``s = +w`` (avg-max).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -258,6 +258,16 @@ class BlockLP:
     def rhs(self) -> np.ndarray:
         return np.concatenate([self.b1, self.b2])
 
+    def reweighted(self, weights) -> "BlockLP":
+        """This LP with the objective of ``weights``, which enter only ``c`` on the xi columns.
+
+        Every matrix, bound and label is shared with this LP, not copied.
+        """
+        w = normalized_weights(weights, self.criteria.num_slots)
+        return replace(self, weights=w,
+                       objective_vector=_objective_vector(self.criteria, self.columns, w,
+                                                          self.num_variables))
+
     # -- solution access --------------------------------------------------
     def extract_trajectories(self, x: np.ndarray) -> Trajectories:
         return Trajectories.from_stacked(x, self.machine)
@@ -317,6 +327,15 @@ class BlockLP:
                     "dose-floor" if criterion.ctype == "min" else "eta-def")
                 return f"{label}[{k},{local}]"
         raise IndexError(row)
+
+
+def _objective_vector(criteria: CriterionSet, columns, w: np.ndarray, size: int) -> np.ndarray:
+    """``c``: each in-objective criterion's sign times its slot's weight, on its xi column."""
+    c = np.zeros(size)
+    for criterion, cols in zip(criteria, columns):
+        if criterion.objective is not None:
+            c[cols.xi] = criterion.sign * w[criterion.objective]
+    return c
 
 
 def _scale_rows(matrix: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
@@ -446,22 +465,18 @@ def build_weighted_instance(phantom: Phantom, machine: MachineModel, influence: 
     a22 = sp.vstack([sp.csr_matrix((num_zero_rows, n2)), sp.eye(n2, format="csr")],
                     format="csr") if n2 or num_zero_rows else sp.csr_matrix((0, 0))
 
-    # ---- objective and bounds -------------------------------------------
-    c = np.zeros(n1 + n2)
+    # ---- bounds and objective -------------------------------------------
     lower = np.zeros(n1 + n2)
     upper = np.full(n1 + n2, np.inf)
     for k, criterion in enumerate(criteria):
-        lo, hi = criterion.xi_bounds()
-        lower[xi_cols[k]] = lo
-        upper[xi_cols[k]] = hi
-        if criterion.objective is not None:
-            c[xi_cols[k]] = criterion.sign * w[criterion.objective]
+        lower[xi_cols[k]], upper[xi_cols[k]] = criterion.xi_bounds()
 
     columns = tuple(CriterionColumns(xi=xi_cols[k], alpha=alpha_cols[k], eta=eta_slices[k],
                                      voxel_rows=voxel_row_slices[k]) for k in range(K))
     return BlockLP(a11=a11, a12=a12, a21=a21, a22=a22,
                    b1=b1, b2=b2,
-                   objective_vector=c, lower=lower, upper=upper,
+                   objective_vector=_objective_vector(criteria, columns, w, n1 + n2),
+                   lower=lower, upper=upper,
                    num_zero_rows=num_zero_rows, machine=machine,
                    criteria=criteria, weights=w, columns=columns,
                    row_labels1=tuple(labels1), name=name,

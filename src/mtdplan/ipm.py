@@ -65,6 +65,20 @@ Upper-bound duals ``w`` and gaps ``upper - x`` exist only on the columns
 they enter Dx, the dual residual and the Newton rhs by scatter-adding at
 ``up``.  ``DualSolution.w`` is expanded to full length, zero off ``up``.
 
+A solve starts at a least-squares point: ``x_ls`` and ``y_ls`` are damped
+minimum-norm solves of ``A x ~ b`` and ``A^T y ~ c`` through the
+factorization of the unit-diagonal system, then shifted strictly inside
+the box and the positive orthant.  Everything there but ``y_ls`` leaves
+``c`` alone, so a :class:`PreparedLP` holds the structure, that
+factorization and ``x_ls`` for every LP that differs only in ``c`` (the
+plans of one weight sweep); each solve then does one back-solve for
+``y_ls``.  A solve may instead start at a :class:`Restart`, an iterate of
+an earlier solve of the same constraints.  Every solve records one: its
+first iterate with ``mu`` at most ``_RESTART_MU_FRACTION`` (0.1) of its
+starting ``mu``, past the short steps that leave the least-squares point.
+With only ``c`` changed, that iterate's primal part is exactly as
+feasible as it was; the dual residual absorbs the new ``c``.
+
 The iteration stops once primal and dual residuals are below the
 feasibility tolerance and the duality gap - which is expressed in the
 same Gy-weighted scale as the objective - certifies the objective value
@@ -102,6 +116,7 @@ from .formulation import BlockLP, _scale_rows
 _STEP_FLOOR = 1e-13
 _REGULARIZATION = 1e-10   # added to every complementarity diagonal
 _CENTERING_POWER = 3.0    # Mehrotra sigma = (mu_aff/mu)**power
+_RESTART_MU_FRACTION = 0.1   # the restart iterate is the first with mu <= this * mu0
 
 
 @dataclass
@@ -513,13 +528,67 @@ def schur_solve(system: KKTSystem, rhs: np.ndarray):
     return delta, {"relative_residual": float(residual), "regularized": fact.regularized}
 
 
+def _kkt_system(lp: BlockLP, dx: np.ndarray, ds: np.ndarray) -> KKTSystem:
+    """The augmented system of ``lp`` with variable diagonal ``dx`` and slack diagonal ``ds``."""
+    return KKTSystem(a11=lp.a11, a12=lp.a12, a21=lp.a21, a22=lp.a22,
+                     d1=dx[:lp.n1], d2=dx[lp.n1:], d3=ds[:lp.m1], d4=ds[lp.m1:],
+                     num_zero_rows=lp.num_zero_rows)
+
+
+class PreparedLP:
+    """The part of solving an LP that its objective leaves alone.
+
+    Holds the LP's :class:`_NewtonStructure`, the factorization of its
+    unit-diagonal system and ``x_ls``, the least-squares solve of
+    ``A x ~ b`` through it (see :func:`solve`).  Any LP sharing the
+    constraint arrays and bounds, such as ``lp.reweighted(w)``, may be
+    solved with it.  ``timings`` holds the seconds each part took, by the
+    phases of ``SolveResult.timings``.
+    """
+
+    def __init__(self, lp: BlockLP):
+        self.timings = dict.fromkeys(("structure", "factorization", "back_solve"), 0.0)
+        self._shared = (lp.a11, lp.a12, lp.a21, lp.a22, lp.b1, lp.b2, lp.lower, lp.upper)
+        system = _kkt_system(lp, np.ones(lp.num_variables), np.ones(lp.num_rows))
+        with _timed(self.timings, "structure"):
+            self.structure = _NewtonStructure(system)
+        with _timed(self.timings, "factorization"):
+            self.ones_fact = _SchurFactorization(system, self.structure)
+        with _timed(self.timings, "back_solve"):
+            self.x_ls = self.ones_fact.solve(np.concatenate([np.zeros(lp.num_variables),
+                                                             lp.rhs()]))[:lp.num_variables]
+
+    def serves(self, lp: BlockLP) -> bool:
+        """Whether ``lp`` holds the very constraint arrays and bounds this was prepared from."""
+        return all(mine is theirs for mine, theirs in zip(
+            self._shared, (lp.a11, lp.a12, lp.a21, lp.a22, lp.b1, lp.b2, lp.lower, lp.upper)))
+
+
+@dataclass(frozen=True)
+class Restart:
+    """An iterate of one solve, to start another solve of the same constraints from.
+
+    ``iteration`` and ``mu`` say where in its solve it was taken; ``w`` is
+    on the columns with a finite upper bound.  The arrays are the solve's
+    own: it rebinds its iterate each step and never writes into it.
+    """
+
+    iteration: int
+    mu: float
+    x: np.ndarray
+    s: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    w: np.ndarray
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     """State at the start of one iteration.
 
     ``step_primal``, ``step_dual``, ``sigma`` and ``regularized`` describe
     the step that produced this iterate; at iteration 0, ``regularized``
-    refers to the starting-point factorization.
+    refers to the starting-point factorization (False after a restart).
     """
 
     iteration: int
@@ -556,6 +625,7 @@ class SolveResult:
     message: str = ""
     timings: dict[str, float] = field(default_factory=dict)   # seconds per phase
     factored_order: int = 0   # order of the dense Cholesky factor, n1
+    restart: Restart | None = None   # the first iterate with mu <= 0.1 mu0, if any
 
     @property
     def converged(self) -> bool:
@@ -620,18 +690,28 @@ def _timed(timings: dict[str, float], phase: str):
         timings[phase] += time.perf_counter() - start
 
 
-def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
+def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: PreparedLP | None = None,
+          start: Restart | None = None) -> SolveResult:
     """Solve a block-partitioned LP with the structured interior point method.
 
-    ``SolveResult.timings`` sums the solve's wall time by phase: building
-    the per-LP Newton structure, the per-iteration factorizations, the
-    back-solves, and ``step`` for everything else (starting point,
-    residuals, step lengths and updates).
+    ``prepared`` is a :class:`PreparedLP` of an LP sharing ``lp``'s
+    constraints; without one, the solve prepares ``lp`` itself.  With
+    ``start`` the iteration begins at that restart iterate, otherwise at
+    the least-squares point.  ``SolveResult.timings`` sums the solve's
+    wall time by phase: building the per-LP Newton structure, the
+    factorizations, the back-solves, and ``step`` for everything else
+    (starting point, residuals, step lengths and updates).  A given
+    ``prepared`` was timed when it was built, not here.
     """
-    start = time.perf_counter()
+    begin = time.perf_counter()
     timings = dict.fromkeys(("structure", "factorization", "back_solve"), 0.0)
+    if prepared is None:
+        prepared = PreparedLP(lp)
+        timings.update(prepared.timings)
+    elif not prepared.serves(lp):
+        raise ValueError("prepared for an LP with other constraints or bounds")
+    structure = prepared.structure
     settings = settings or SolverSettings()
-    n1, m1 = lp.n1, lp.m1
     n, m = lp.num_variables, lp.num_rows
     b = lp.rhs()
     c = lp.objective_vector
@@ -639,34 +719,24 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
     upper = lp.upper
     up = np.flatnonzero(np.isfinite(upper))   # the only columns with an upper-bound dual
 
-    def make_system(dx: np.ndarray, ds: np.ndarray) -> KKTSystem:
-        return KKTSystem(a11=lp.a11, a12=lp.a12, a21=lp.a21, a22=lp.a22,
-                         d1=dx[:n1], d2=dx[n1:], d3=ds[:m1], d4=ds[m1:],
-                         num_zero_rows=lp.num_zero_rows)
+    regularized = start is None and prepared.ones_fact.regularized
+    if start is not None:
+        x, s, y, z, w = start.x, start.s, start.y, start.z, start.w
+    else:  # the least-squares point (see the module docstring)
+        with _timed(timings, "back_solve"):
+            y_ls = prepared.ones_fact.solve(np.concatenate([c, np.zeros(m)]))[n:]
+        x_ls = prepared.x_ls
+        margin = np.minimum(0.1 * (1.0 + np.abs(x_ls)), 0.25 * (upper - lower))
+        x = np.clip(x_ls, lower + margin, upper - margin)
 
-    # Least-squares starting point: damped min-norm solves of A x ~ b and
-    # A^T y ~ c through the same structured factorization (unit diagonals),
-    # then shifted strictly inside the box / positive orthant.
-    ones_system = make_system(np.ones(n), np.ones(m))
-    with _timed(timings, "structure"):
-        structure = _NewtonStructure(ones_system)
-    with _timed(timings, "factorization"):
-        ones_fact = _SchurFactorization(ones_system, structure)
-    with _timed(timings, "back_solve"):
-        x_ls = ones_fact.solve(np.concatenate([np.zeros(n), b]))[:n]
-        y_ls = ones_fact.solve(np.concatenate([c, np.zeros(m)]))[n:]
-
-    margin = np.minimum(0.1 * (1.0 + np.abs(x_ls)), 0.25 * (upper - lower))
-    x = np.clip(x_ls, lower + margin, upper - margin)
-
-    z_hat = c - structure.rmatvec(y_ls)
-    dz = 0.1 * (1.0 + float(np.mean(np.abs(z_hat))))
-    z = np.maximum(z_hat, 0.0) + dz
-    w = np.maximum(-z_hat[up], 0.0) + dz
-    s_hat = structure.matvec(x) - b
-    ds_shift = 0.1 * (1.0 + float(np.mean(np.abs(s_hat))))
-    s = np.maximum(s_hat, ds_shift)
-    y = np.maximum(y_ls, 0.0) + 0.1 * (1.0 + float(np.mean(np.abs(y_ls))))
+        z_hat = c - structure.rmatvec(y_ls)
+        dz = 0.1 * (1.0 + float(np.mean(np.abs(z_hat))))
+        z = np.maximum(z_hat, 0.0) + dz
+        w = np.maximum(-z_hat[up], 0.0) + dz
+        s_hat = structure.matvec(x) - b
+        ds_shift = 0.1 * (1.0 + float(np.mean(np.abs(s_hat))))
+        s = np.maximum(s_hat, ds_shift)
+        y = np.maximum(y_ls, 0.0) + 0.1 * (1.0 + float(np.mean(np.abs(y_ls))))
 
     b_scale = 1.0 + float(np.max(np.abs(b))) if m else 1.0
     c_scale = 1.0 + float(np.max(np.abs(c)))
@@ -694,7 +764,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
         return primal, dual
 
     def result(status: str, message: str = "") -> SolveResult:
-        step = time.perf_counter() - start - sum(timings.values())
+        step = time.perf_counter() - begin - sum(timings.values())
         _, _, rel_p, rel_d = residuals()
         w_full = np.zeros(n)
         w_full[up] = w
@@ -704,17 +774,22 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
                            gap_gy=current_gap(), primal_residual=rel_p, dual_residual=rel_d,
                            iterations=len(history), history=history,
                            kkt_log=kkt_log, message=message,
-                           timings=dict(timings, step=max(step, 0.0)), factored_order=n1)
+                           timings=dict(timings, step=max(step, 0.0)), factored_order=lp.n1,
+                           restart=restart)
 
     x_shift = x - lower
     up_gap = upper[up] - x[up]
     sigma = 0.0
     alpha_p = alpha_d = 0.0
-    regularized = ones_fact.regularized
+    restart = None
     for iteration in range(settings.max_iterations):
         rp, rd, rel_p, rel_d = residuals()
         mu = mean_complementarity(x_shift, s, up_gap, z, y, w)
         gap = current_gap()
+        if iteration == 0:
+            mu0 = mu
+        elif restart is None and mu <= _RESTART_MU_FRACTION * mu0:
+            restart = Restart(iteration=iteration, mu=mu, x=x, s=s, y=y, z=z, w=w)
         history.append(IterationRecord(iteration=iteration, primal_residual=rel_p,
                                        dual_residual=rel_d, gap_gy=gap, mu=mu,
                                        step_primal=alpha_p, step_dual=alpha_d,
@@ -742,7 +817,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None) -> SolveResult:
         dx_diag[up] += w / up_gap
         dx_diag += _REGULARIZATION
         ds_diag = s / y + _REGULARIZATION
-        system = make_system(dx_diag, ds_diag)
+        system = _kkt_system(lp, dx_diag, ds_diag)
         try:
             with _timed(timings, "factorization"):
                 fact = _SchurFactorization(system, structure)

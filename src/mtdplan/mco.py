@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -11,7 +12,7 @@ from scipy.spatial import ConvexHull, QhullError
 from . import evaluation, ipm
 from .dmlc import Trajectories, dose_from_trajectories, fluence_from_trajectories
 from .fileio import write_csv
-from .formulation import build_weighted_instance
+from .formulation import BlockLP, build_weighted_instance, normalized_weights
 
 
 def weight_grid(num_objectives: int, order: int) -> np.ndarray:
@@ -56,6 +57,8 @@ class Plan:
     status: str
     solver_history: list = field(default_factory=list)
     message: str = ""   # the solver's account of a status other than converged
+    start: str = "least-squares"   # how the solve started (see solve_single_weight)
+    restart: ipm.Restart | None = None   # the solve's restart iterate, if it reached one
 
     @property
     def feasible(self) -> bool:
@@ -86,16 +89,53 @@ class ParetoSet:
         return np.array([e.plan.objective_coordinates for e in self.converged()])
 
 
+@dataclass
+class PreparedInstance:
+    """A case's LP and its solver preparation, shared by every plan of the case.
+
+    Only the objective depends on the weights, so ``lp`` is built once and
+    each plan solves ``lp.reweighted(weights)`` with ``solver``.  A sweep
+    sets ``restart`` to grid point 0's restart iterate and ``restart_weights``
+    to that point's weights (see :func:`generate_pareto_set`).
+    """
+
+    lp: BlockLP
+    solver: ipm.PreparedLP
+    restart: ipm.Restart | None = None
+    restart_weights: np.ndarray | None = None
+
+
+def prepared_instance(case) -> PreparedInstance:
+    """The case's :class:`PreparedInstance`, built at balanced weights on first use and kept."""
+    if case._prepared is None:
+        slots = case.criteria.num_slots
+        lp = build_weighted_instance(case.phantom, case.machine, case.dose_influence(),
+                                     case.criteria, np.full(slots, 1.0 / slots), name=case.name)
+        case._prepared = PreparedInstance(lp=lp, solver=ipm.PreparedLP(lp))
+    return case._prepared
+
+
 def solve_single_weight(case, weights, settings: ipm.SolverSettings | None = None) -> Plan:
-    """Build and solve one weighted-sum instance, returning the full plan."""
-    lp = build_weighted_instance(case.phantom, case.machine, case.dose_influence(),
-                                 case.criteria, weights, name=case.name)
-    result = ipm.solve(lp, settings or case.solver_settings())
+    """Solve one weighted-sum instance of the case's prepared LP, returning the full plan.
+
+    The solve starts at the prepared instance's restart iterate when it has
+    one and ``weights`` differ from the restart's, otherwise at the
+    least-squares point.
+    """
+    prepared = prepared_instance(case)
+    lp = prepared.lp.reweighted(weights)
+    restart = prepared.restart
+    if restart is not None and np.array_equal(lp.weights, prepared.restart_weights):
+        restart = None
+    result = ipm.solve(lp, settings or case.solver_settings(), prepared=prepared.solver,
+                       start=restart)
     traj = lp.extract_trajectories(result.x)
     fluence = fluence_from_trajectories(traj, case.machine)
     dose = dose_from_trajectories(case.dose_influence(), traj, case.machine)
     quality, violations = evaluation.evaluate_plan(case.phantom, dose,
                                                    case.quality_indices, case.criteria)
+    start = ("least-squares" if restart is None else
+             f"restart from grid point 0 (iteration {restart.iteration}, mu {restart.mu:.3g})")
     return Plan(weights=np.asarray(weights, dtype=float),
                 trajectories=traj, fluence=fluence, dose=dose,
                 xi=lp.xi_values(result.x),
@@ -103,7 +143,8 @@ def solve_single_weight(case, weights, settings: ipm.SolverSettings | None = Non
                 objective_coordinates=lp.objective_coordinates(result.x),
                 quality=quality, violations=violations,
                 gap_gy=result.gap_gy, iterations=result.iterations,
-                status=result.status, solver_history=result.history, message=result.message)
+                status=result.status, solver_history=result.history, message=result.message,
+                start=start, restart=result.restart)
 
 
 def _solve_entry(args) -> ParetoEntry:
@@ -120,19 +161,31 @@ def generate_pareto_set(case, grid: np.ndarray, settings: ipm.SolverSettings | N
                         workers: int = 1) -> ParetoSet:
     """Solve one weighted-sum instance per grid point.
 
-    Failures are recorded per entry rather than raised, except when every
-    single instance fails.  Results are merged in grid order regardless
-    of the worker count, so output is deterministic.
+    Every point solves the case's one prepared LP (:func:`prepared_instance`),
+    reweighted.  Grid point 0 is solved first, from the least-squares point.
+    If it converges, every later point whose weights differ from point 0's
+    starts at point 0's restart iterate, the first with ``mu`` at most 0.1
+    of its starting ``mu``; otherwise the sweep stays cold.  The restart is
+    fixed before the later points are dispatched, and results are merged in
+    grid order, so output is the same for any worker count.  Failures are
+    recorded per entry rather than raised, except when every single
+    instance fails.
     """
     grid = np.asarray(grid, dtype=float)
-    case.dose_influence()  # computed once here, so each task carries it to its worker
-    tasks = [(i, case, grid[i], settings) for i in range(grid.shape[0])]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(_solve_entry, tasks))
-    else:
-        entries = [_solve_entry(t) for t in tasks]
-    entries.sort(key=lambda e: e.index)
+    if grid.shape[0] == 0:
+        raise ValueError("the weight grid is empty")
+    prepared = prepared_instance(case)  # built once here, so each task carries it to its worker
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        solve_all = map if pool is None else pool.map
+        first, = solve_all(_solve_entry, [(0, case, grid[0], settings)])
+        later = case
+        if first.status == "converged" and first.plan.restart is not None:
+            later = replace(case, _prepared=replace(
+                prepared, restart=first.plan.restart,
+                restart_weights=normalized_weights(grid[0], case.criteria.num_slots)))
+        entries = [first, *solve_all(_solve_entry, [(i, later, grid[i], settings)
+                                                    for i in range(1, grid.shape[0])])]
     if all(e.plan is None for e in entries):
         raise RuntimeError("every weighted-sum instance failed: "
                            + "; ".join(e.message for e in entries[:3]))

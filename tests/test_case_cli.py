@@ -133,6 +133,15 @@ def test_evaluate_non_finite_dose_volume_exits_data_error(tmp_path, capsys, valu
     assert f"data error: dose volume voxel {voxel} is {value!r}" in capsys.readouterr().err
 
 
+def test_evaluate_dose_binary_named_csv_exits_data_error(solved_dir, tmp_path, capsys):
+    plan = tmp_path / "dose_as.csv"
+    plan.write_bytes((solved_dir / "plan_dose.bin").read_bytes())
+    code = cli.main(["evaluate", "--case", demo_case_path(), "--out", str(tmp_path / "o"),
+                     "--plan", str(plan)])
+    assert code == cli.EXIT_DATA_ERROR
+    assert f"data error: {plan} is not a text file: " in capsys.readouterr().err
+
+
 def test_evaluate_dose_binary_with_oversized_header_exits_data_error(tmp_path, capsys):
     plan = tmp_path / "huge.bin"
     plan.write_bytes(b"MTDD" + np.array([1, 2 ** 31, 2 ** 31, 2 ** 31], dtype="<u4").tobytes())
@@ -331,6 +340,28 @@ def test_solve_dump_lp_flag(tmp_path):
     assert "\nsize " in text
 
 
+def test_solve_dump_lp_is_the_solved_lp_built_once(tmp_path, monkeypatch):
+    from mtdplan import mco
+    from mtdplan.formulation import build_weighted_instance, dump_lp
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build_weighted_instance(*args, **kwargs)
+
+    monkeypatch.setattr(mco, "build_weighted_instance", counted)
+    monkeypatch.setattr(cli, "build_weighted_instance", None)   # validate's build, not solve's
+    out = tmp_path / "dump"
+    assert cli.main(["solve", "--case", demo_case_path(), "--out", str(out),
+                     "--weights", "0,1,3", "--dump-lp"]) == cli.EXIT_OK
+    assert len(builds) == 1
+    case = load_case(demo_case_path())
+    dump_lp(build_weighted_instance(case.phantom, case.machine, case.dose_influence(),
+                                    case.criteria, [0.0, 0.25, 0.75], name=case.name),
+            tmp_path / "fresh.lp")
+    assert (out / "instance.lp").read_bytes() == (tmp_path / "fresh.lp").read_bytes()
+
+
 def test_solve_writes_artifacts(solved_dir):
     for name in ("plan_trajectories.csv", "plan_fluence_beam0.csv", "plan_fluence_beam2.csv",
                  "plan_dose.bin", "plan_dvh.csv", "plan_violations.csv", "plan_quality.txt",
@@ -339,6 +370,7 @@ def test_solve_writes_artifacts(solved_dir):
     quality = (solved_dir / "plan_quality.txt").read_text()
     assert "xi [Gy]:" in quality
     assert "status: converged" in quality
+    assert "start: least-squares\n" in quality
     assert "message:" not in quality
     log_header = (solved_dir / "plan_solver_log.csv").read_text().splitlines()[0]
     assert log_header.split(",")[-1] == "regularized"
@@ -501,6 +533,10 @@ def test_pareto_order_one_produces_three_plans(tmp_path):
     assert svg.count("<circle") >= 3
     for i in range(3):
         assert (out / f"plan_{i:03d}" / "plan_dose.bin").exists()
+    starts = [next(line for line in (out / f"plan_{i:03d}" / "plan_quality.txt").read_text()
+                   .splitlines() if line.startswith("start: ")) for i in range(3)]
+    assert starts[0] == "start: least-squares"
+    assert all(s.startswith("start: restart from grid point 0 (iteration ") for s in starts[1:])
 
 
 def test_pareto_records_nonconverged_entries(tmp_path):

@@ -367,3 +367,24 @@ def test_dump_lp_of_demo_matches_loop_reference_bytewise(tmp_path):
     dump_lp(build_weighted_instance(*inputs, name="demo"), tmp_path / "sparse.lp")
     dump_lp(reference_weighted_instance(*inputs, name="demo"), tmp_path / "loop.lp")
     assert (tmp_path / "sparse.lp").read_bytes() == (tmp_path / "loop.lp").read_bytes()
+
+
+def test_reweighted_matches_a_fresh_build_at_every_grid_point():
+    from mtdplan.mco import weight_grid
+    phantom, machine, influence, criteria, balanced = _demo_inputs()
+    lp = build_weighted_instance(phantom, machine, influence, criteria, balanced, name="demo")
+    for weights in weight_grid(criteria.num_slots, 4):
+        fresh = build_weighted_instance(phantom, machine, influence, criteria, weights, name="demo")
+        again = lp.reweighted(weights)
+        _assert_same_lp_blocks(again, fresh)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(again.a22, part), getattr(fresh.a22, part)), part
+        for name in ("objective_vector", "weights", "lower", "upper"):
+            assert np.array_equal(getattr(again, name), getattr(fresh, name)), name
+        assert (again.name, again.num_deliverability_rows) == \
+            (fresh.name, fresh.num_deliverability_rows)
+        for shared in ("a11", "a12", "a21", "a22", "b1", "b2", "lower", "upper", "row_labels1"):
+            assert getattr(again, shared) is getattr(lp, shared), shared
+    for bad in ([0.5, 0.5], [-0.5, 1.0, 0.5], [0.2, 0.2, 0.2]):
+        with pytest.raises(FormulationError):
+            lp.reweighted(bad)

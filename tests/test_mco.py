@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from mtdplan import mco
-from mtdplan.case import load_case
+from mtdplan import ipm, mco
+from mtdplan.case import case_from_dict, load_case, read_case_text
+from mtdplan.formulation import build_weighted_instance
 from mtdplan.mco import (generate_pareto_set, hull_and_shift_report, nondominated_subset,
                          solve_single_weight, weight_grid)
 
@@ -195,3 +197,97 @@ def test_single_weight_plan_carries_artifacts(tiny_case):
     assert plan.fluence.shape == (3, 6, 8)
     assert plan.quality.shape == (3,)
     assert plan.gap_gy <= tiny_case.solver.dose_tolerance_gy
+
+
+# --- one prepared LP per case, warm-started sweeps ----------------------------------
+
+@pytest.fixture(scope="module")
+def demo_sweep():
+    """The demo's 15-point sweep, counting the LP builds and Newton structures it makes."""
+    calls = {"build": 0, "structure": 0}
+
+    def counted(key, original):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mco, "build_weighted_instance", counted("build", mco.build_weighted_instance))
+        patch.setattr(ipm, "_NewtonStructure", counted("structure", ipm._NewtonStructure))
+        case = load_case("demo:prostate_demo")
+        grid = weight_grid(case.criteria.num_slots, 4)
+        pareto = generate_pareto_set(case, grid, settings=case.solver_settings())
+    return case, grid, pareto, calls
+
+
+def test_sweep_builds_the_lp_and_newton_structure_once(demo_sweep):
+    _, grid, pareto, calls = demo_sweep
+    assert len(pareto.entries) == grid.shape[0] == 15
+    assert calls == {"build": 1, "structure": 1}
+
+
+def test_warm_sweep_keeps_statuses_and_objectives_in_fewer_iterations(demo_sweep):
+    case, grid, pareto, _ = demo_sweep
+    cold_case = load_case("demo:prostate_demo")   # never given a restart
+    cold = [solve_single_weight(cold_case, weights) for weights in grid]
+    first = pareto.entries[0].plan
+    assert first.start == "least-squares" and first.restart is not None
+    assert first.restart.mu <= 0.1 * first.solver_history[0].mu
+    assert all(h.mu > 0.1 * first.solver_history[0].mu
+               for h in first.solver_history[1:first.restart.iteration])
+    restarted = (f"restart from grid point 0 (iteration {first.restart.iteration}, "
+                 f"mu {first.restart.mu:.3g})")
+    for entry, plan in zip(pareto.entries, cold):
+        assert entry.status == plan.status == "converged"
+        assert abs(entry.plan.objective_value - plan.objective_value) \
+            <= case.solver.dose_tolerance_gy
+        assert plan.start == "least-squares"
+        if entry.index:
+            assert entry.plan.start == restarted
+    assert sum(e.plan.iterations for e in pareto.entries) < sum(p.iterations for p in cold)
+
+
+def test_prepared_instance_without_restart_matches_a_fresh_case_bitwise():
+    weights = np.array([0.25, 0.5, 0.25])
+    case = load_case("demo:prostate_demo")
+    solve_single_weight(case, np.array([1.0, 0.0, 0.0]))   # prepares the case's instance
+    prepared = mco.prepared_instance(case)
+    plan = solve_single_weight(case, weights)
+    assert mco.prepared_instance(case) is prepared and prepared.restart is None
+
+    fresh_case = load_case("demo:prostate_demo")
+    fresh = solve_single_weight(fresh_case, weights)
+    lp = build_weighted_instance(fresh_case.phantom, fresh_case.machine,
+                                 fresh_case.dose_influence(), fresh_case.criteria, weights)
+    result = ipm.solve(lp, fresh_case.solver_settings())
+    again = ipm.solve(prepared.lp.reweighted(weights), case.solver_settings(),
+                      prepared=prepared.solver)
+    assert np.array_equal(again.x, result.x)
+    assert again.iterations == result.iterations
+    trajectories = lp.extract_trajectories(result.x).stacked()
+    for other in (plan, fresh):
+        assert np.array_equal(other.trajectories.stacked(), trajectories)
+        assert np.array_equal(other.xi, lp.xi_values(result.x))
+        assert other.objective_value == result.objective
+        assert other.iterations == result.iterations
+        assert other.start == "least-squares"
+    assert np.array_equal(plan.dose, fresh.dose)
+
+
+def test_prepared_lp_refuses_an_lp_with_other_constraints():
+    case = load_case("demo:prostate_demo")
+    prepared = mco.prepared_instance(case)
+    rebuilt = build_weighted_instance(case.phantom, case.machine, case.dose_influence(),
+                                      case.criteria, prepared.lp.weights)
+    with pytest.raises(ValueError, match="other constraints"):
+        ipm.solve(rebuilt, case.solver_settings(), prepared=prepared.solver)
+
+
+def test_infeasible_sweep_stays_cold():
+    doc = json.loads(read_case_text("demo:prostate_demo"))
+    next(c for c in doc["criteria"] if c["name"] == "ptv_dav50_floor")["hard_lower"] = 66.0
+    case = case_from_dict(doc, "floor66")
+    pareto = generate_pareto_set(case, weight_grid(case.criteria.num_slots, 2))
+    assert [e.status for e in pareto.entries] == ["infeasible"] * 6
+    assert all(e.plan.start == "least-squares" for e in pareto.entries)
