@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import contextlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from . import evaluation, ipm
 from .dmlc import Trajectories, dose_from_trajectories, fluence_from_trajectories
@@ -175,6 +173,8 @@ def generate_pareto_set(case, grid: np.ndarray, settings: ipm.SolverSettings | N
     if grid.shape[0] == 0:
         raise ValueError("the weight grid is empty")
     prepared = prepared_instance(case)  # built once here, so each task carries it to its worker
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported only where a pool is started
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
         solve_all = map if pool is None else pool.map
@@ -239,6 +239,8 @@ def hull_and_shift_report(quality_points, objective_points) -> ShiftReport:
     other.  Degenerate (e.g. coplanar) clouds fall back to reporting
     displacements without hulls.
     """
+    from scipy.spatial import ConvexHull, QhullError  # imported here: only this report uses it
+
     quality = np.asarray(quality_points, dtype=float)
     objective = np.asarray(objective_points, dtype=float)
     if quality.shape != objective.shape:

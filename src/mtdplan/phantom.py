@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.ndimage import distance_transform_edt
 
 from .errors import PhantomError
 
@@ -337,17 +336,40 @@ def _voxelize_shape(centers: np.ndarray, voxel_size, shape: RoiShapeSpec):
 
 
 def _voxelize_ring(phantom_dims, voxel_size, shape: RoiShapeSpec, target: ROI):
-    """Voxels whose center lies within (inner, outer] mm of the target set."""
+    """Voxels whose center lies within (inner, outer] mm of the target set.
+
+    The distance is the exact Euclidean distance between voxel centers,
+    computed over the target's bounding box padded by ``outer_mm`` (no
+    voxel outside it is within reach).  After the pass along an axis,
+    ``d2`` is the squared distance to the nearest target voxel over the
+    axes passed so far, ``d2[i] = min_k d2[k] + ((i-k) s)^2``.  Offsets
+    ``|i-k|`` beyond the padding are skipped: a target voxel that far off
+    along one axis is farther than ``outer_mm``.  The axis terms are
+    summed x, then y, then z, as ``scipy.ndimage``'s exact distance
+    transform sums them, so the band holds the same voxels.
+    """
     dims = tuple(int(d) for d in phantom_dims)
-    mask = np.zeros(dims, dtype=bool)
-    mask.ravel()[target.voxels] = True
-    dist = distance_transform_edt(~mask, sampling=voxel_size)
-    inner = float(shape.inner_mm)
-    outer = float(shape.outer_mm)
-    band = (dist.ravel() > inner) & (dist.ravel() <= outer) & (dist.ravel() > 0.0)
+    vsize = np.asarray(voxel_size, dtype=float)
+    coords = np.unravel_index(target.voxels, dims)
+    pad = np.minimum(np.floor(float(shape.outer_mm) / vsize) + 1.0, dims).astype(np.int64)
+    lo = np.maximum(np.min(coords, axis=1) - pad, 0)
+    hi = np.minimum(np.max(coords, axis=1) + 1 + pad, dims)
+    d2 = np.full(tuple(hi - lo), np.inf)
+    d2[tuple(c - o for c, o in zip(coords, lo))] = 0.0
+    for axis, (s, reach) in enumerate(zip(vsize, pad)):
+        d2 = np.moveaxis(d2, axis, 0)
+        out = d2.copy()
+        for shift in range(1, min(reach, d2.shape[0] - 1) + 1):
+            term = (shift * s) * (shift * s)
+            np.minimum(out[shift:], d2[:-shift] + term, out=out[shift:])
+            np.minimum(out[:-shift], d2[shift:] + term, out=out[:-shift])
+        d2 = np.moveaxis(out, 0, axis)
+    dist = np.sqrt(d2)
+    band = np.zeros(dims, dtype=bool)
+    band[tuple(slice(a, b) for a, b in zip(lo, hi))] = ((dist > float(shape.inner_mm))
+                                                        & (dist <= float(shape.outer_mm)))
     idx = np.flatnonzero(band)
-    voxel_volume = float(np.prod(np.asarray(voxel_size, dtype=float)))
-    return idx, np.full(idx.size, voxel_volume)
+    return idx, np.full(idx.size, float(np.prod(vsize)))
 
 
 def build_phantom(spec: PhantomSpec) -> Phantom:
@@ -423,41 +445,37 @@ def compute_dose_influence(phantom: Phantom, machine: MachineModel, kernel: Kern
     # Half-diagonal bounds the entry-plane offset for any beam angle.
     half_diag = float(np.linalg.norm(phantom.extent_mm()) / 2.0)
 
+    # Columns arrive in bixel_index order, so the CSC arrays are built directly.
     rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
-    beam_nnz = np.zeros(B, dtype=np.int64)
+    counts = np.zeros(machine.num_bixels, dtype=np.int64)
     for b, angle in enumerate(machine.beam_angles_deg):
         theta = np.deg2rad(angle)
         direction = np.array([np.cos(theta), np.sin(theta), 0.0])
         transverse = np.array([-np.sin(theta), np.cos(theta), 0.0])
         depth = rel @ direction + half_diag
         proj_t = rel @ transverse
-        proj_z = rel[:, 2]
         atten = kernel.output_factor * np.exp(-kernel.attenuation_per_mm * depth)
         for n in range(N):
-            dz2 = (proj_z - z_off[n]) ** 2
+            dz2 = (rel[:, 2] - z_off[n]) ** 2
+            near = np.flatnonzero(dz2 <= cutoff2)  # voxels this leaf row can reach
+            dz2, t_near, atten_near = dz2[near], proj_t[near], atten[near]
             for j in range(J):
-                lat2 = (proj_t - t_off[j]) ** 2 + dz2
+                lat2 = (t_near - t_off[j]) ** 2 + dz2
                 mask = lat2 <= cutoff2
-                if not np.any(mask):
-                    continue
-                idx = np.flatnonzero(mask)
-                col = machine.bixel_index(b, n, j)
-                rows.append(idx)
-                cols.append(np.full(idx.size, col, dtype=np.int64))
-                vals.append(atten[idx] * np.exp(-lat2[idx] * inv_two_sigma2))
-                beam_nnz[b] += idx.size
+                hit = near[mask]
+                rows.append(hit)
+                vals.append(atten_near[mask] * np.exp(-lat2[mask] * inv_two_sigma2))
+                counts[machine.bixel_index(b, n, j)] = hit.size
 
+    beam_nnz = counts.reshape(B, N * J).sum(axis=1)
     for b in range(B):
         if beam_nnz[b] == 0:
             raise PhantomError(f"beam {b} misses the phantom grid entirely")
 
-    matrix = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(phantom.num_voxels, machine.num_bixels),
-    )
-    matrix.sort_indices()
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    matrix = sp.csc_matrix((np.concatenate(vals), np.concatenate(rows), indptr),
+                           shape=(phantom.num_voxels, machine.num_bixels)).tocsr()
     return DoseInfluence(matrix=matrix, num_beams=B, leaf_pairs=N, bixels_per_row=J)
 
 

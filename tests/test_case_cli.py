@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -160,6 +163,18 @@ def solved_dir(tmp_path_factory):
                      "--weights", "1,0,0"])
     assert code == cli.EXIT_OK
     return out
+
+
+def test_importing_the_cli_loads_no_module_only_some_commands_use():
+    # Every command is a fresh process, so whatever `import mtdplan.cli` loads is paid on each.
+    # The Pareto hull report imports scipy.spatial and --workers > 1 the process pool themselves.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = ("import sys, mtdplan.cli; print(' '.join(m for m in ('scipy.ndimage', "
+             "'scipy.spatial', 'scipy.optimize', 'multiprocessing') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
 
 
 def test_validate_demo_case_exits_zero(capsys):

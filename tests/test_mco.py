@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 
@@ -175,7 +176,7 @@ def test_parallel_tasks_carry_the_dose_influence(monkeypatch):
             handed_over.extend(task[1]._influence is not None for task in tasks)
             return map(fn, tasks)
 
-    monkeypatch.setattr(mco, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     case = load_case("demo:prostate_demo")
     generate_pareto_set(case, weight_grid(3, 1), workers=2)
     assert handed_over == [True, True, True]

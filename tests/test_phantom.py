@@ -2,13 +2,15 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mtdplan.case import case_from_dict, demo_case_path, load_case, read_case_text
 from mtdplan.errors import PhantomError
 from mtdplan.phantom import (KernelParams, MachineModel, Phantom, PhantomSpec, ROI,
                              RoiShapeSpec, RoiSpec, build_phantom, compute_dose_influence,
                              _shape_membership, _subsample_offsets, _voxel_centers,
-                             _voxelize_shape, influence_content_hash, roi_weight_vector)
+                             _voxelize_ring, _voxelize_shape, influence_content_hash,
+                             roi_weight_vector)
 
 from helpers import make_machine
 
@@ -73,6 +75,62 @@ def test_ring_around_target_excludes_target():
     ring = phantom.roi("ring")
     assert ring.voxels.size > 0
     assert not target & set(ring.voxels.tolist())
+
+
+def _edt_ring_reference(dims, voxel_size, voxels, inner, outer):
+    """Ring band from scipy's exact Euclidean distance transform, the oracle."""
+    from scipy.ndimage import distance_transform_edt
+
+    mask = np.zeros(dims, dtype=bool)
+    mask.ravel()[voxels] = True
+    dist = distance_transform_edt(~mask, sampling=voxel_size).ravel()
+    return np.flatnonzero((dist > inner) & (dist <= outer) & (dist > 0.0))
+
+
+@pytest.mark.parametrize("dims, voxel_size, inner, outer, face", [
+    ((13, 11, 9), (3.16, 5.0, 2.5), 0.0, 10.0, False),
+    ((12, 12, 8), (2.5, 3.16, 4.3), 3.16, 12.0, False),
+    ((10, 9, 7), (5.0, 5.0, 5.0), 5.0, 7.9, True),
+    ((14, 10, 1), (3.16, 2.0, 5.0), 0.0, 9.5, False),
+    ((14, 10, 1), (2.5, 2.5, 2.5), 2.5, 6.0, True),
+    ((9, 8, 6), (3.16, 1.7, 4.0), 4.0, 1e6, True),
+], ids=["anisotropic", "inner", "face", "one-slice", "one-slice-face", "beyond-grid"])
+def test_ring_matches_euclidean_distance_transform(dims, voxel_size, inner, outer, face):
+    rng = np.random.default_rng(sum(dims))
+    shape = RoiShapeSpec(kind_of_shape="ring", around="t", inner_mm=inner, outer_mm=outer)
+    for _ in range(12):
+        mask = np.zeros(dims, dtype=bool)
+        lo = rng.integers(0, dims)
+        hi = np.minimum(lo + rng.integers(1, 5, size=3), dims)
+        mask[tuple(slice(a, b) for a, b in zip(lo, hi))] = rng.random(tuple(hi - lo)) < 0.7
+        mask.ravel()[rng.integers(0, mask.size)] = True  # a stray voxel far from the blob
+        if face:
+            mask[0, rng.integers(0, dims[1]), rng.integers(0, dims[2])] = True
+        voxels = np.flatnonzero(mask)
+        target = ROI("t", "target", voxels, np.full(voxels.size, 1.0 / voxels.size))
+        idx, raw = _voxelize_ring(dims, voxel_size, shape, target)
+        assert np.array_equal(idx, _edt_ring_reference(dims, voxel_size, voxels, inner, outer))
+        assert np.all(raw == float(np.prod(voxel_size)))
+
+
+def _refined_demo_doc():
+    doc = json.loads(read_case_text(demo_case_path()))
+    doc["phantom"]["grid_dims"] = [48, 48, 24]
+    doc["phantom"]["voxel_size_mm"] = [2.5, 2.5, 2.5]
+    doc["kernel"]["lateral_sigma_mm"] = 5.0
+    return doc
+
+
+@pytest.mark.parametrize("refined, ring_voxels, digest", [
+    (False, 344, "13d284db3f2995b070759d6a9d380a0314dfe837cb62e1b06997d360cb2ce6ec"),
+    (True, 2848, "3b10adad26b50c84615e7737941beda661f514fc7c5a9120fe4484c3e2ead1a4"),
+], ids=["demo", "refined"])
+def test_influence_hash_pins_every_roi_of_the_demo(refined, ring_voxels, digest):
+    # The hash covers every ROI's voxels and weights, so the ring band, the
+    # partial-volume weights and the geometry all stay exactly as they were.
+    case = case_from_dict(_refined_demo_doc()) if refined else load_case(demo_case_path())
+    assert case.phantom.roi("ring").voxels.size == ring_voxels
+    assert influence_content_hash(case.phantom, case.machine, case.kernel) == digest
 
 
 @pytest.mark.parametrize("shape", [
@@ -215,6 +273,70 @@ def test_beam_missing_grid_raises():
                           bixel_width_mm=1.0, leaf_width_mm=1000.0, cutoff_sigmas=2.0)
     with pytest.raises(PhantomError):
         compute_dose_influence(phantom, machine, kernel)
+
+
+def _coo_influence_reference(phantom, machine, kernel):
+    """The influence built as COO triplets over every voxel, then CSR with sorted indices."""
+    rel = phantom.voxel_centers_mm() - phantom.extent_mm() / 2.0
+    B, N, J = machine.num_beams, machine.leaf_pairs, machine.bixels_per_row
+    t_off = (np.arange(J) - (J - 1) / 2.0) * kernel.bixel_width_mm
+    z_off = (np.arange(N) - (N - 1) / 2.0) * kernel.leaf_width_mm
+    cutoff2 = (kernel.cutoff_sigmas * kernel.lateral_sigma_mm) ** 2
+    inv_two_sigma2 = 1.0 / (2.0 * kernel.lateral_sigma_mm ** 2)
+    half_diag = float(np.linalg.norm(phantom.extent_mm()) / 2.0)
+    rows, cols, vals = [], [], []
+    for b, angle in enumerate(machine.beam_angles_deg):
+        theta = np.deg2rad(angle)
+        depth = rel @ np.array([np.cos(theta), np.sin(theta), 0.0]) + half_diag
+        proj_t = rel @ np.array([-np.sin(theta), np.cos(theta), 0.0])
+        atten = kernel.output_factor * np.exp(-kernel.attenuation_per_mm * depth)
+        for n in range(N):
+            dz2 = (rel[:, 2] - z_off[n]) ** 2
+            for j in range(J):
+                lat2 = (proj_t - t_off[j]) ** 2 + dz2
+                idx = np.flatnonzero(lat2 <= cutoff2)
+                rows.append(idx)
+                cols.append(np.full(idx.size, machine.bixel_index(b, n, j)))
+                vals.append(atten[idx] * np.exp(-lat2[idx] * inv_two_sigma2))
+    matrix = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                           shape=(phantom.num_voxels, machine.num_bixels))
+    matrix.sort_indices()
+    return matrix
+
+
+def _assert_same_bytes(a, b):
+    for x, y in [(a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)]:
+        assert x.dtype == y.dtype
+        assert x.tobytes() == y.tobytes()
+
+
+def test_influence_equals_a_coo_build_byte_for_byte_on_the_demo():
+    case = load_case(demo_case_path())
+    influence = compute_dose_influence(case.phantom, case.machine, case.kernel)
+    assert influence.matrix.has_sorted_indices
+    _assert_same_bytes(influence.matrix,
+                       _coo_influence_reference(case.phantom, case.machine, case.kernel))
+
+
+def test_influence_equals_a_coo_build_byte_for_byte_on_an_anisotropic_phantom():
+    spec = PhantomSpec(grid_dims=(11, 9, 7), voxel_size_mm=(3.16, 2.5, 4.0),
+                       rois=(sphere("t", (17.0, 11.0, 14.0), 6.0),))
+    phantom = build_phantom(spec)
+    machine = make_machine(B=3, N=6, J=13, angles=(10.0, 135.0, 260.0))
+    kernel = KernelParams(lateral_sigma_mm=2.0, attenuation_per_mm=0.01,
+                          bixel_width_mm=4.0, leaf_width_mm=8.0)
+    influence = compute_dose_influence(phantom, machine, kernel)
+    reference = _coo_influence_reference(phantom, machine, kernel)
+    assert np.any(np.diff(reference.tocsc().indptr) == 0)  # some bixels hit no voxel
+    _assert_same_bytes(influence.matrix, reference)
+
+    # A beam whose every bixel misses: the reference holds no entry for it.
+    offset = KernelParams(lateral_sigma_mm=0.1, attenuation_per_mm=0.0,
+                          bixel_width_mm=1.0, leaf_width_mm=1000.0, cutoff_sigmas=2.0)
+    missing = make_machine(B=1, N=2, J=1, angles=(0.0,))
+    assert _coo_influence_reference(phantom, missing, offset).nnz == 0
+    with pytest.raises(PhantomError, match="misses the phantom"):
+        compute_dose_influence(phantom, missing, offset)
 
 
 def _demo_hash(section=None, key=None, value=None):
