@@ -54,7 +54,19 @@ per row.  With D = diag(aa, rr) the voxel term is E^T (A21c^T D A21c) E,
                     (      C^T D S b           C^T D C  ) ,
 
 one dense ``syrk`` over the distinct rows, a rank-K product and a
-diagonal, scattered with signs into M.  ``_NewtonStructure`` holds each
+diagonal, scattered with signs into M.  The A11 term goes by an index
+plan built once per LP: each pair of stored entries of a sparse row of
+A11_~R is one term, the pairs before the first dense row (more than
+``_SPARSE_ROW_ENTRIES`` entries; on the demo, the ``avg-cap`` row) are
+summed onto their cells by ``np.bincount``, a dense row adds its rank-1
+term over the whole matrix, and later sparse rows add in rounds.  F_R
+and G_RR are CSR times a dense block of |R| columns.  Every cell of M
+is so the same sum of the same products, in ascending row order, as the
+sparse products A11_~R^T D3^-1 A11_~R, A12_R diag(xr) A21_eta and
+A12_R diag(-xx) A12_R^T give, and an iteration builds no sparse matrix.
+Factors and back-solves call LAPACK ``potrf``/``potrs`` directly; each
+factor is checked for finiteness once, when it is made, and a back-solve
+checks only its right-hand side.  ``_NewtonStructure`` holds each
 block of A once per LP in the forms its products need, and every product
 with A or A^T (start point, residuals, back-solves) goes through those
 blocks; A itself is never formed.  Each iteration costs O(voxels) in one
@@ -108,6 +120,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
+import scipy.linalg.lapack
 import scipy.sparse as sp
 
 from .fileio import write_csv
@@ -117,6 +130,7 @@ _STEP_FLOOR = 1e-13
 _REGULARIZATION = 1e-10   # added to every complementarity diagonal
 _CENTERING_POWER = 3.0    # Mehrotra sigma = (mu_aff/mu)**power
 _RESTART_MU_FRACTION = 0.1   # the restart iterate is the first with mu <= this * mu0
+_SPARSE_ROW_ENTRIES = 16  # a row of A11 with more stored entries enters M as a rank-1 term
 
 
 @dataclass
@@ -271,10 +285,43 @@ def invert_voxelwise_quadrant(d2: np.ndarray, d4: np.ndarray, num_zero_rows: int
     return QuadrantInverse(xx=-d42 / e, xr=1.0 / e, rr=d2 / e, aa=1.0 / d41)
 
 
-def _scale_columns(matrix: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
-    """``matrix @ diag(scale)`` on the sparsity pattern of ``matrix``."""
-    return sp.csr_matrix((matrix.data * scale[matrix.indices], matrix.indices, matrix.indptr),
-                         shape=matrix.shape)
+def _cho_factor(matrix: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of ``matrix`` by LAPACK ``potrf``, as ``cho_factor`` makes it.
+
+    ``matrix`` is checked for finiteness, and so is the factor, once,
+    here: every entry of the upper factor enters a later pivot, so a
+    non-finite entry shows on the diagonal.  :func:`_cho_solve` then
+    checks only its right-hand side.
+    """
+    factor, info = scipy.linalg.lapack.dpotrf(np.asarray_chkfinite(matrix), lower=False,
+                                              clean=False)
+    if info > 0:
+        raise scipy.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if not np.isfinite(np.diagonal(factor)).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return factor
+
+
+def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """LAPACK ``potrs`` against a factor from :func:`_cho_factor`, as ``cho_solve`` does it."""
+    if not rhs.shape[0]:   # R empty: the potrs wrapper rejects an empty system
+        return np.zeros(rhs.shape)
+    return scipy.linalg.lapack.dpotrs(factor, np.asarray_chkfinite(rhs), lower=False)[0]
+
+
+def _row_pairs(indptr: np.ndarray, rows: np.ndarray):
+    """Entry pairs ``(e, f)`` of every two stored entries of one row of a CSR matrix.
+
+    Only the rows ``rows`` (a mask) are paired.  The pairs are ordered by
+    row, then ``e``, then ``f``.
+    """
+    counts = np.diff(indptr)
+    entry_row = np.repeat(np.arange(counts.size), counts)
+    reps = np.where(rows, counts, 0)[entry_row]
+    left = np.repeat(np.arange(entry_row.size), reps)
+    first = np.cumsum(reps) - reps   # the first pair of each entry
+    right = indptr[entry_row[left]] + np.arange(left.size) - first[left]
+    return left, right
 
 
 def _signed_groups(matrix: sp.spmatrix, axis: int):
@@ -331,17 +378,22 @@ class _NewtonStructure:
     The demo's 600 rows fold to 192, the refined case's 4116 to 1380.
     ``b`` and C are dense: ``b`` is the ``syrk`` operand, and at its 28 %
     fill on the refined case dense products measure faster than CSR ones.
-    ``expand`` is CSR with its transpose and its eta rows.
+    ``expand`` is CSR with its transpose.
     ``m_index``, ``gram_index`` and ``pair_sign`` scatter the Gram matrix
     of A21c into ``M``'s upper triangle.  Also held: A12 as CSR with its
     transpose, and A11 split on the rows ``R`` that A12 touches.  The
-    rows ``R`` are dense; the back-solves swap in ``F``'s.  The rest,
-    where ``G`` is D3 and ``F`` is A11, are CSR with its transpose, and
-    dense as the right operand of their term of ``M`` (a sparse-dense
-    product measures faster than a sparse-sparse one).  A22 = [0 I]^T is
+    rows ``R`` are dense; the back-solves swap in ``F``'s.  A12's rows
+    ``R`` are kept on the columns ``a12_cols`` they touch, as CSR and
+    dense, with ``expand``'s eta rows there, transposed: the operands of
+    F_R and G_RR.  The rest of A11, where ``G`` is D3 and ``F`` is A11,
+    is CSR with its transpose, and its term of ``M`` has an index plan
+    (:meth:`a11_gram`): the sparse rows' entry pairs, and the dense rows
+    as dense vectors.  A22 = [0 I]^T is
     a shift onto the eta rows.  ``matvec`` and ``rmatvec`` apply A and
-    A^T from these blocks.  Built once per LP; memory linear in the voxel
-    count.
+    A^T from these blocks.  ``work`` holds M and one n1 x n1 product,
+    which every factorization refills, so a structure serves one
+    factorization at a time.  Built once per LP; memory linear in the
+    voxel count.
     """
 
     def __init__(self, system: KKTSystem):
@@ -363,7 +415,6 @@ class _NewtonStructure:
                                    shape=(a21c.shape[0], row_firsts.size))
         self.expand = sp.hstack([membership, criterion], format="csr")
         self.expand_t = self.expand.T.tocsr()
-        self.expand_eta = self.expand[system.num_zero_rows:]
         upper_a, upper_b = np.triu_indices(self.nz.size)
         low = np.minimum(self.group[upper_a], self.group[upper_b])
         high = np.maximum(self.group[upper_a], self.group[upper_b])
@@ -376,14 +427,70 @@ class _NewtonStructure:
         touched = np.diff(self.a12.indptr) > 0
         self.rows = np.flatnonzero(touched)
         self.rest = np.flatnonzero(~touched)
+        a12_rows = self.a12[self.rows]
+        self.a12_cols = np.unique(a12_rows.indices)
+        self.a12_rows = a12_rows[:, self.a12_cols]
+        self.a12_rows_dense = self.a12_rows.toarray()
+        self.expand_eta_t = self.expand[system.num_zero_rows + self.a12_cols].T.tocsr()
         a11 = sp.csr_matrix(system.a11)
         self.m1, self.num_zero_rows = a11.shape[0], system.num_zero_rows
         self.a11_rows = a11[self.rows].toarray()
         self.a11_rest = a11[self.rest]
         self.a11_rest_t = self.a11_rest.T.tocsr()
-        self.a11_rest_dense = self.a11_rest.toarray()
-        self.a12_rows = self.a12[self.rows]
-        self.a12_rows_t = self.a12_rows.T.tocsr()
+        self._plan_a11_gram()
+        # M and one n1 x n1 product: every factorization refills them, which
+        # spares the page faults of fresh arrays this size.
+        self.work = np.empty((2, n1, n1))
+
+    def _plan_a11_gram(self) -> None:
+        """Index plan of :meth:`a11_gram`, vectorized over the rows.
+
+        Every pair of stored entries of a sparse row is one term, in row
+        order.  The terms before the first dense row are summed onto their
+        cells by ``np.bincount``; each later run of sparse rows is added in
+        rounds, round q holding the q-th term of each cell of the run.
+        """
+        rest = self.a11_rest
+        counts = np.diff(rest.indptr)
+        dense = counts > _SPARSE_ROW_ENTRIES
+        self.entry_row = np.repeat(np.arange(counts.size), counts)
+        left, right = _row_pairs(rest.indptr, ~dense)
+        self.term_left, self.term_right = left, rest.data[right]
+        flat = rest.indices[left] * self.n1 + rest.indices[right]
+        row_start = np.concatenate([[0], np.cumsum(np.where(dense, 0, counts * counts))])
+        self.dense_at = np.flatnonzero(dense)
+        self.a11_dense_rows = rest[self.dense_at].toarray()
+        ends = np.append(self.dense_at, counts.size)
+        self.head_flat, self.head_cell = np.unique(flat[:row_start[ends[0]]], return_inverse=True)
+        self.gram_rounds = []   # after each dense row, the rounds of the sparse rows up to the next
+        for row, end in zip(ends[:-1], ends[1:]):
+            lo = row_start[row + 1]
+            cells = flat[lo:row_start[end]]
+            order = np.argsort(cells, kind="stable")
+            first = np.flatnonzero(np.diff(cells[order], prepend=-1))
+            rank = np.empty(cells.size, dtype=np.intp)
+            rank[order] = np.arange(cells.size) - np.repeat(first, np.diff(first, append=cells.size))
+            picks = [lo + np.flatnonzero(rank == q) for q in range(rank.max(initial=-1) + 1)]
+            self.gram_rounds.append([(flat[pick], pick) for pick in picks])
+
+    def a11_gram(self, w: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """``A11_rest^T diag(w) A11_rest`` into ``out``, each cell summed over the rows in order.
+
+        A dense row adds its rank-1 term, formed in ``scratch``, over the
+        whole matrix; ``-0.0`` never appears, as every cell starts from
+        ``+0.0``.
+        """
+        scaled = self.a11_rest.data * w[self.entry_row]   # a_ri w_r
+        terms = scaled[self.term_left] * self.term_right   # (a_ri w_r) a_rk
+        out.fill(0.0)
+        flat = out.reshape(-1)
+        flat[self.head_flat] = np.bincount(self.head_cell, weights=terms[:self.head_cell.size],
+                                           minlength=self.head_flat.size)
+        for row, dense, rounds in zip(self.dense_at, self.a11_dense_rows, self.gram_rounds):
+            out += np.multiply((dense * w[row])[:, None], dense, out=scratch)
+            for cells, pick in rounds:
+                flat[cells] += terms[pick]
+        return out
 
     def to_columns(self, folded: np.ndarray) -> np.ndarray:
         """``[b^T f_S; f_C]``: takes ``[S | C]^T X`` to ``A21c^T X`` for a vector or matrix X."""
@@ -445,12 +552,17 @@ class _SchurFactorization:
 
         # Outside R:  G = D3 and F = A11.  On R:
         #   F_R = A11_R - A12_R diag(xr) A21_eta,  G_RR = D3_R + A12_R diag(-xx) A12_R^T
+        # Both products are CSR times a dense block of |R| columns, summing
+        # over the eta rows in ascending order.
         self.f_rows = st.a11_rows.copy()
-        folded = (_scale_columns(st.a12_rows, q.xr) @ st.expand_eta).toarray()
-        self.f_rows[:, st.nz] -= st.to_columns(folded.T).T[:, st.group] * st.sign
-        g_rows = (_scale_columns(st.a12_rows, -q.xx) @ st.a12_rows_t).toarray()
+        xr, xx = q.xr[st.a12_cols], q.xx[st.a12_cols]
+        # F order, as a transposed sparse product's dense result: BLAS may
+        # round differently by operand layout.
+        folded_t = np.asfortranarray(st.expand_eta_t @ (st.a12_rows_dense * xr).T)
+        self.f_rows[:, st.nz] -= st.to_columns(folded_t).T[:, st.group] * st.sign
+        g_rows = (st.a12_rows @ (st.a12_rows_dense * -xx).T).T
         g_rows[np.diag_indices_from(g_rows)] += d3[st.rows]
-        self.g_chol = scipy.linalg.cho_factor(g_rows)
+        self.g_chol = _cho_factor(g_rows)
 
         # M = D1 + A21^T diag(aa, rr) A21 + A11_rest^T D3_rest^-1 A11_rest + F_R^T G_RR^-1 F_R.
         # With A21c = [S b | C] the A21 term's Gram matrix of A21c is
@@ -459,9 +571,9 @@ class _SchurFactorization:
         # one dsyrk over b's distinct rows, a rank-K product and a diagonal,
         # scattered with signs into the upper triangle only, which is all
         # that cho_factor (lower=False) reads.
-        m = _scale_columns(st.a11_rest_t, self.inv_d3[st.rest]) @ st.a11_rest_dense
-        m += self.f_rows.T @ scipy.linalg.cho_solve(self.g_chol, self.f_rows)
-        m[np.diag_indices_from(m)] += system.d1
+        m = st.a11_gram(self.inv_d3[st.rest], *st.work)
+        m += np.matmul(self.f_rows.T, _cho_solve(self.g_chol, self.f_rows), out=st.work[1])
+        m.reshape(-1)[::st.n1 + 1] += system.d1   # the diagonal
         if st.m_index.size:
             d = np.concatenate([q.aa, q.rr])
             gram = np.zeros((st.k, st.k))
@@ -473,15 +585,15 @@ class _SchurFactorization:
             m.reshape(-1)[st.m_index] += st.pair_sign * gram.reshape(-1, order="F")[st.gram_index]
         self.regularized = False
         try:
-            self.m_chol = scipy.linalg.cho_factor(m)
+            self.m_chol = _cho_factor(m)
         except scipy.linalg.LinAlgError:
             self.regularized = True
             m[np.diag_indices_from(m)] += 1e-8 * (1.0 + np.abs(np.triu(m)).max())
-            self.m_chol = scipy.linalg.cho_factor(m)
+            self.m_chol = _cho_factor(m)
 
     def _g_solve(self, v: np.ndarray) -> np.ndarray:
         out = v * self.inv_d3
-        out[self.structure.rows] = scipy.linalg.cho_solve(self.g_chol, v[self.structure.rows])
+        out[self.structure.rows] = _cho_solve(self.g_chol, v[self.structure.rows])
         return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -503,7 +615,7 @@ class _SchurFactorization:
 
         # top solve: [[-E, F^T], [F, G]] (dx1, dy1) = (g_x1, g_y1)
         f_t_g = st.a11_rmatvec(self._g_solve(g_y1), self.f_rows)
-        dx1 = scipy.linalg.cho_solve(self.m_chol, f_t_g - g_x1)
+        dx1 = _cho_solve(self.m_chol, f_t_g - g_x1)
         dy1 = self._g_solve(g_y1 - st.a11_matvec(dx1, self.f_rows))
 
         # bottom solve: Qinv * (bottom rhs - BL * top)
@@ -673,12 +785,25 @@ def _conflict_report(lp: BlockLP, y: np.ndarray, z_ray: np.ndarray, w: np.ndarra
     return "conflict: " + ("; ".join(named) or "no hard bound or deliverability row carries the ray")
 
 
-def _max_step(values: np.ndarray, deltas: np.ndarray) -> float:
-    """Largest step keeping values + step*deltas nonnegative."""
-    shrinking = deltas < 0
-    if not np.any(shrinking):
-        return 1.0
-    return float(np.min(values[shrinking] / -deltas[shrinking]))
+def _max_step(values: list[np.ndarray], deltas: list[np.ndarray]) -> float:
+    """Largest step keeping every part ``values[i] + step * deltas[i]`` nonnegative.
+
+    One pass over the parts joined: the least ``value / -delta`` over the
+    shrinking components is minus the largest ``value / delta``, exactly.
+    A part with no shrinking component, an empty one included, allows a
+    step of 1.0 and no more.
+    """
+    delta = np.concatenate(deltas)
+    shrinking = delta < 0
+    ratios = np.divide(np.concatenate(values), delta, out=np.full(delta.size, -np.inf),
+                       where=shrinking)
+    step = -float(ratios.max(initial=-np.inf))
+    end = 0
+    for part in deltas:
+        if not shrinking[end:end + part.size].any():
+            return min(step, 1.0)
+        end += part.size
+    return step
 
 
 @contextlib.contextmanager
@@ -759,9 +884,8 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
 
     def max_steps(dx, ds, dy, dz, dw):
         """Largest primal and dual steps keeping the iterate nonnegative."""
-        primal = min(_max_step(x_shift, dx), _max_step(s, ds), _max_step(up_gap, -dx[up]))
-        dual = min(_max_step(z, dz), _max_step(y, dy), _max_step(w, dw))
-        return primal, dual
+        return (_max_step([x_shift, s, up_gap], [dx, ds, -dx[up]]),
+                _max_step([z, y, w], [dz, dy, dw]))
 
     def result(status: str, message: str = "") -> SolveResult:
         step = time.perf_counter() - begin - sum(timings.values())

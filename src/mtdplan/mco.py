@@ -145,14 +145,30 @@ def solve_single_weight(case, weights, settings: ipm.SolverSettings | None = Non
                 start=start, restart=result.restart)
 
 
-def _solve_entry(args) -> ParetoEntry:
-    index, case, weights, settings = args
+_worker_case = None   # the case of a pool worker's tasks, set once per worker by _start_worker
+
+
+def _start_worker(case) -> None:
+    """Pool initializer: keep ``case``, its prepared instance included, for the worker's tasks."""
+    global _worker_case
+    _worker_case = case
+
+
+def _solve_entry(case, index, weights, settings, restart) -> ParetoEntry:
+    """Solve one grid point; ``restart`` is grid point 0's restart iterate and weights, or None."""
+    if restart is not None:
+        case = replace(case, _prepared=replace(prepared_instance(case), restart=restart[0],
+                                               restart_weights=restart[1]))
     try:
         plan = solve_single_weight(case, weights, settings)
         return ParetoEntry(index=index, weights=np.asarray(weights), status=plan.status, plan=plan)
     except Exception as exc:  # a failed weight must not kill the sweep
         return ParetoEntry(index=index, weights=np.asarray(weights), status="error",
                            plan=None, message=str(exc))
+
+
+def _solve_in_worker(task) -> ParetoEntry:
+    return _solve_entry(_worker_case, *task)
 
 
 def generate_pareto_set(case, grid: np.ndarray, settings: ipm.SolverSettings | None = None,
@@ -165,27 +181,31 @@ def generate_pareto_set(case, grid: np.ndarray, settings: ipm.SolverSettings | N
     starts at point 0's restart iterate, the first with ``mu`` at most 0.1
     of its starting ``mu``; otherwise the sweep stays cold.  The restart is
     fixed before the later points are dispatched, and results are merged in
-    grid order, so output is the same for any worker count.  Failures are
-    recorded per entry rather than raised, except when every single
-    instance fails.
+    grid order, so output is the same for any worker count.  With
+    ``workers`` > 1 each worker receives the case once, when it starts, and
+    a task carries only its grid index, weights, settings and the restart.
+    Failures are recorded per entry rather than raised, except when every
+    single instance fails.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.shape[0] == 0:
         raise ValueError("the weight grid is empty")
-    prepared = prepared_instance(case)  # built once here, so each task carries it to its worker
+    prepared_instance(case)  # built once here, so every worker starts with it
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported only where a pool is started
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
-        solve_all = map if pool is None else pool.map
-        first, = solve_all(_solve_entry, [(0, case, grid[0], settings)])
-        later = case
+    with (ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(case,))
+          if workers > 1 else contextlib.nullcontext()) as pool:
+        def solve_all(tasks):
+            if pool is None:
+                return [_solve_entry(case, *task) for task in tasks]
+            return list(pool.map(_solve_in_worker, tasks))
+
+        first, = solve_all([(0, grid[0], settings, None)])
+        restart = None
         if first.status == "converged" and first.plan.restart is not None:
-            later = replace(case, _prepared=replace(
-                prepared, restart=first.plan.restart,
-                restart_weights=normalized_weights(grid[0], case.criteria.num_slots)))
-        entries = [first, *solve_all(_solve_entry, [(i, later, grid[i], settings)
-                                                    for i in range(1, grid.shape[0])])]
+            restart = (first.plan.restart, normalized_weights(grid[0], case.criteria.num_slots))
+        entries = [first, *solve_all([(i, grid[i], settings, restart)
+                                      for i in range(1, grid.shape[0])])]
     if all(e.plan is None for e in entries):
         raise RuntimeError("every weighted-sum instance failed: "
                            + "; ".join(e.message for e in entries[:3]))

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.blas
 import scipy.sparse as sp
 
 from mtdplan import ipm
@@ -450,6 +452,110 @@ def test_newton_structure_products_match_full_matrix(seed):
         assert np.linalg.norm(product - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+def scale_columns(matrix, scale):
+    """``matrix @ diag(scale)`` on the sparsity pattern of ``matrix``."""
+    return sp.csr_matrix((matrix.data * scale[matrix.indices], matrix.indices, matrix.indptr),
+                         shape=matrix.shape)
+
+
+class SparseProductFactorization(_SchurFactorization):
+    """Reference: F_R, G_RR and the A11 term of M by sparse-sparse products.
+
+    Every cell of these is the same sum of the same products, in the same
+    order, as in ``_SchurFactorization``.  The back-solves are inherited.
+    """
+
+    def __init__(self, system, structure):
+        self.system = system
+        self.structure = st = structure
+        self.quadrant = q = invert_voxelwise_quadrant(system.d2, system.d4, system.num_zero_rows)
+        self.inv_d3 = 1.0 / system.d3
+        a12_rows = st.a12[st.rows]
+        self.f_rows = st.a11_rows.copy()
+        folded = (scale_columns(a12_rows, q.xr) @ st.expand[system.num_zero_rows:]).toarray()
+        self.f_rows[:, st.nz] -= st.to_columns(folded.T).T[:, st.group] * st.sign
+        g_rows = (scale_columns(a12_rows, -q.xx) @ a12_rows.T.tocsr()).toarray()
+        g_rows[np.diag_indices_from(g_rows)] += system.d3[st.rows]
+        g_chol = scipy.linalg.cho_factor(g_rows)
+        self.g_chol = g_chol[0]
+        m = scale_columns(st.a11_rest_t, self.inv_d3[st.rest]) @ st.a11_rest.toarray()
+        m += self.f_rows.T @ scipy.linalg.cho_solve(g_chol, self.f_rows)
+        m[np.diag_indices_from(m)] += system.d1
+        if st.m_index.size:
+            d = np.concatenate([q.aa, q.rr])
+            gram = np.zeros((st.k, st.k))
+            if st.b.size:
+                group_d = np.bincount(st.row_group, weights=d[st.row_nz], minlength=st.b.shape[0])
+                scaled = st.b * np.sqrt(group_d)[:, None]
+                gram[:st.split, :st.split] = scipy.linalg.blas.dsyrk(1.0, scaled.T, trans=0)
+            gram[:, st.split:] = st.to_columns(st.expand_t @ (st.criterion * d[:, None]))
+            m.reshape(-1)[st.m_index] += st.pair_sign * gram.reshape(-1, order="F")[st.gram_index]
+        self.regularized = False
+        self.m_chol = scipy.linalg.cho_factor(m)[0]
+
+
+def dense_row_system(rng):
+    """A11 with dense rows 2 and 8 among sparse rows sharing cells; A12 touches the odd rows.
+
+    Off R the rows are 0, 2, ..., 22: the first dense row is not last, and
+    sparse rows follow each dense one.  Entries span six decades, so the
+    order of a cell's sum shows in its rounding.  The dense rows have both
+    signs and unstored zeros.
+    """
+    system = random_kkt(rng, n1=40, n2=12, m1=24, m2_zero=4)
+    a11 = np.zeros((24, 40))
+    for row in range(24):
+        a11[row, rng.choice(4, size=3, replace=False)] = (rng.standard_normal(3)
+                                                          * 10.0 ** rng.uniform(-3, 3, 3))
+    for row in (2, 8):
+        a11[row] = rng.standard_normal(40) * (rng.random(40) < 0.8)
+    a12 = system.a12.toarray()
+    a12[::2] = 0.0
+    a12[1::2, 0] = 1.0
+    return replace(system, a11=sp.csr_matrix(a11), a12=sp.csr_matrix(a12))
+
+
+def logged_systems(lp, every):
+    res = solve(lp, SolverSettings(log_kkt=True))
+    return [system for system, _, _ in res.kkt_log[::2 * every]]
+
+
+@pytest.mark.parametrize("case", ["demo", "empty-R", "no-dense-row", "two-dense-rows"])
+def test_factorization_is_byte_equal_to_sparse_products(case):
+    rng = np.random.default_rng(61)
+    if case == "demo":
+        systems = logged_systems(demo_lp(), every=6)
+    elif case in ("empty-R", "no-dense-row"):
+        systems = logged_systems(random_block_instance({"empty-R": 2, "no-dense-row": 5}[case])[-1],
+                                 every=2)
+    else:
+        systems = [replace(dense_row_system(rng), d1=rng.uniform(0.2, 5.0, 40)) for _ in range(5)]
+    structure = ipm._NewtonStructure(systems[0])
+    expected_dense = {"demo": [433], "empty-R": [], "no-dense-row": [], "two-dense-rows": [1, 4]}
+    assert np.array_equal(structure.dense_at, expected_dense[case])
+    if case == "empty-R":
+        assert structure.rows.size == 0
+    elif case == "two-dense-rows":
+        assert [len(rounds) for rounds in structure.gram_rounds] == [2, 7]
+    for system in systems:
+        fact = _SchurFactorization(system, structure)
+        ref = SparseProductFactorization(system, structure)
+        for mine, theirs in ((fact.f_rows, ref.f_rows), (fact.g_chol, ref.g_chol),
+                             (fact.m_chol, ref.m_chol)):
+            assert np.ascontiguousarray(mine).tobytes() == np.ascontiguousarray(theirs).tobytes()
+        rhs = rng.standard_normal(system.order)
+        assert fact.solve(rhs).tobytes() == ref.solve(rhs).tobytes()
+
+
+def test_back_solve_rejects_a_non_finite_rhs():
+    system = dense_row_system(np.random.default_rng(62))
+    fact = _SchurFactorization(system)
+    rhs = np.ones(system.order)
+    rhs[0] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        fact.solve(rhs)
+
+
 def test_schur_solve_singular_reduced_matrix_is_regularized():
     # E = 0 and F = [1 1] make M = F^T G^-1 F = [[1, 1], [1, 1]] singular
     system = KKTSystem(a11=sp.csr_matrix([[1.0, 1.0]]), a12=sp.csr_matrix((1, 0)),
@@ -532,6 +638,47 @@ def test_solve_never_forms_full_matrix(monkeypatch):
     monkeypatch.setattr(BlockLP, "matrix", refuse)
     res = solve(lp, SolverSettings())
     assert res.converged, res.message
+
+
+def test_prepared_solve_builds_no_sparse_matrix(monkeypatch):
+    # every per-iteration product is sparse times dense or a plan of indices
+    lp = demo_lp()
+    prepared = ipm.PreparedLP(lp)
+    built = []
+    construct = sp._base._spbase.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp._base._spbase, "__init__", counting)
+    res = solve(lp, SolverSettings(), prepared=prepared)
+    assert res.converged, res.message
+    assert built == []
+
+
+def max_step_of_part(values, deltas):
+    """Largest step keeping values + step*deltas nonnegative; 1.0 if nothing shrinks."""
+    shrinking = deltas < 0
+    if not np.any(shrinking):
+        return 1.0
+    return float(np.min(values[shrinking] / -deltas[shrinking]))
+
+
+def test_max_step_is_the_least_step_of_its_parts():
+    rng = np.random.default_rng(71)
+    for trial in range(300):
+        sizes = rng.integers(0, 7, 3)
+        sizes[trial % 3] = 0 if trial % 5 == 0 else sizes[trial % 3]   # an empty part
+        values = [rng.uniform(0.1, 3.0, size) for size in sizes]
+        deltas = [rng.standard_normal(size) * 10.0 ** rng.uniform(-2, 2) for size in sizes]
+        if trial % 4 == 0:
+            deltas[1] = np.abs(deltas[1])   # an all-nonnegative part
+        expected = min(max_step_of_part(v, d) for v, d in zip(values, deltas))
+        assert ipm._max_step(values, deltas) == expected
+    # a step above 1.0 stands only when every part shrinks
+    assert ipm._max_step([np.ones(2), np.ones(1)], [-np.full(2, 0.25), -np.full(1, 0.5)]) == 2.0
+    assert ipm._max_step([np.ones(2), np.ones(0)], [-np.full(2, 0.25), np.ones(0)]) == 1.0
 
 
 def test_solve_reports_phase_timings():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mtdplan import ipm, mco
-from mtdplan.case import case_from_dict, load_case, read_case_text
+from mtdplan.case import Case, case_from_dict, load_case, read_case_text
 from mtdplan.formulation import build_weighted_instance
 from mtdplan.mco import (generate_pareto_set, hull_and_shift_report, nondominated_subset,
                          solve_single_weight, weight_grid)
@@ -156,14 +156,16 @@ def test_parallel_matches_serial(tiny_case):
         assert np.array_equal(a.plan.dose, b.plan.dose)
 
 
-def test_parallel_tasks_carry_the_dose_influence(monkeypatch):
-    handed_over = []
+def test_parallel_workers_start_with_the_dose_influence(monkeypatch):
+    started, tasks_run = [], []
 
     class RecordingPool:
-        """Records whether each task's case holds its influence when handed over."""
+        """Runs in process; records the case each worker starts with and every task."""
 
-        def __init__(self, max_workers):
-            pass
+        def __init__(self, max_workers, initializer, initargs):
+            case, = initargs
+            started.append(case._influence is not None and case._prepared is not None)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -173,13 +175,19 @@ def test_parallel_tasks_carry_the_dose_influence(monkeypatch):
 
         def map(self, fn, tasks):
             tasks = list(tasks)
-            handed_over.extend(task[1]._influence is not None for task in tasks)
+            tasks_run.extend(tasks)
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(mco, "_worker_case", None)   # the initializer sets it in this process
     case = load_case("demo:prostate_demo")
-    generate_pareto_set(case, weight_grid(3, 1), workers=2)
-    assert handed_over == [True, True, True]
+    pareto = generate_pareto_set(case, weight_grid(3, 1), workers=2)
+    assert started == [True]
+    # a task carries its index, weights, settings and restart, never the case
+    assert [task[0] for task in tasks_run] == [0, 1, 2]
+    assert not any(isinstance(part, Case) for task in tasks_run for part in task)
+    assert tasks_run[0][3] is None and tasks_run[1][3][0] is pareto.entries[0].plan.restart
+    assert [e.status for e in pareto.entries] == ["converged"] * 3
 
 
 def test_balanced_entry_flagged(tiny_case):
