@@ -18,17 +18,13 @@ import importlib.resources
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 from .errors import CaseError, FormulationError, PhantomError
 from .evaluation import QualityIndexSpec
 from .formulation import Criterion, CriterionSet
-from .ipm import SolverSettings
+from .ipm import PreparedLP, Restart, SolverSettings
 from .phantom import (DoseInfluence, KernelParams, MachineModel, Phantom, PhantomSpec,
                       RoiShapeSpec, RoiSpec, build_phantom, compute_dose_influence)
-
-if TYPE_CHECKING:
-    from . import mco
 
 # The benchmark tracer (benchmarks/tracing.py) wraps the influence under this name.
 load_or_compute_dose_influence = compute_dose_influence
@@ -79,7 +75,8 @@ class Case:
     grid_order: int = 4
     workers: int = 1
     _influence: DoseInfluence | None = None
-    _prepared: mco.PreparedInstance | None = None   # kept by mco.prepared_instance
+    _prepared: PreparedLP | None = None   # kept by mco.prepared_instance
+    _restart: Restart | None = None   # a sweep point's start, set by mco._solve_entry
 
     def dose_influence(self) -> DoseInfluence:
         if self._influence is None:

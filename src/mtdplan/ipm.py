@@ -55,12 +55,12 @@ per row.  With D = diag(aa, rr) the voxel term is E^T (A21c^T D A21c) E,
 
 one dense ``syrk`` over the distinct rows, a rank-K product and a
 diagonal, scattered with signs into M.  The A11 term goes by an index
-plan built once per LP: each pair of stored entries of a sparse row of
-A11_~R is one term, the pairs before the first dense row (more than
-``_SPARSE_ROW_ENTRIES`` entries; on the demo, the ``avg-cap`` row) are
-summed onto their cells by ``np.bincount``, a dense row adds its rank-1
-term over the whole matrix, and later sparse rows add in rounds.  F_R
-and G_RR are CSR times a dense block of |R| columns.  Every cell of M
+plan built once per LP: each pair of stored entries of a row of A11_~R
+before the first dense row (more than ``_SPARSE_ROW_ENTRIES`` entries;
+on the demo, the ``avg-cap`` row, which is last) is one term, summed
+onto its cell by ``np.bincount``, and every row from the first dense one
+on adds its rank-1 term over the whole matrix.  F_R and G_RR are CSR
+times a dense block of |R| columns.  Every cell of M
 is so the same sum of the same products, in ascending row order, as the
 sparse products A11_~R^T D3^-1 A11_~R, A12_R diag(xr) A21_eta and
 A12_R diag(-xx) A12_R^T give, and an iteration builds no sparse matrix.
@@ -387,8 +387,8 @@ class _NewtonStructure:
     dense, with ``expand``'s eta rows there, transposed: the operands of
     F_R and G_RR.  The rest of A11, where ``G`` is D3 and ``F`` is A11,
     is CSR with its transpose, and its term of ``M`` has an index plan
-    (:meth:`a11_gram`): the sparse rows' entry pairs, and the dense rows
-    as dense vectors.  A22 = [0 I]^T is
+    (:meth:`a11_gram`): the entry pairs of the rows before the first
+    dense row, and the rows from it on as dense vectors.  A22 = [0 I]^T is
     a shift onto the eta rows.  ``matvec`` and ``rmatvec`` apply A and
     A^T from these blocks.  ``work`` holds M and one n1 x n1 product,
     which every factorization refills, so a structure serves one
@@ -445,51 +445,37 @@ class _NewtonStructure:
     def _plan_a11_gram(self) -> None:
         """Index plan of :meth:`a11_gram`, vectorized over the rows.
 
-        Every pair of stored entries of a sparse row is one term, in row
-        order.  The terms before the first dense row are summed onto their
-        cells by ``np.bincount``; each later run of sparse rows is added in
-        rounds, round q holding the q-th term of each cell of the run.
+        Every pair of stored entries of a row before the first dense row is
+        one term, in row order, and the terms are summed onto their cells
+        by ``np.bincount``.  Every row from the first dense one on is kept
+        dense, for its rank-1 term.
         """
         rest = self.a11_rest
         counts = np.diff(rest.indptr)
-        dense = counts > _SPARSE_ROW_ENTRIES
+        dense = np.flatnonzero(counts > _SPARSE_ROW_ENTRIES)
+        self.rank1_from = int(dense[0]) if dense.size else counts.size
         self.entry_row = np.repeat(np.arange(counts.size), counts)
-        left, right = _row_pairs(rest.indptr, ~dense)
+        left, right = _row_pairs(rest.indptr, np.arange(counts.size) < self.rank1_from)
         self.term_left, self.term_right = left, rest.data[right]
         flat = rest.indices[left] * self.n1 + rest.indices[right]
-        row_start = np.concatenate([[0], np.cumsum(np.where(dense, 0, counts * counts))])
-        self.dense_at = np.flatnonzero(dense)
-        self.a11_dense_rows = rest[self.dense_at].toarray()
-        ends = np.append(self.dense_at, counts.size)
-        self.head_flat, self.head_cell = np.unique(flat[:row_start[ends[0]]], return_inverse=True)
-        self.gram_rounds = []   # after each dense row, the rounds of the sparse rows up to the next
-        for row, end in zip(ends[:-1], ends[1:]):
-            lo = row_start[row + 1]
-            cells = flat[lo:row_start[end]]
-            order = np.argsort(cells, kind="stable")
-            first = np.flatnonzero(np.diff(cells[order], prepend=-1))
-            rank = np.empty(cells.size, dtype=np.intp)
-            rank[order] = np.arange(cells.size) - np.repeat(first, np.diff(first, append=cells.size))
-            picks = [lo + np.flatnonzero(rank == q) for q in range(rank.max(initial=-1) + 1)]
-            self.gram_rounds.append([(flat[pick], pick) for pick in picks])
+        self.head_flat, self.head_cell = np.unique(flat, return_inverse=True)
+        self.a11_rank1_rows = rest[self.rank1_from:].toarray()
 
     def a11_gram(self, w: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """``A11_rest^T diag(w) A11_rest`` into ``out``, each cell summed over the rows in order.
 
-        A dense row adds its rank-1 term, formed in ``scratch``, over the
-        whole matrix; ``-0.0`` never appears, as every cell starts from
-        ``+0.0``.
+        Each row from the first dense one on adds its rank-1 term, formed
+        in ``scratch``, over the whole matrix.  Off a sparse row's cells
+        that term is ``+-0.0``, which leaves a cell unchanged: ``-0.0``
+        never appears, as every cell starts from ``+0.0``.
         """
         scaled = self.a11_rest.data * w[self.entry_row]   # a_ri w_r
         terms = scaled[self.term_left] * self.term_right   # (a_ri w_r) a_rk
         out.fill(0.0)
-        flat = out.reshape(-1)
-        flat[self.head_flat] = np.bincount(self.head_cell, weights=terms[:self.head_cell.size],
-                                           minlength=self.head_flat.size)
-        for row, dense, rounds in zip(self.dense_at, self.a11_dense_rows, self.gram_rounds):
+        out.reshape(-1)[self.head_flat] = np.bincount(self.head_cell, weights=terms,
+                                                      minlength=self.head_flat.size)
+        for row, dense in enumerate(self.a11_rank1_rows, start=self.rank1_from):
             out += np.multiply((dense * w[row])[:, None], dense, out=scratch)
-            for cells, pick in rounds:
-                flat[cells] += terms[pick]
         return out
 
     def to_columns(self, folded: np.ndarray) -> np.ndarray:
@@ -650,17 +636,18 @@ def _kkt_system(lp: BlockLP, dx: np.ndarray, ds: np.ndarray) -> KKTSystem:
 class PreparedLP:
     """The part of solving an LP that its objective leaves alone.
 
-    Holds the LP's :class:`_NewtonStructure`, the factorization of its
-    unit-diagonal system and ``x_ls``, the least-squares solve of
-    ``A x ~ b`` through it (see :func:`solve`).  Any LP sharing the
-    constraint arrays and bounds, such as ``lp.reweighted(w)``, may be
-    solved with it.  ``timings`` holds the seconds each part took, by the
-    phases of ``SolveResult.timings``.
+    Holds ``lp``, the LP it was prepared from, with its
+    :class:`_NewtonStructure`, the factorization of its unit-diagonal
+    system and ``x_ls``, the least-squares solve of ``A x ~ b`` through it
+    (see :func:`solve`).  Any LP sharing ``lp``'s constraint arrays and
+    bounds, such as ``lp.reweighted(w)``, may be solved with it.
+    ``timings`` holds the seconds each part took, by the phases of
+    ``SolveResult.timings``.
     """
 
     def __init__(self, lp: BlockLP):
         self.timings = dict.fromkeys(("structure", "factorization", "back_solve"), 0.0)
-        self._shared = (lp.a11, lp.a12, lp.a21, lp.a22, lp.b1, lp.b2, lp.lower, lp.upper)
+        self.lp = lp
         system = _kkt_system(lp, np.ones(lp.num_variables), np.ones(lp.num_rows))
         with _timed(self.timings, "structure"):
             self.structure = _NewtonStructure(system)
@@ -672,8 +659,8 @@ class PreparedLP:
 
     def serves(self, lp: BlockLP) -> bool:
         """Whether ``lp`` holds the very constraint arrays and bounds this was prepared from."""
-        return all(mine is theirs for mine, theirs in zip(
-            self._shared, (lp.a11, lp.a12, lp.a21, lp.a22, lp.b1, lp.b2, lp.lower, lp.upper)))
+        return all(getattr(self.lp, name) is getattr(lp, name)
+                   for name in ("a11", "a12", "a21", "a22", "b1", "b2", "lower", "upper"))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import numpy as np
 from . import evaluation, ipm
 from .dmlc import Trajectories, dose_from_trajectories, fluence_from_trajectories
 from .fileio import write_csv
-from .formulation import BlockLP, build_weighted_instance, normalized_weights
+from .formulation import build_weighted_instance
 
 
 def weight_grid(num_objectives: int, order: int) -> np.ndarray:
@@ -87,46 +87,30 @@ class ParetoSet:
         return np.array([e.plan.objective_coordinates for e in self.converged()])
 
 
-@dataclass
-class PreparedInstance:
-    """A case's LP and its solver preparation, shared by every plan of the case.
+def prepared_instance(case) -> ipm.PreparedLP:
+    """The case's :class:`ipm.PreparedLP`, built at balanced weights on first use and kept.
 
-    Only the objective depends on the weights, so ``lp`` is built once and
-    each plan solves ``lp.reweighted(weights)`` with ``solver``.  A sweep
-    sets ``restart`` to grid point 0's restart iterate and ``restart_weights``
-    to that point's weights (see :func:`generate_pareto_set`).
+    Only the objective depends on the weights, so every plan of the case
+    solves ``prepared.lp.reweighted(weights)`` with it.
     """
-
-    lp: BlockLP
-    solver: ipm.PreparedLP
-    restart: ipm.Restart | None = None
-    restart_weights: np.ndarray | None = None
-
-
-def prepared_instance(case) -> PreparedInstance:
-    """The case's :class:`PreparedInstance`, built at balanced weights on first use and kept."""
     if case._prepared is None:
         slots = case.criteria.num_slots
-        lp = build_weighted_instance(case.phantom, case.machine, case.dose_influence(),
-                                     case.criteria, np.full(slots, 1.0 / slots), name=case.name)
-        case._prepared = PreparedInstance(lp=lp, solver=ipm.PreparedLP(lp))
+        case._prepared = ipm.PreparedLP(build_weighted_instance(
+            case.phantom, case.machine, case.dose_influence(), case.criteria,
+            np.full(slots, 1.0 / slots), name=case.name))
     return case._prepared
 
 
 def solve_single_weight(case, weights, settings: ipm.SolverSettings | None = None) -> Plan:
     """Solve one weighted-sum instance of the case's prepared LP, returning the full plan.
 
-    The solve starts at the prepared instance's restart iterate when it has
-    one and ``weights`` differ from the restart's, otherwise at the
-    least-squares point.
+    The solve starts at ``case._restart`` when a sweep has set it (see
+    :func:`generate_pareto_set`), otherwise at the least-squares point.
     """
     prepared = prepared_instance(case)
     lp = prepared.lp.reweighted(weights)
-    restart = prepared.restart
-    if restart is not None and np.array_equal(lp.weights, prepared.restart_weights):
-        restart = None
-    result = ipm.solve(lp, settings or case.solver_settings(), prepared=prepared.solver,
-                       start=restart)
+    restart = case._restart
+    result = ipm.solve(lp, settings or case.solver_settings(), prepared=prepared, start=restart)
     traj = lp.extract_trajectories(result.x)
     fluence = fluence_from_trajectories(traj, case.machine)
     dose = dose_from_trajectories(case.dose_influence(), traj, case.machine)
@@ -155,10 +139,8 @@ def _start_worker(case) -> None:
 
 
 def _solve_entry(case, index, weights, settings, restart) -> ParetoEntry:
-    """Solve one grid point; ``restart`` is grid point 0's restart iterate and weights, or None."""
-    if restart is not None:
-        case = replace(case, _prepared=replace(prepared_instance(case), restart=restart[0],
-                                               restart_weights=restart[1]))
+    """Solve one grid point, started at ``restart`` (an :class:`ipm.Restart`) or cold if None."""
+    case = replace(case, _restart=restart)
     try:
         plan = solve_single_weight(case, weights, settings)
         return ParetoEntry(index=index, weights=np.asarray(weights), status=plan.status, plan=plan)
@@ -177,13 +159,16 @@ def generate_pareto_set(case, grid: np.ndarray, settings: ipm.SolverSettings | N
 
     Every point solves the case's one prepared LP (:func:`prepared_instance`),
     reweighted.  Grid point 0 is solved first, from the least-squares point.
-    If it converges, every later point whose weights differ from point 0's
+    If it converges, every later point whose grid row differs from point 0's
     starts at point 0's restart iterate, the first with ``mu`` at most 0.1
-    of its starting ``mu``; otherwise the sweep stays cold.  The restart is
-    fixed before the later points are dispatched, and results are merged in
-    grid order, so output is the same for any worker count.  With
-    ``workers`` > 1 each worker receives the case once, when it starts, and
-    a task carries only its grid index, weights, settings and the restart.
+    of its starting ``mu``.  A point repeating row 0, and every point of a
+    sweep whose point 0 did not converge, are solved cold.  This rule lives
+    here alone: :func:`_solve_entry` sets the point's restart as the case's
+    ``_restart``, where :func:`solve_single_weight` starts from it.  The
+    restarts are fixed before the later points are dispatched, and results
+    are merged in grid order, so output is the same for any worker count.
+    With ``workers`` > 1 each worker receives the case once, when it starts,
+    and a task carries only its grid index, weights, settings and restart.
     Failures are recorded per entry rather than raised, except when every
     single instance fails.
     """
@@ -201,10 +186,9 @@ def generate_pareto_set(case, grid: np.ndarray, settings: ipm.SolverSettings | N
             return list(pool.map(_solve_in_worker, tasks))
 
         first, = solve_all([(0, grid[0], settings, None)])
-        restart = None
-        if first.status == "converged" and first.plan.restart is not None:
-            restart = (first.plan.restart, normalized_weights(grid[0], case.criteria.num_slots))
-        entries = [first, *solve_all([(i, grid[i], settings, restart)
+        restart = first.plan.restart if first.status == "converged" else None
+        entries = [first, *solve_all([(i, grid[i], settings,
+                                       None if np.array_equal(grid[i], grid[0]) else restart)
                                       for i in range(1, grid.shape[0])])]
     if all(e.plan is None for e in entries):
         raise RuntimeError("every weighted-sum instance failed: "

@@ -532,11 +532,16 @@ def test_factorization_is_byte_equal_to_sparse_products(case):
         systems = [replace(dense_row_system(rng), d1=rng.uniform(0.2, 5.0, 40)) for _ in range(5)]
     structure = ipm._NewtonStructure(systems[0])
     expected_dense = {"demo": [433], "empty-R": [], "no-dense-row": [], "two-dense-rows": [1, 4]}
-    assert np.array_equal(structure.dense_at, expected_dense[case])
+    counts = np.diff(structure.a11_rest.indptr)
+    assert np.array_equal(np.flatnonzero(counts > ipm._SPARSE_ROW_ENTRIES), expected_dense[case])
+    # every row from the first dense one on enters M as a rank-1 term
+    expected_rank1 = {"demo": [433], "empty-R": [], "no-dense-row": [],
+                      "two-dense-rows": list(range(1, 12))}
+    rank1 = np.arange(structure.rank1_from, counts.size)
+    assert np.array_equal(rank1, expected_rank1[case])
+    assert np.array_equal(structure.a11_rank1_rows, structure.a11_rest[rank1].toarray())
     if case == "empty-R":
         assert structure.rows.size == 0
-    elif case == "two-dense-rows":
-        assert [len(rounds) for rounds in structure.gram_rounds] == [2, 7]
     for system in systems:
         fact = _SchurFactorization(system, structure)
         ref = SparseProductFactorization(system, structure)

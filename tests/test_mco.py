@@ -164,7 +164,8 @@ def test_parallel_workers_start_with_the_dose_influence(monkeypatch):
 
         def __init__(self, max_workers, initializer, initargs):
             case, = initargs
-            started.append(case._influence is not None and case._prepared is not None)
+            started.append(case._influence is not None and case._prepared is not None
+                           and case._restart is None)
             initializer(*initargs)
 
         def __enter__(self):
@@ -186,8 +187,21 @@ def test_parallel_workers_start_with_the_dose_influence(monkeypatch):
     # a task carries its index, weights, settings and restart, never the case
     assert [task[0] for task in tasks_run] == [0, 1, 2]
     assert not any(isinstance(part, Case) for task in tasks_run for part in task)
-    assert tasks_run[0][3] is None and tasks_run[1][3][0] is pareto.entries[0].plan.restart
+    assert tasks_run[0][3] is None and tasks_run[1][3] is pareto.entries[0].plan.restart
+    assert isinstance(tasks_run[1][3], ipm.Restart)
     assert [e.status for e in pareto.entries] == ["converged"] * 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_point_repeating_point_0_is_solved_cold(tiny_case, workers):
+    grid = weight_grid(3, 2)
+    pareto = generate_pareto_set(tiny_case, np.vstack([grid, grid[:1]]), workers=workers)
+    first, *middle, last = (e.plan for e in pareto.entries)
+    assert first.start == last.start == "least-squares"
+    assert all(plan.start.startswith("restart from grid point 0") for plan in middle)
+    assert last.trajectories.stacked().tobytes() == first.trajectories.stacked().tobytes()
+    assert last.xi.tobytes() == first.xi.tobytes()
+    assert last.dose.tobytes() == first.dose.tobytes()
 
 
 def test_balanced_entry_flagged(tiny_case):
@@ -263,7 +277,7 @@ def test_prepared_instance_without_restart_matches_a_fresh_case_bitwise():
     solve_single_weight(case, np.array([1.0, 0.0, 0.0]))   # prepares the case's instance
     prepared = mco.prepared_instance(case)
     plan = solve_single_weight(case, weights)
-    assert mco.prepared_instance(case) is prepared and prepared.restart is None
+    assert mco.prepared_instance(case) is prepared and case._restart is None
 
     fresh_case = load_case("demo:prostate_demo")
     fresh = solve_single_weight(fresh_case, weights)
@@ -271,7 +285,7 @@ def test_prepared_instance_without_restart_matches_a_fresh_case_bitwise():
                                  fresh_case.dose_influence(), fresh_case.criteria, weights)
     result = ipm.solve(lp, fresh_case.solver_settings())
     again = ipm.solve(prepared.lp.reweighted(weights), case.solver_settings(),
-                      prepared=prepared.solver)
+                      prepared=prepared)
     assert np.array_equal(again.x, result.x)
     assert again.iterations == result.iterations
     trajectories = lp.extract_trajectories(result.x).stacked()
@@ -290,7 +304,7 @@ def test_prepared_lp_refuses_an_lp_with_other_constraints():
     rebuilt = build_weighted_instance(case.phantom, case.machine, case.dose_influence(),
                                       case.criteria, prepared.lp.weights)
     with pytest.raises(ValueError, match="other constraints"):
-        ipm.solve(rebuilt, case.solver_settings(), prepared=prepared.solver)
+        ipm.solve(rebuilt, case.solver_settings(), prepared=prepared)
 
 
 def test_infeasible_sweep_stays_cold():
