@@ -59,18 +59,22 @@ plan built once per LP: each pair of stored entries of a row of A11_~R
 before the first dense row (more than ``_SPARSE_ROW_ENTRIES`` entries;
 on the demo, the ``avg-cap`` row, which is last) is one term, summed
 onto its cell by ``np.bincount``, and every row from the first dense one
-on adds its rank-1 term over the whole matrix.  F_R and G_RR are CSR
-times a dense block of |R| columns.  Every cell of M
-is so the same sum of the same products, in ascending row order, as the
-sparse products A11_~R^T D3^-1 A11_~R, A12_R diag(xr) A21_eta and
+on adds its rank-1 term over the whole matrix, the first by ``dger``.
+F_R and G_RR are CSR times a dense block of |R| columns.  Every cell of
+M is so the same sum of the same products, in ascending row order, as
+the sparse products A11_~R^T D3^-1 A11_~R, A12_R diag(xr) A21_eta and
 A12_R diag(-xx) A12_R^T give, and an iteration builds no sparse matrix.
-Factors and back-solves call LAPACK ``potrf``/``potrs`` directly; each
-factor is checked for finiteness once, when it is made, and a back-solve
-checks only its right-hand side.  ``_NewtonStructure`` holds each
-block of A once per LP in the forms its products need, and every product
-with A or A^T (start point, residuals, back-solves) goes through those
-blocks; A itself is never formed.  Each iteration costs O(voxels) in one
-BLAS call and scaling, plus one small factorization.
+M is built Fortran-ordered in a workspace of the LP's structure and
+factored there in place by LAPACK ``potrf``, with no copy and no fresh
+array; back-solves call ``potrs``.  Each factor is checked for finiteness
+once, when it is made, and a back-solve checks only its right-hand side.
+``_NewtonStructure`` holds each block of A once per LP in the forms its
+products need, and every product with A or A^T (start point, residuals,
+back-solves) goes through those blocks; A itself is never formed.  Each
+product with a CSR block calls scipy's ``csr_matvec``/``csr_matvecs``
+kernel directly, the one its ``@`` ends in, without the dispatch.  Each
+iteration costs O(voxels) in one BLAS call and scaling, plus one small
+factorization.
 
 Upper-bound duals ``w`` and gaps ``upper - x`` exist only on the columns
 ``up`` with a finite upper bound (the xi caps of a weighted-sum LP);
@@ -122,6 +126,7 @@ import scipy.linalg
 import scipy.linalg.blas
 import scipy.linalg.lapack
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .fileio import write_csv
 from .formulation import BlockLP, _scale_rows
@@ -288,13 +293,15 @@ def invert_voxelwise_quadrant(d2: np.ndarray, d4: np.ndarray, num_zero_rows: int
 def _cho_factor(matrix: np.ndarray) -> np.ndarray:
     """Upper Cholesky factor of ``matrix`` by LAPACK ``potrf``, as ``cho_factor`` makes it.
 
-    ``matrix`` is checked for finiteness, and so is the factor, once,
-    here: every entry of the upper factor enters a later pivot, so a
-    non-finite entry shows on the diagonal.  :func:`_cho_solve` then
-    checks only its right-hand side.
+    A Fortran-ordered ``matrix`` is factored in place and returned, also
+    when ``potrf`` fails, which leaves a partial factor behind; any other
+    is copied first.  ``matrix`` is checked for finiteness, and so is the
+    factor, once, here: every entry of the upper factor enters a later
+    pivot, so a non-finite entry shows on the diagonal.  :func:`_cho_solve`
+    then checks only its right-hand side.
     """
     factor, info = scipy.linalg.lapack.dpotrf(np.asarray_chkfinite(matrix), lower=False,
-                                              clean=False)
+                                              clean=False, overwrite_a=True)
     if info > 0:
         raise scipy.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     if not np.isfinite(np.diagonal(factor)).all():
@@ -307,6 +314,25 @@ def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if not rhs.shape[0]:   # R empty: the potrs wrapper rejects an empty system
         return np.zeros(rhs.shape)
     return scipy.linalg.lapack.dpotrs(factor, np.asarray_chkfinite(rhs), lower=False)[0]
+
+
+def _csr_dot(matrix: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:
+    """``matrix @ dense`` for a dense vector or C-ordered matrix of the right shape.
+
+    Calls scipy's own kernel, ``csr_matvec`` or ``csr_matvecs``, the one
+    ``@`` ends in, without its dispatch: each entry is the same sum, in the
+    same order.  The kernels trust the shapes, so callers pass operands
+    built to fit.
+    """
+    rows, cols = matrix.shape
+    if dense.ndim == 1:
+        out = np.zeros(rows)
+        _sparsetools.csr_matvec(rows, cols, matrix.indptr, matrix.indices, matrix.data, dense, out)
+    else:
+        out = np.zeros((rows, dense.shape[1]))
+        _sparsetools.csr_matvecs(rows, cols, dense.shape[1], matrix.indptr, matrix.indices,
+                                 matrix.data, dense, out)
+    return out
 
 
 def _row_pairs(indptr: np.ndarray, rows: np.ndarray):
@@ -379,9 +405,11 @@ class _NewtonStructure:
     ``b`` and C are dense: ``b`` is the ``syrk`` operand, and at its 28 %
     fill on the refined case dense products measure faster than CSR ones.
     ``expand`` is CSR with its transpose.
-    ``m_index``, ``gram_index`` and ``pair_sign`` scatter the Gram matrix
-    of A21c into ``M``'s upper triangle.  Also held: A12 as CSR with its
-    transpose, and A11 split on the rows ``R`` that A12 touches.  The
+    ``m_index_t``, ``gram_index`` and ``pair_sign`` scatter the Gram
+    matrix of A21c into ``M``'s upper triangle in M's memory order
+    (``m_index`` numbers the same cells row-major).  Also held: A12 as
+    CSR with its transpose, and A11 split on the rows ``R`` that A12
+    touches.  The
     rows ``R`` are dense; the back-solves swap in ``F``'s.  A12's rows
     ``R`` are kept on the columns ``a12_cols`` they touch, as CSR and
     dense, with ``expand``'s eta rows there, transposed: the operands of
@@ -390,10 +418,11 @@ class _NewtonStructure:
     (:meth:`a11_gram`): the entry pairs of the rows before the first
     dense row, and the rows from it on as dense vectors.  A22 = [0 I]^T is
     a shift onto the eta rows.  ``matvec`` and ``rmatvec`` apply A and
-    A^T from these blocks.  ``work`` holds M and one n1 x n1 product,
-    which every factorization refills, so a structure serves one
-    factorization at a time.  Built once per LP; memory linear in the
-    voxel count.
+    A^T from these blocks.  Two Fortran-ordered n1 x n1 workspaces,
+    which every factorization refills, hold M, factored in place into
+    its Cholesky factor, and one product: a structure holds the factor of
+    one factorization at a time, and ``fills`` counts them.  Built once
+    per LP; memory linear in the voxel count.
     """
 
     def __init__(self, system: KKTSystem):
@@ -415,10 +444,12 @@ class _NewtonStructure:
                                    shape=(a21c.shape[0], row_firsts.size))
         self.expand = sp.hstack([membership, criterion], format="csr")
         self.expand_t = self.expand.T.tocsr()
-        upper_a, upper_b = np.triu_indices(self.nz.size)
+        # the pairs a <= b by b, then a: M's upper cells in its Fortran order
+        upper_b, upper_a = np.tril_indices(self.nz.size)
         low = np.minimum(self.group[upper_a], self.group[upper_b])
         high = np.maximum(self.group[upper_a], self.group[upper_b])
-        self.m_index = self.nz[upper_a] * n1 + self.nz[upper_b]
+        self.m_index = self.nz[upper_a] * n1 + self.nz[upper_b]   # row-major
+        self.m_index_t = self.nz[upper_b] * n1 + self.nz[upper_a]   # in m.T, M's memory order
         self.gram_index = low + high * self.k   # (low, high) in Fortran order
         self.pair_sign = self.sign[upper_a] * self.sign[upper_b]
 
@@ -430,7 +461,7 @@ class _NewtonStructure:
         a12_rows = self.a12[self.rows]
         self.a12_cols = np.unique(a12_rows.indices)
         self.a12_rows = a12_rows[:, self.a12_cols]
-        self.a12_rows_dense = self.a12_rows.toarray()
+        self.a12_rows_dense_t = self.a12_rows.T.toarray()
         self.expand_eta_t = self.expand[system.num_zero_rows + self.a12_cols].T.tocsr()
         a11 = sp.csr_matrix(system.a11)
         self.m1, self.num_zero_rows = a11.shape[0], system.num_zero_rows
@@ -438,9 +469,12 @@ class _NewtonStructure:
         self.a11_rest = a11[self.rest]
         self.a11_rest_t = self.a11_rest.T.tocsr()
         self._plan_a11_gram()
-        # M and one n1 x n1 product: every factorization refills them, which
-        # spares the page faults of fresh arrays this size.
-        self.work = np.empty((2, n1, n1))
+        # M, factored in place, and one n1 x n1 product: every factorization
+        # refills them, which spares the page faults of fresh arrays this size.
+        # Two arrays, as each n1 x n1 part of one Fortran-ordered block is strided.
+        self.m_work = np.empty((n1, n1), order="F")
+        self.product_work = np.empty((n1, n1), order="F")
+        self.fills = 0   # factorizations that have filled m_work
 
     def _plan_a11_gram(self) -> None:
         """Index plan of :meth:`a11_gram`, vectorized over the rows.
@@ -457,25 +491,33 @@ class _NewtonStructure:
         self.entry_row = np.repeat(np.arange(counts.size), counts)
         left, right = _row_pairs(rest.indptr, np.arange(counts.size) < self.rank1_from)
         self.term_left, self.term_right = left, rest.data[right]
-        flat = rest.indices[left] * self.n1 + rest.indices[right]
+        flat = rest.indices[right] * self.n1 + rest.indices[left]   # in m.T, M's memory order
         self.head_flat, self.head_cell = np.unique(flat, return_inverse=True)
         self.a11_rank1_rows = rest[self.rank1_from:].toarray()
 
     def a11_gram(self, w: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """``A11_rest^T diag(w) A11_rest`` into ``out``, each cell summed over the rows in order.
 
-        Each row from the first dense one on adds its rank-1 term, formed
-        in ``scratch``, over the whole matrix.  Off a sparse row's cells
-        that term is ``+-0.0``, which leaves a cell unchanged: ``-0.0``
-        never appears, as every cell starts from ``+0.0``.
+        ``out`` and ``scratch`` are Fortran-ordered.  The first row from the
+        first dense one on goes first, by ``dger`` into the zeroed ``out``:
+        one product per cell, so each cell is ``0.0 + p`` with
+        ``p = (a_ri w_r) a_rk``, fused or not, and never ``-0.0``.  The
+        bincount sums ``h`` of the rows before it go on top, which gives
+        ``h + p`` exactly, as in row order.  Each later row adds its rank-1
+        term, formed in ``scratch``.  Off a sparse row's cells that term is
+        ``+-0.0``, which leaves a cell unchanged: ``-0.0`` never appears.
         """
         scaled = self.a11_rest.data * w[self.entry_row]   # a_ri w_r
         terms = scaled[self.term_left] * self.term_right   # (a_ri w_r) a_rk
+        weighted = self.a11_rank1_rows * w[self.rank1_from:, None]   # a_ri w_r
         out.fill(0.0)
-        out.reshape(-1)[self.head_flat] = np.bincount(self.head_cell, weights=terms,
-                                                      minlength=self.head_flat.size)
-        for row, dense in enumerate(self.a11_rank1_rows, start=self.rank1_from):
-            out += np.multiply((dense * w[row])[:, None], dense, out=scratch)
+        if weighted.shape[0]:
+            out = scipy.linalg.blas.dger(1.0, weighted[0], self.a11_rank1_rows[0], a=out,
+                                         overwrite_a=True)
+        out.T.reshape(-1)[self.head_flat] += np.bincount(self.head_cell, weights=terms,
+                                                         minlength=self.head_flat.size)
+        for scaled_row, dense in zip(weighted[1:], self.a11_rank1_rows[1:]):
+            out += np.multiply(scaled_row[:, None], dense, out=scratch)
         return out
 
     def to_columns(self, folded: np.ndarray) -> np.ndarray:
@@ -486,37 +528,38 @@ class _NewtonStructure:
     def a21_matvec(self, v: np.ndarray) -> np.ndarray:
         """``A21 @ v``: gather ``v`` onto the column groups, apply ``b``, expand the rows."""
         grouped = np.bincount(self.group, weights=self.sign * v[self.nz], minlength=self.k)
-        return self.expand @ np.concatenate([self.b @ grouped[:self.split], grouped[self.split:]])
+        return _csr_dot(self.expand, np.concatenate([self.b @ grouped[:self.split],
+                                                     grouped[self.split:]]))
 
     def a21_rmatvec(self, u: np.ndarray) -> np.ndarray:
         """``A21^T @ u``: fold the rows, apply ``b^T``, then a signed scatter to ``nz``."""
         out = np.zeros(self.n1)
-        out[self.nz] = self.sign * self.to_columns(self.expand_t @ u)[self.group]
+        out[self.nz] = self.sign * self.to_columns(_csr_dot(self.expand_t, u))[self.group]
         return out
 
     def a11_matvec(self, v: np.ndarray, rows_r: np.ndarray) -> np.ndarray:
         """``A11 @ v`` with the rows ``R`` replaced by ``rows_r`` (A11's own or F's)."""
         out = np.empty(self.m1)
-        out[self.rest] = self.a11_rest @ v
+        out[self.rest] = _csr_dot(self.a11_rest, v)
         out[self.rows] = rows_r @ v
         return out
 
     def a11_rmatvec(self, u: np.ndarray, rows_r: np.ndarray) -> np.ndarray:
         """``A11^T @ u`` with the rows ``R`` replaced by ``rows_r`` (A11's own or F's)."""
-        return self.a11_rest_t @ u[self.rest] + rows_r.T @ u[self.rows]
+        return _csr_dot(self.a11_rest_t, u[self.rest]) + rows_r.T @ u[self.rows]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``A @ x``; A22 = [0 I]^T adds ``x2`` to the eta rows."""
         x1, x2 = x[:self.n1], x[self.n1:]
         bottom = self.a21_matvec(x1)
         bottom[self.num_zero_rows:] += x2
-        return np.concatenate([self.a11_matvec(x1, self.a11_rows) + self.a12 @ x2, bottom])
+        return np.concatenate([self.a11_matvec(x1, self.a11_rows) + _csr_dot(self.a12, x2), bottom])
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """``A^T @ y``; A22^T takes the eta rows of ``y2`` onto ``x2``."""
         y1, y2 = y[:self.m1], y[self.m1:]
         return np.concatenate([self.a11_rmatvec(y1, self.a11_rows) + self.a21_rmatvec(y2),
-                               self.a12_t @ y1 + y2[self.num_zero_rows:]])
+                               _csr_dot(self.a12_t, y1) + y2[self.num_zero_rows:]])
 
 
 class _SchurFactorization:
@@ -525,8 +568,13 @@ class _SchurFactorization:
     Holds the closed-form quadrant inverse, the Cholesky factor of ``G`` on
     the rows ``R`` and that of ``M = E + F^T G^-1 F`` (see the module
     docstring).  ``structure`` is the LP's :class:`_NewtonStructure`; a
-    standalone factorization builds its own.
+    standalone factorization builds its own.  M is built and factored in
+    the structure's ``m_work``, so the next factorization on the structure
+    overwrites ``m_chol``: from then on :meth:`solve` raises, unless
+    :meth:`own_factor` has copied the factor out first.
     """
+
+    fill: int | None = None   # the structure's fill count when m_chol lives in m_work
 
     def __init__(self, system: KKTSystem, structure: _NewtonStructure | None = None):
         self.system = system
@@ -541,41 +589,60 @@ class _SchurFactorization:
         # Both products are CSR times a dense block of |R| columns, summing
         # over the eta rows in ascending order.
         self.f_rows = st.a11_rows.copy()
-        xr, xx = q.xr[st.a12_cols], q.xx[st.a12_cols]
+        xr, xx = q.xr[st.a12_cols, None], q.xx[st.a12_cols, None]
         # F order, as a transposed sparse product's dense result: BLAS may
         # round differently by operand layout.
-        folded_t = np.asfortranarray(st.expand_eta_t @ (st.a12_rows_dense * xr).T)
+        folded_t = np.asfortranarray(_csr_dot(st.expand_eta_t, st.a12_rows_dense_t * xr))
         self.f_rows[:, st.nz] -= st.to_columns(folded_t).T[:, st.group] * st.sign
-        g_rows = (st.a12_rows @ (st.a12_rows_dense * -xx).T).T
+        g_rows = _csr_dot(st.a12_rows, st.a12_rows_dense_t * -xx).T
         g_rows[np.diag_indices_from(g_rows)] += d3[st.rows]
         self.g_chol = _cho_factor(g_rows)
 
-        # M = D1 + A21^T diag(aa, rr) A21 + A11_rest^T D3_rest^-1 A11_rest + F_R^T G_RR^-1 F_R.
-        # With A21c = [S b | C] the A21 term's Gram matrix of A21c is
-        #   [ b^T diag(S^T D S) b   b^T (S^T D C) ]
-        #   [        .                C^T D C     ],
-        # one dsyrk over b's distinct rows, a rank-K product and a diagonal,
-        # scattered with signs into the upper triangle only, which is all
-        # that cho_factor (lower=False) reads.
-        m = st.a11_gram(self.inv_d3[st.rest], *st.work)
-        m += np.matmul(self.f_rows.T, _cho_solve(self.g_chol, self.f_rows), out=st.work[1])
-        m.reshape(-1)[::st.n1 + 1] += system.d1   # the diagonal
+        st.fills += 1
+        self.fill = st.fills
+        self.regularized = False
+        try:
+            self.m_chol = _cho_factor(self._fill_m())
+        except scipy.linalg.LinAlgError:
+            self.regularized = True
+            m = self._fill_m()   # the failed potrf left a partial factor in its place
+            m[np.diag_indices_from(m)] += 1e-8 * (1.0 + np.abs(np.triu(m)).max())
+            self.m_chol = _cho_factor(m)
+
+    def _fill_m(self) -> np.ndarray:
+        """M in the structure's ``m_work``, each cell summed as the sparse products sum it.
+
+        M = D1 + A21^T diag(aa, rr) A21 + A11_rest^T D3_rest^-1 A11_rest + F_R^T G_RR^-1 F_R.
+        With A21c = [S b | C] the A21 term's Gram matrix of A21c is
+          [ b^T diag(S^T D S) b   b^T (S^T D C) ]
+          [        .                C^T D C     ],
+        one dsyrk over b's distinct rows, a rank-K product and a diagonal,
+        scattered with signs into the upper triangle only, which is all
+        that potrf (upper) reads.  Cell (i, j) of the Fortran-ordered M is
+        entry ``i + j n1`` of the row-major ``m.T``, where the scatters go.
+        numpy forms the Fortran-ordered F^T (G^-1 F) as the transposed
+        ``gemm``, whose cells are the same sums in the same order.
+        """
+        st, q = self.structure, self.quadrant
+        m = st.a11_gram(self.inv_d3[st.rest], st.m_work, st.product_work)
+        m += np.matmul(self.f_rows.T, _cho_solve(self.g_chol, self.f_rows), out=st.product_work)
+        flat = m.T.reshape(-1)
+        flat[::st.n1 + 1] += self.system.d1   # the diagonal
         if st.m_index.size:
             d = np.concatenate([q.aa, q.rr])
-            gram = np.zeros((st.k, st.k))
+            gram = np.zeros((st.k, st.k), order="F")
             if st.b.size:
                 group_d = np.bincount(st.row_group, weights=d[st.row_nz], minlength=st.b.shape[0])
                 scaled = st.b * np.sqrt(group_d)[:, None]
                 gram[:st.split, :st.split] = scipy.linalg.blas.dsyrk(1.0, scaled.T, trans=0)
-            gram[:, st.split:] = st.to_columns(st.expand_t @ (st.criterion * d[:, None]))
-            m.reshape(-1)[st.m_index] += st.pair_sign * gram.reshape(-1, order="F")[st.gram_index]
-        self.regularized = False
-        try:
-            self.m_chol = _cho_factor(m)
-        except scipy.linalg.LinAlgError:
-            self.regularized = True
-            m[np.diag_indices_from(m)] += 1e-8 * (1.0 + np.abs(np.triu(m)).max())
-            self.m_chol = _cho_factor(m)
+            gram[:, st.split:] = st.to_columns(_csr_dot(st.expand_t, st.criterion * d[:, None]))
+            np.add.at(flat, st.m_index_t, st.pair_sign * gram.reshape(-1, order="F")[st.gram_index])
+        return m
+
+    def own_factor(self) -> None:
+        """Copy ``m_chol`` out of the structure's workspace, which later factorizations refill."""
+        self.m_chol = self.m_chol.copy(order="F")
+        self.fill = None
 
     def _g_solve(self, v: np.ndarray) -> np.ndarray:
         out = v * self.inv_d3
@@ -585,6 +652,9 @@ class _SchurFactorization:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the full augmented system for one (x1, x2, y1, y2) rhs."""
         system, st = self.system, self.structure
+        if self.fill not in (None, st.fills):
+            raise RuntimeError("this factorization's M factor was overwritten by a later "
+                               "factorization on the same Newton structure")
         n1, n2, m1 = system.n1, system.n2, system.m1
         mz = system.num_zero_rows
         rx1 = rhs[:n1]
@@ -597,7 +667,7 @@ class _SchurFactorization:
         # top rhs minus TR * Qinv * bottom rhs
         qx2, qy_zero, qy_eta = self.quadrant.apply(rx2, ry_zero, ry_eta)
         g_x1 = rx1 - st.a21_rmatvec(np.concatenate([qy_zero, qy_eta]))
-        g_y1 = ry1 - (st.a12 @ qx2)
+        g_y1 = ry1 - _csr_dot(st.a12, qx2)
 
         # top solve: [[-E, F^T], [F, G]] (dx1, dy1) = (g_x1, g_y1)
         f_t_g = st.a11_rmatvec(self._g_solve(g_y1), self.f_rows)
@@ -605,7 +675,7 @@ class _SchurFactorization:
         dy1 = self._g_solve(g_y1 - st.a11_matvec(dx1, self.f_rows))
 
         # bottom solve: Qinv * (bottom rhs - BL * top)
-        ux2 = rx2 - (st.a12_t @ dy1)
+        ux2 = rx2 - _csr_dot(st.a12_t, dy1)
         uy2 = ry2 - st.a21_matvec(dx1)
         dx2, dy_zero, dy_eta = self.quadrant.apply(ux2, uy2[:mz], uy2[mz:])
         return np.concatenate([dx1, dx2, dy1, dy_zero, dy_eta])
@@ -653,6 +723,7 @@ class PreparedLP:
             self.structure = _NewtonStructure(system)
         with _timed(self.timings, "factorization"):
             self.ones_fact = _SchurFactorization(system, self.structure)
+            self.ones_fact.own_factor()   # every solve's factorizations refill the workspace
         with _timed(self.timings, "back_solve"):
             self.x_ls = self.ones_fact.solve(np.concatenate([np.zeros(lp.num_variables),
                                                              lp.rhs()]))[:lp.num_variables]
@@ -775,22 +846,25 @@ def _conflict_report(lp: BlockLP, y: np.ndarray, z_ray: np.ndarray, w: np.ndarra
 def _max_step(values: list[np.ndarray], deltas: list[np.ndarray]) -> float:
     """Largest step keeping every part ``values[i] + step * deltas[i]`` nonnegative.
 
-    One pass over the parts joined: the least ``value / -delta`` over the
-    shrinking components is minus the largest ``value / delta``, exactly.
-    A part with no shrinking component, an empty one included, allows a
-    step of 1.0 and no more.
+    Part by part: the least ``value / -delta`` over the shrinking
+    components is minus the largest ``value / delta``, exactly, and a
+    least or largest over the parts is exact too.  A part with no
+    shrinking component, an empty one included, allows a step of 1.0 and
+    no more.
     """
-    delta = np.concatenate(deltas)
-    shrinking = delta < 0
-    ratios = np.divide(np.concatenate(values), delta, out=np.full(delta.size, -np.inf),
-                       where=shrinking)
-    step = -float(ratios.max(initial=-np.inf))
-    end = 0
-    for part in deltas:
-        if not shrinking[end:end + part.size].any():
-            return min(step, 1.0)
-        end += part.size
-    return step
+    step = np.inf
+    for value, delta in zip(values, deltas):
+        shrinking = (delta < 0).nonzero()[0]
+        step = min(step, -(value.take(shrinking) / delta.take(shrinking)).max()
+                   if shrinking.size else 1.0)
+    return float(step)
+
+
+def _stepped(value: np.ndarray, step: float, delta: np.ndarray) -> np.ndarray:
+    """``value + step * delta`` in one new array: the product's array takes the sum, which commutes."""
+    out = step * delta
+    out += value
+    return out
 
 
 @contextlib.contextmanager
@@ -830,6 +904,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
     lower = lp.lower
     upper = lp.upper
     up = np.flatnonzero(np.isfinite(upper))   # the only columns with an upper-bound dual
+    upper_up = upper[up]
 
     regularized = start is None and prepared.ones_fact.regularized
     if start is not None:
@@ -863,7 +938,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
         return rp, rd, float(np.max(np.abs(rp))) / b_scale, float(np.max(np.abs(rd))) / c_scale
 
     def current_gap() -> float:
-        dual_obj = float(np.dot(b, y)) + float(np.dot(lower, z)) - float(np.dot(upper[up], w))
+        dual_obj = float(np.dot(b, y)) + float(np.dot(lower, z)) - float(np.dot(upper_up, w))
         return float(np.dot(c, x)) - dual_obj
 
     def mean_complementarity(x_shift, s, up_gap, z, y, w) -> float:
@@ -889,7 +964,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
                            restart=restart)
 
     x_shift = x - lower
-    up_gap = upper[up] - x[up]
+    up_gap = upper_up - x[up]
     sigma = 0.0
     alpha_p = alpha_d = 0.0
     restart = None
@@ -918,7 +993,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
         norm = float(np.sum(y) + np.sum(z_ray) + np.sum(w))
         violation = float(np.max(atyw, initial=0.0)) / norm
         value = (float(np.dot(b, y)) + float(np.dot(lower, z_ray))
-                 - float(np.dot(upper[up], w))) / norm
+                 - float(np.dot(upper_up, w))) / norm
         if violation <= settings.feasibility_tolerance < value:
             return result("infeasible",
                           f"Farkas ray with violation {violation:.1e} and value {value:.3e}; "
@@ -958,8 +1033,9 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
             return result("numerical_failure", f"predictor solve failed: {exc}")
 
         ap, ad = (min(1.0, step) for step in max_steps(dx_a, ds_a, dy_a, dz_a, dw_a))
-        mu_aff = mean_complementarity(x_shift + ap * dx_a, s + ap * ds_a, up_gap - ap * dx_a[up],
-                                      z + ad * dz_a, y + ad * dy_a, w + ad * dw_a)
+        mu_aff = mean_complementarity(_stepped(x_shift, ap, dx_a), _stepped(s, ap, ds_a),
+                                      _stepped(up_gap, -ap, dx_a[up]), _stepped(z, ad, dz_a),
+                                      _stepped(y, ad, dy_a), _stepped(w, ad, dw_a))
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** _CENTERING_POWER, 0.0, 0.999)) \
             if mu > 0 else 0.0
 
@@ -978,15 +1054,16 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
         if alpha_p < _STEP_FLOOR and alpha_d < _STEP_FLOOR:
             return result("numerical_failure", "step sizes collapsed")
 
-        x = x + alpha_p * dx_c
-        s = s + alpha_p * ds_c
-        y = y + alpha_d * dy_c
-        z = z + alpha_d * dz_c
-        w = w + alpha_d * dw_c
-        x_shift = x - lower
-        up_gap = upper[up] - x[up]
-        if np.any(x_shift <= 0) or np.any(s <= 0) or np.any(z <= 0) or np.any(y <= 0) \
-                or np.any(up_gap <= 0) or np.any(w <= 0):
+        # New arrays: a Restart keeps the old ones.
+        x = _stepped(x, alpha_p, dx_c)
+        s = _stepped(s, alpha_p, ds_c)
+        y = _stepped(y, alpha_d, dy_c)
+        z = _stepped(z, alpha_d, dz_c)
+        w = _stepped(w, alpha_d, dw_c)
+        np.subtract(x, lower, out=x_shift)
+        np.subtract(upper_up, x[up], out=up_gap)
+        # fmin skips NaN, as any(part <= 0) does
+        if any(np.fmin.reduce(part, initial=np.inf) <= 0 for part in (x_shift, s, z, y, up_gap, w)):
             return result("numerical_failure", "lost strict positivity")
 
     return result("iteration_limit", "iteration limit reached before convergence")

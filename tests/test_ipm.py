@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.linalg.blas
 import scipy.sparse as sp
 
-from mtdplan import ipm
+from mtdplan import ipm, mco
 from mtdplan.case import load_case
 from mtdplan.formulation import BlockLP, CriterionSet, build_weighted_instance
 from mtdplan.ipm import (DualSolution, KKTSystem, SolverSettings, _SchurFactorization,
@@ -570,6 +570,29 @@ def test_schur_solve_singular_reduced_matrix_is_regularized():
     delta, info = schur_solve(system, np.array([1.0, -1.0, 0.5]))
     assert info["regularized"]
     assert np.all(np.isfinite(delta))
+    # The failed in-place potrf leaves a partial factor (its second pivot 0.0):
+    # bumping that instead of M fails again, so M must be rebuilt first.
+    fact = _SchurFactorization(system)
+    m = np.ones((2, 2))
+    m[np.diag_indices(2)] += 1e-8 * (1.0 + np.abs(np.triu(m)).max())
+    expected = scipy.linalg.cho_factor(m)[0]
+    assert fact.regularized
+    assert np.ascontiguousarray(fact.m_chol).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def test_factorization_refuses_to_solve_once_its_workspace_is_refilled():
+    system = random_kkt(np.random.default_rng(18))
+    rhs = np.random.default_rng(19).standard_normal(system.order)
+    first = _SchurFactorization(system)
+    expected = first.solve(rhs)
+    _SchurFactorization(replace(system, d1=2.0 * system.d1), first.structure)
+    with pytest.raises(RuntimeError, match="overwritten by a later factorization"):
+        first.solve(rhs)
+    # a factorization that owns its factor keeps solving
+    owner = _SchurFactorization(system, first.structure)
+    owner.own_factor()
+    _SchurFactorization(replace(system, d1=2.0 * system.d1), first.structure)
+    assert owner.solve(rhs).tobytes() == expected.tobytes()
 
 
 def test_schur_factorization_is_freed_without_cyclic_gc():
@@ -646,7 +669,8 @@ def test_solve_never_forms_full_matrix(monkeypatch):
 
 
 def test_prepared_solve_builds_no_sparse_matrix(monkeypatch):
-    # every per-iteration product is sparse times dense or a plan of indices
+    # every per-iteration product is a plan of indices or calls scipy's CSR
+    # kernels directly, past the dispatch of a sparse matrix's @ and dot
     lp = demo_lp()
     prepared = ipm.PreparedLP(lp)
     built = []
@@ -656,10 +680,40 @@ def test_prepared_solve_builds_no_sparse_matrix(monkeypatch):
         built.append(type(self).__name__)
         construct(self, *args, **kwargs)
 
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a prepared solve went through scipy.sparse's product dispatch")
+
     monkeypatch.setattr(sp._base._spbase, "__init__", counting)
+    for name in ("__matmul__", "__rmatmul__", "dot"):
+        monkeypatch.setattr(sp._base._spbase, name, refuse)
     res = solve(lp, SolverSettings(), prepared=prepared)
     assert res.converged, res.message
     assert built == []
+
+
+def history_bytes(res):
+    fields = [[rec.primal_residual, rec.dual_residual, rec.gap_gy, rec.mu, rec.step_primal,
+               rec.step_dual, rec.sigma, rec.regularized] for rec in res.history]
+    return np.array(fields).tobytes() + res.x.tobytes() + res.dual.y.tobytes()
+
+
+def test_prepared_start_factor_survives_a_sweep_on_its_structure():
+    # Every solve factors M in the structure's workspace; the start
+    # factorization keeps its own copy, so a cold solve after a restarted
+    # sweep starts where one before it did, and where a fresh PreparedLP does.
+    lp = demo_lp()
+    prepared = ipm.PreparedLP(lp)
+    before = solve(lp, SolverSettings(), prepared=prepared)
+    assert before.converged and before.restart is not None
+    grid = mco.weight_grid(lp.weights.size, 4)
+    assert grid.shape[0] == 15
+    for weights in grid:
+        res = solve(lp.reweighted(weights), SolverSettings(), prepared=prepared,
+                    start=before.restart)
+        assert res.iterations > 0
+    after = solve(lp, SolverSettings(), prepared=prepared)
+    fresh = solve(lp, SolverSettings(), prepared=ipm.PreparedLP(lp))
+    assert history_bytes(before) == history_bytes(after) == history_bytes(fresh)
 
 
 def max_step_of_part(values, deltas):
