@@ -36,10 +36,14 @@ with ``o = rate*(1-tau)`` and ``t = rate*tau`` (the T block is left out
 when ``tau = 0``); the xi column serves max/min rows, the alpha column
 eta rows.  An average row is the column sum, in voxel order, of the same
 slices with ``s = -w`` (avg-min) or ``s = +w`` (avg-max).
+
+The build emits A21 in these factors (:class:`A21Factors`), which the
+solver takes as they are, and forms A21 itself only on first use.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -198,6 +202,91 @@ class CriterionColumns:
     voxel_rows: slice | None  # this criterion's rows within the voxelwise row block
 
 
+@dataclass(frozen=True, eq=False)
+class _DoseRows:
+    """What A21 is formed from: its blocks ``[s*d_V | -s on xi/alpha]``, in row order.
+
+    ``blocks`` holds each voxelwise criterion's ``(voxels, s, aux column)``;
+    ``leak`` the per-beam row sums of the sorted ``leak_voxels`` (None when
+    ``tau = 0``).
+    """
+
+    influence: sp.csr_matrix
+    leak: sp.csr_matrix | None
+    leak_voxels: np.ndarray
+    blocks: tuple
+    open_scale: float
+    leak_scale: float
+    n1: int
+    num_beams: int
+
+    def matrix(self) -> sp.csr_matrix:
+        n_traj = 2 * self.influence.shape[1] + self.num_beams
+        rows = []
+        for voxels, sign, aux_col in self.blocks:
+            scale = np.full(voxels.size, sign)
+            dose = self.influence[voxels]
+            leak = (_scale_rows(self.leak[np.searchsorted(self.leak_voxels, voxels)],
+                                scale * self.leak_scale) if self.leak is not None
+                    else sp.csr_matrix((voxels.size, self.num_beams)))
+            aux = sp.csr_matrix((np.full(voxels.size, -sign),
+                                 np.full(voxels.size, aux_col - n_traj), np.arange(voxels.size + 1)),
+                                shape=(voxels.size, self.n1 - n_traj))
+            rows.append(sp.hstack([_scale_rows(dose, scale * self.open_scale),
+                                   _scale_rows(dose, -scale * self.open_scale), leak, aux],
+                                  format="csr"))
+        return sp.vstack(rows, format="csr") if rows else sp.csr_matrix((0, self.n1))
+
+
+@dataclass(frozen=True, eq=False)
+class A21Factors:
+    """A21 as the build knows it: ``A21[:, nz] = [S b | C][:, group] * sign``.
+
+    Each nonzero ``l`` column forms one group with its ``r = -l`` partner
+    (sign -1); each nonzero T column and each xi/alpha column is a group
+    of its own, the trajectory groups first.  ``b`` holds one dose row per
+    voxel of the voxelwise ROIs whose row is nonzero, in the order the
+    voxels first occur, with the sign of that first row.  Row ``row_nz[i]``
+    of A21 is ``row_sign[i] * b[row_group[i]]`` beside its entry in C
+    (``criterion``, dense, one entry per row).
+
+    :attr:`matrix` forms A21 from ``source`` on first use and keeps it;
+    only ``dump_lp``, :meth:`BlockLP.matrix`, the partition report and
+    other solvers read it.  :meth:`from_matrix` gives a plain matrix
+    identity factors.
+    """
+
+    shape: tuple[int, int]
+    nz: np.ndarray
+    group: np.ndarray
+    sign: np.ndarray
+    b: np.ndarray
+    row_nz: np.ndarray
+    row_group: np.ndarray
+    row_sign: np.ndarray
+    criterion: np.ndarray
+    source: _DoseRows | sp.csr_matrix = field(repr=False)
+
+    @classmethod
+    def from_matrix(cls, a21) -> "A21Factors":
+        """Identity factors of a plain A21: every column its own group, ``b`` all of A21, S = I."""
+        a21 = sp.csr_matrix(a21)
+        m2, n1 = a21.shape
+        rows, cols = np.arange(m2), np.arange(n1)
+        return cls(shape=(m2, n1), nz=cols, group=cols, sign=np.ones(n1), b=a21.toarray(),
+                   row_nz=rows, row_group=rows, row_sign=np.ones(m2),
+                   criterion=np.zeros((m2, 0)), source=a21)
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        return self.source.matrix() if isinstance(self.source, _DoseRows) else self.source
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("matrix", None)   # formed again on first use
+        return state
+
+
 @dataclass
 class BlockLP:
     """Expanded weighted-sum LP in the (A11 A12; A21 A22) partition.
@@ -206,12 +295,13 @@ class BlockLP:
     objective ``objective_vector . x`` to be minimized.  The first
     ``num_zero_rows`` voxelwise rows stem from max/min-dose criteria
     (zero block of A22); the remaining rows pair one-to-one with the eta
-    columns (identity block).
+    columns (identity block).  A21 is held as its factors; ``a21`` forms
+    it on first use.
     """
 
     a11: sp.csr_matrix
     a12: sp.csr_matrix
-    a21: sp.csr_matrix
+    a21_factors: A21Factors
     a22: sp.csr_matrix
     b1: np.ndarray
     b2: np.ndarray
@@ -226,6 +316,10 @@ class BlockLP:
     row_labels1: tuple[str, ...] = field(repr=False, default=())
     name: str = ""
     num_deliverability_rows: int = 0   # leading rows of A11, from the machine model
+
+    @property
+    def a21(self) -> sp.csr_matrix:
+        return self.a21_factors.matrix
 
     # -- dimensions ------------------------------------------------------
     @property
@@ -242,7 +336,7 @@ class BlockLP:
 
     @property
     def m2(self) -> int:
-        return self.a21.shape[0]
+        return self.a21_factors.shape[0]
 
     @property
     def num_variables(self) -> int:
@@ -344,6 +438,66 @@ def _scale_rows(matrix: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
                           matrix.indices, matrix.indptr), shape=matrix.shape)
 
 
+def _nonzero_rows(matrix: sp.csr_matrix) -> np.ndarray:
+    """Mask of the rows of ``matrix`` holding a nonzero value (a stored zero is zero)."""
+    counts = np.diff(matrix.indptr)
+    return np.bincount(np.repeat(np.arange(counts.size), counts), weights=matrix.data != 0,
+                       minlength=counts.size) > 0
+
+
+def _a21_factors(source: _DoseRows) -> A21Factors:
+    """The factors of the A21 that ``source`` forms (see :class:`A21Factors`).
+
+    ``b`` holds each distinct voxel's row as A21 stores it where the voxel
+    first occurs, ``(s*o) P[v]`` and ``(s*t) PR[v]``, on the live columns.
+    """
+    blocks, influence, leak = source.blocks, source.influence, source.leak
+    nb, num_beams, n1 = influence.shape[1], source.num_beams, source.n1
+    n_traj = 2 * nb + num_beams
+    voxels = np.concatenate([v for v, _, _ in blocks] + [np.zeros(0, np.int64)])
+    m2 = voxels.size
+    signs = np.concatenate([np.full(v.size, s) for v, s, _ in blocks] + [np.zeros(0)])
+    aux = np.concatenate([np.full(v.size, c) for v, _, c in blocks] + [np.zeros(0, np.int64)])
+
+    # Rows: the voxels with a nonzero dose row, by first occurrence.
+    distinct, first, inverse = np.unique(voxels, return_index=True, return_inverse=True)
+    live = np.flatnonzero(_nonzero_rows(influence[distinct]))
+    by_occurrence = live[np.argsort(first[live])]
+    group_of = np.full(distinct.size, -1)
+    group_of[by_occurrence] = np.arange(by_occurrence.size)
+    row_group = group_of[inverse]
+    row_nz = np.flatnonzero(row_group >= 0)
+    row_group = row_group[row_nz]
+    first_sign = signs[first[by_occurrence]]
+    row_sign = signs[row_nz] * first_sign[row_group]
+    parts = [_scale_rows(influence[distinct[by_occurrence]], first_sign * source.open_scale)]
+    if leak is not None:
+        rows = leak[np.searchsorted(source.leak_voxels, distinct[by_occurrence])]
+        parts.append(_scale_rows(rows, first_sign * source.leak_scale))
+
+    # Columns: [l | T] groups of the nonzero columns, then the xi/alpha ones.
+    used = [np.bincount(part.indices, weights=part.data != 0, minlength=part.shape[1]) > 0
+            for part in parts]
+    live_cols = np.zeros(n1, bool)
+    live_cols[:nb] = live_cols[nb:2 * nb] = used[0]
+    if leak is not None:
+        live_cols[2 * nb:n_traj] = used[1]
+    live_cols[aux] = True
+    nz = np.flatnonzero(live_cols)
+    column_group = np.cumsum(live_cols) - 1
+    column_group[nb:2 * nb] = column_group[:nb]
+    column_group[2 * nb:] -= int(used[0].sum())   # the r columns hold no group of their own
+    split = int(sum(mask.sum() for mask in used))
+    sign = np.where((nz >= nb) & (nz < 2 * nb), -1.0, 1.0)
+    b = sp.hstack([part[:, np.flatnonzero(mask)] for part, mask in zip(parts, used)],
+                  format="csr").toarray()
+    criterion = np.zeros((m2, int(live_cols[n_traj:].sum())))
+    criterion[np.arange(m2), column_group[aux] - split] = -signs
+    return A21Factors(shape=(m2, n1), nz=nz, group=column_group[nz], sign=sign, b=b,
+                      row_nz=row_nz, row_group=row_group, row_sign=row_sign,
+                      criterion=criterion, source=source)
+
+
 def build_weighted_instance(phantom: Phantom, machine: MachineModel, influence: DoseInfluence,
                             criteria: CriterionSet, weights, name: str = "") -> BlockLP:
     """Expand one weighted-sum instance into its block-partitioned LP.
@@ -388,20 +542,59 @@ def build_weighted_instance(phantom: Phantom, machine: MachineModel, influence: 
             eta_slices.append(None)
     n2 = eta_start - n1
 
-    # Dose substitution: d = rate*(1-tau)*P*(l-r) + rate*tau*(P R)*T.
+    # Voxelwise blocks in row order: max/min-dose rows first (the zero block
+    # of A22), then eta rows whose ordering matches the eta columns so A22
+    # ends in an exact identity.  Each block is [s*d_i over (l, r, T) | -s on
+    # xi (max/min) or alpha (eta)]:
+    #   max: xi - d_i >= 0,  min: d_i - xi >= 0,
+    #   dav-min: eta_i + alpha - d_i >= 0,  dav-max: eta_i - alpha + d_i >= 0.
+    zero_rows = [k for k, c in enumerate(criteria) if c.ctype in ("max", "min")]
+    eta_rows = [k for k, c in enumerate(criteria) if c.is_dav]
+    blocks = []
+    voxel_row_slices: list[slice | None] = [None] * K
+    m2 = 0
+    for k in zero_rows + eta_rows:
+        criterion = criteria.criteria[k]
+        voxels = phantom.roi(criterion.roi).voxels
+        sign = -1.0 if criterion.ctype in ("max", "dav-min") else 1.0
+        blocks.append((voxels, sign, alpha_cols[k] if criterion.is_dav else xi_cols[k]))
+        voxel_row_slices[k] = slice(m2, m2 + voxels.size)
+        m2 += voxels.size
+    num_zero_rows = voxel_row_slices[zero_rows[-1]].stop if zero_rows else 0
+    average = [k for k, c in enumerate(criteria) if c.ctype in ("avg-min", "avg-max")]
+
+    # Dose substitution: d = rate*(1-tau)*P*(l-r) + rate*tau*(P R)*T, with
+    # P R formed only on the rows the LP reads.
     rate, tau = machine.dose_rate, machine.transmission
     open_scale = rate * (1.0 - tau)
     leak_scale = rate * tau
     P = influence.matrix
-    PR = influence.per_beam_row_sums() if leak_scale != 0.0 else None
+    leak_voxels = np.unique(np.concatenate(
+        [voxels for voxels, _, _ in blocks] + [phantom.roi(criteria.criteria[k].roi).voxels
+                                               for k in average] + [np.zeros(0, np.int64)]))
+    PR = influence.per_beam_row_sums(leak_voxels) if leak_scale != 0.0 else None
+    source = _DoseRows(influence=P, leak=PR, leak_voxels=leak_voxels, blocks=tuple(blocks),
+                       open_scale=open_scale, leak_scale=leak_scale, n1=n1,
+                       num_beams=machine.num_beams)
 
-    def dose_rows(voxels: np.ndarray, scale: np.ndarray) -> sp.csr_matrix:
-        """Rows ``scale_i * d_{voxels_i}`` over the (l, r, T) columns."""
+    def average_row(voxels: np.ndarray, scale: np.ndarray):
+        """Stored columns and sums of ``sum_i scale_i * d_{voxels_i}`` over (l, r, T).
+
+        Each column is summed in voxel order, as ``np.bincount`` over the
+        stacked rows would sum it.  The ``r`` half negates the ``l`` half
+        exactly; ``0.0 - x`` keeps a zero sum ``+0.0``, as its own sum would.
+        """
         rows = P[voxels]
-        leak = (_scale_rows(PR[voxels], scale * leak_scale) if PR is not None
-                else sp.csr_matrix((voxels.size, machine.num_beams)))
-        return sp.hstack([_scale_rows(rows, scale * open_scale),
-                          _scale_rows(rows, -scale * open_scale), leak], format="csr")
+        counts = np.bincount(rows.indices, minlength=P.shape[1])
+        sums = np.bincount(rows.indices, weights=_scale_rows(rows, scale * open_scale).data,
+                           minlength=P.shape[1])
+        parts = [(counts, sums), (counts, 0.0 - sums)]
+        if PR is not None:
+            leak = _scale_rows(PR[np.searchsorted(leak_voxels, voxels)], scale * leak_scale)
+            parts.append((np.bincount(leak.indices, minlength=machine.num_beams),
+                          np.bincount(leak.indices, weights=leak.data, minlength=machine.num_beams)))
+        stored = np.concatenate([part[0] for part in parts]) > 0
+        return np.flatnonzero(stored), np.concatenate([part[1] for part in parts])[stored]
 
     def single_row(indices, data, width: int) -> sp.csr_matrix:
         return sp.csr_matrix((data, indices, [0, len(indices)]), shape=(1, width))
@@ -426,9 +619,7 @@ def build_weighted_instance(phantom: Phantom, machine: MachineModel, influence: 
         elif criterion.ctype in ("avg-min", "avg-max"):
             # avg-min: xi - sum w_i d_i >= 0;  avg-max: sum w_i d_i - xi >= 0
             sign = -1.0 if criterion.ctype == "avg-min" else 1.0
-            dose = dose_rows(roi.voxels, sign * roi.weights)
-            cols = np.unique(dose.indices)   # bincount adds in row (voxel) order
-            sums = np.bincount(dose.indices, weights=dose.data, minlength=n_traj)[cols]
+            cols, sums = average_row(roi.voxels, sign * roi.weights)
             rows11.append(single_row(np.append(cols, xi_cols[k]), np.append(sums, -sign), n1))
             rows12.append(sp.csr_matrix((1, n2)))
             label = "avg-cap" if criterion.ctype == "avg-min" else "avg-floor"
@@ -437,30 +628,8 @@ def build_weighted_instance(phantom: Phantom, machine: MachineModel, influence: 
     a12 = sp.vstack(rows12, format="csr")
     b1 = np.concatenate([deliv.rhs, np.zeros(len(rows11) - 1)])
 
-    # ---- block row 2: voxelwise rows ------------------------------------
-    # Max/min-dose rows first (the zero block of A22), then eta rows whose
-    # ordering matches the eta columns so A22 ends in an exact identity.
-    # Each block is [s*d_i over (l, r, T) | -s on xi (max/min) or alpha (eta)]:
-    #   max: xi - d_i >= 0,  min: d_i - xi >= 0,
-    #   dav-min: eta_i + alpha - d_i >= 0,  dav-max: eta_i - alpha + d_i >= 0.
-    zero_rows = [k for k, c in enumerate(criteria) if c.ctype in ("max", "min")]
-    eta_rows = [k for k, c in enumerate(criteria) if c.is_dav]
-    blocks2: list[sp.csr_matrix] = []
-    voxel_row_slices: list[slice | None] = [None] * K
-    m2 = 0
-    for k in zero_rows + eta_rows:
-        criterion = criteria.criteria[k]
-        voxels = phantom.roi(criterion.roi).voxels
-        sign = -1.0 if criterion.ctype in ("max", "dav-min") else 1.0
-        aux_col = (alpha_cols[k] if criterion.is_dav else xi_cols[k]) - n_traj
-        aux = sp.csr_matrix((np.full(voxels.size, -sign), np.full(voxels.size, aux_col),
-                             np.arange(voxels.size + 1)), shape=(voxels.size, n1 - n_traj))
-        blocks2.append(sp.hstack([dose_rows(voxels, np.full(voxels.size, sign)), aux],
-                                 format="csr"))
-        voxel_row_slices[k] = slice(m2, m2 + voxels.size)
-        m2 += voxels.size
-    num_zero_rows = voxel_row_slices[zero_rows[-1]].stop if zero_rows else 0
-    a21 = sp.vstack(blocks2, format="csr") if blocks2 else sp.csr_matrix((0, n1))
+    # ---- block row 2: voxelwise rows, as A21's factors and A22 ----------
+    a21_factors = _a21_factors(source)
     b2 = np.zeros(m2)
     a22 = sp.vstack([sp.csr_matrix((num_zero_rows, n2)), sp.eye(n2, format="csr")],
                     format="csr") if n2 or num_zero_rows else sp.csr_matrix((0, 0))
@@ -473,7 +642,7 @@ def build_weighted_instance(phantom: Phantom, machine: MachineModel, influence: 
 
     columns = tuple(CriterionColumns(xi=xi_cols[k], alpha=alpha_cols[k], eta=eta_slices[k],
                                      voxel_rows=voxel_row_slices[k]) for k in range(K))
-    return BlockLP(a11=a11, a12=a12, a21=a21, a22=a22,
+    return BlockLP(a11=a11, a12=a12, a21_factors=a21_factors, a22=a22,
                    b1=b1, b2=b2,
                    objective_vector=_objective_vector(criteria, columns, w, n1 + n2),
                    lower=lower, upper=upper,

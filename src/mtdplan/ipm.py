@@ -39,16 +39,18 @@ trajectory order n1
     M = D1 + A21^T diag(aa, rr) A21 + A11_~R^T D3_~R^-1 A11_~R + F_R^T G_RR^-1 F_R.
 
 M is factored by dense Cholesky (with one diagonal bump, flagged as
-``regularized``, should that fail).  A21 enters folded on both sides:
-A21 = A21c E, where A21c keeps one column per group of nonzero columns
-equal up to sign and E maps each group back to its columns with their
-signs (d = P(l - r) pairs every nonzero ``l`` column with an opposite
-``r`` column; the demo's 301 columns fold to 98).  Each criterion on an
-ROI repeats that ROI's dose rows, so A21c = [S b | C]: b holds the
-distinct trajectory rows (the demo's 600 rows fold to 192, the
-8x-refined case's 4116 to 1380), S maps rows onto them with signs, and
-C, the K trailing criterion (xi/alpha) columns, has at most one entry
-per row.  With D = diag(aa, rr) the voxel term is E^T (A21c^T D A21c) E,
+``regularized``, should that fail).  A21 enters folded on both sides, in
+the factors the LP build supplies (``formulation.A21Factors``):
+A21 = A21c E, where A21c keeps one column per column group and E maps
+each group back to its columns with their signs (d = P(l - r) pairs every
+nonzero ``l`` column with its opposite ``r`` column; the demo's 301
+columns fold to 98).  Each criterion on an ROI repeats that ROI's dose
+rows, so A21c = [S b | C]: b holds the distinct dose rows, one per voxel
+(the demo's 600 rows fold to 192, the 8x-refined case's 4116 to 1380),
+S maps rows onto them with signs, and C, the K criterion (xi/alpha)
+columns, has one entry per row.  A system given a plain A21 takes its
+identity factors: b is A21, S the identity and C empty.  With
+D = diag(aa, rr) the voxel term is E^T (A21c^T D A21c) E,
 
     A21c^T D A21c = ( b^T diag(S^T D S) b   b^T S^T D C )
                     (      C^T D S b           C^T D C  ) ,
@@ -129,7 +131,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .fileio import write_csv
-from .formulation import BlockLP, _scale_rows
+from .formulation import A21Factors, BlockLP
 
 _STEP_FLOOR = 1e-13
 _REGULARIZATION = 1e-10   # added to every complementarity diagonal
@@ -165,12 +167,13 @@ class KKTSystem:
     ``d1``/``d2`` hold the variable complementarity diagonals for the
     trajectory-sized and voxelwise columns, ``d3``/``d4`` the slack
     diagonals for the corresponding row groups; ``num_zero_rows`` splits
-    ``d4`` conformally with A22 = [0 I]^T.
+    ``d4`` conformally with A22 = [0 I]^T.  ``a21`` is A21 as the LP build
+    emits it, in its factors, or a plain matrix.
     """
 
     a11: sp.csr_matrix
     a12: sp.csr_matrix
-    a21: sp.csr_matrix
+    a21: A21Factors | sp.csr_matrix
     a22: sp.csr_matrix
     d1: np.ndarray
     d2: np.ndarray
@@ -198,14 +201,20 @@ class KKTSystem:
     def order(self) -> int:
         return self.n1 + self.n2 + self.m1 + self.m2
 
+    @property
+    def a21_factors(self) -> A21Factors:
+        """The factors of A21: as given, or the identity factors of a plain matrix."""
+        return self.a21 if isinstance(self.a21, A21Factors) else A21Factors.from_matrix(self.a21)
+
     def assemble(self) -> sp.csr_matrix:
         """Full augmented matrix in the original (x1, x2, y1, y2) ordering."""
         n1, n2, m1, m2 = self.n1, self.n2, self.m1, self.m2
+        a21 = self.a21_factors.matrix
         blocks = [
-            [-sp.diags(self.d1) if n1 else None, None, self.a11.T, self.a21.T],
+            [-sp.diags(self.d1) if n1 else None, None, self.a11.T, a21.T],
             [None, -sp.diags(self.d2) if n2 else None, self.a12.T, self.a22.T],
             [self.a11, self.a12, sp.diags(self.d3) if m1 else None, None],
-            [self.a21, self.a22, None, sp.diags(self.d4) if m2 else None],
+            [a21, self.a22, None, sp.diags(self.d4) if m2 else None],
         ]
         return sp.bmat(blocks, format="csr")
 
@@ -350,57 +359,19 @@ def _row_pairs(indptr: np.ndarray, rows: np.ndarray):
     return left, right
 
 
-def _signed_groups(matrix: sp.spmatrix, axis: int):
-    """Group the nonzero rows (``axis=0``) or columns (``axis=1``) of ``matrix`` equal up to sign.
-
-    Returns the nonzero vectors ``nz`` (increasing), the group of each and
-    its sign, and the first vector of every group, so that for columns
-    ``matrix[:, nz] == matrix[:, firsts][:, group] * sign`` by value (and
-    likewise for rows).  With V holding one vector per row, one mat-vec
-    ``|V| r`` with ``r`` drawn from [1, 2) finds the nonzero vectors and
-    proposes each one's candidate, the first vector with the same
-    fingerprint.  The sparse difference of the two, with the sign taken
-    from ``V r``, confirms the candidate when it stores no entry (sparse
-    subtraction sums duplicates and stores no zero); a fingerprint
-    collision costs a fold, never a wrong one.  O(nnz) plus a sort of the
-    fingerprints.
-    """
-    vectors = matrix.T if axis else matrix   # one vector per row; a view
-    r = np.random.default_rng(0).uniform(1.0, 2.0, vectors.shape[1])
-    # abs() would sum duplicates in place, in the caller's arrays
-    magnitude = type(vectors)((np.abs(vectors.data), vectors.indices, vectors.indptr),
-                              shape=vectors.shape)
-    fingerprint = magnitude @ r
-    nz = np.flatnonzero(fingerprint)
-    _, first, inverse = np.unique(fingerprint[nz], return_index=True, return_inverse=True)
-    rep = nz[first[inverse]]
-    sign = np.ones(nz.size)
-    pending = np.flatnonzero(rep != nz)
-    if pending.size:
-        vec, other = nz[pending], rep[pending]
-        signed = vectors @ r
-        flip = np.sign(signed[vec]) * np.sign(signed[other])
-        residual = vectors[vec].tocsr() - _scale_rows(vectors[other].tocsr(), flip)
-        differs = np.diff(residual.indptr) > 0
-        rep[pending[differs]] = vec[differs]
-        sign[pending] = np.where(differs, 1.0, flip)
-    firsts = nz[rep == nz]
-    return nz, np.searchsorted(firsts, rep), sign, firsts
-
-
 class _NewtonStructure:
     """The part of every Newton system of one LP that the diagonals leave alone.
 
-    Holds A21 once, folded on both sides (see the module docstring).
-    Columns: the nonzero columns ``nz`` fall into groups equal up to sign,
+    Holds A21 once, folded on both sides, as the system's A21 factors give
+    it (see the module docstring); nothing here searches for the fold.
+    Columns: the nonzero columns ``nz`` fall into groups,
     ``A21[:, nz] = A21c[:, group] * sign``; the demo's 301 columns fold to
     98 (188 nonzero: 90 opposite pairs and 8 singles), the 8x-refined
-    case's to 144 (280: 136 pairs and 8 singles).  Rows: the criterion
-    columns C are the longest tail of A21c's columns with at most one
-    stored entry per row (the 5 xi/alpha columns on both cases), those
-    before ``split`` the trajectory part.  Its nonzero rows ``row_nz``
-    fall into groups equal up to sign, one row of ``b`` each, so
-    A21c = [S b | C] with S the signed membership; ``expand`` is [S | C].
+    case's to 144 (280: 136 pairs and 8 singles).  Rows: the ``split``
+    trajectory groups come before the criterion columns C (the 5 xi/alpha
+    columns on both cases).  The rows ``row_nz`` with a nonzero trajectory
+    part map onto the rows of ``b`` with signs, so A21c = [S b | C] with S
+    the signed membership; ``expand`` is [S | C].
     The demo's 600 rows fold to 192, the refined case's 4116 to 1380.
     ``b`` and C are dense: ``b`` is the ``syrk`` operand, and at its 28 %
     fill on the refined case dense products measure faster than CSR ones.
@@ -422,27 +393,21 @@ class _NewtonStructure:
     which every factorization refills, hold M, factored in place into
     its Cholesky factor, and one product: a structure holds the factor of
     one factorization at a time, and ``fills`` counts them.  Built once
-    per LP; memory linear in the voxel count.
+    per LP; memory linear in the voxel count.  A pickled structure leaves
+    its workspaces behind, and loading it allocates them afresh.
     """
 
     def __init__(self, system: KKTSystem):
-        a21 = sp.csr_matrix(system.a21)
-        self.n1 = n1 = a21.shape[1]
-        self.nz, self.group, self.sign, firsts = _signed_groups(a21, axis=1)
-        self.k = firsts.size
-        a21c = a21[:, firsts]
-        a21c.sort_indices()
-        # the split is one past the largest second-to-last column of any row
-        second_last = a21c.indices[a21c.indptr[1:][np.diff(a21c.indptr) > 1] - 2]
-        self.split = split = int(second_last.max(initial=-1)) + 1
-        trajectory = a21c[:, :split]
-        self.row_nz, self.row_group, row_sign, row_firsts = _signed_groups(trajectory, axis=0)
-        self.b = trajectory[row_firsts].toarray()
-        criterion = a21c[:, split:]
-        self.criterion = criterion.toarray()
-        membership = sp.csr_matrix((row_sign, (self.row_nz, self.row_group)),
-                                   shape=(a21c.shape[0], row_firsts.size))
-        self.expand = sp.hstack([membership, criterion], format="csr")
+        factors = system.a21_factors
+        self.n1 = n1 = factors.shape[1]
+        self.nz, self.group, self.sign = factors.nz, factors.group, factors.sign
+        self.row_nz, self.row_group = factors.row_nz, factors.row_group
+        self.b, self.criterion = factors.b, factors.criterion
+        self.split = self.b.shape[1]
+        self.k = self.split + self.criterion.shape[1]
+        membership = sp.csr_matrix((factors.row_sign, (self.row_nz, self.row_group)),
+                                   shape=(factors.shape[0], self.b.shape[0]))
+        self.expand = sp.hstack([membership, sp.csr_matrix(self.criterion)], format="csr")
         self.expand_t = self.expand.T.tocsr()
         # the pairs a <= b by b, then a: M's upper cells in its Fortran order
         upper_b, upper_a = np.tril_indices(self.nz.size)
@@ -469,12 +434,27 @@ class _NewtonStructure:
         self.a11_rest = a11[self.rest]
         self.a11_rest_t = self.a11_rest.T.tocsr()
         self._plan_a11_gram()
-        # M, factored in place, and one n1 x n1 product: every factorization
-        # refills them, which spares the page faults of fresh arrays this size.
-        # Two arrays, as each n1 x n1 part of one Fortran-ordered block is strided.
-        self.m_work = np.empty((n1, n1), order="F")
-        self.product_work = np.empty((n1, n1), order="F")
+        self._allocate_work()
         self.fills = 0   # factorizations that have filled m_work
+
+    def _allocate_work(self) -> None:
+        """M, factored in place, and one n1 x n1 product.
+
+        Every factorization refills them, which spares the page faults of
+        fresh arrays this size.  Two arrays, as each n1 x n1 part of one
+        Fortran-ordered block is strided.
+        """
+        self.m_work = np.empty((self.n1, self.n1), order="F")
+        self.product_work = np.empty((self.n1, self.n1), order="F")
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["m_work"], state["product_work"]   # no later factorization reads them
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._allocate_work()
 
     def _plan_a11_gram(self) -> None:
         """Index plan of :meth:`a11_gram`, vectorized over the rows.
@@ -698,7 +678,7 @@ def schur_solve(system: KKTSystem, rhs: np.ndarray):
 
 def _kkt_system(lp: BlockLP, dx: np.ndarray, ds: np.ndarray) -> KKTSystem:
     """The augmented system of ``lp`` with variable diagonal ``dx`` and slack diagonal ``ds``."""
-    return KKTSystem(a11=lp.a11, a12=lp.a12, a21=lp.a21, a22=lp.a22,
+    return KKTSystem(a11=lp.a11, a12=lp.a12, a21=lp.a21_factors, a22=lp.a22,
                      d1=dx[:lp.n1], d2=dx[lp.n1:], d3=ds[:lp.m1], d4=ds[lp.m1:],
                      num_zero_rows=lp.num_zero_rows)
 
@@ -731,7 +711,7 @@ class PreparedLP:
     def serves(self, lp: BlockLP) -> bool:
         """Whether ``lp`` holds the very constraint arrays and bounds this was prepared from."""
         return all(getattr(self.lp, name) is getattr(lp, name)
-                   for name in ("a11", "a12", "a21", "a22", "b1", "b2", "lower", "upper"))
+                   for name in ("a11", "a12", "a21_factors", "a22", "b1", "b2", "lower", "upper"))
 
 
 @dataclass(frozen=True)

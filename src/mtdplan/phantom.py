@@ -211,13 +211,15 @@ class DoseInfluence:
     leaf_pairs: int
     bixels_per_row: int
 
-    def per_beam_row_sums(self) -> sp.csr_matrix:
-        """Matrix of per-beam row sums, shape (voxels, num_beams).
+    def per_beam_row_sums(self, rows: np.ndarray | None = None) -> sp.csr_matrix:
+        """Matrix of per-beam row sums, shape (voxels, num_beams), or of the voxels ``rows`` only.
 
         Column b equals the sum of all bixel columns of beam b; this is
         the dose response to one extra second of beam-on time per unit
         transmission-scaled dose rate.  Column indices are sorted within
-        each row (the sparse product alone leaves them unsorted).
+        each row (the sparse product alone leaves them unsorted).  Each
+        row is summed from its own entries alone, so a row of the ``rows``
+        form is the same, byte for byte, as that row of the full one.
         """
         per_beam = self.leaf_pairs * self.bixels_per_row
         rep = sp.csr_matrix(
@@ -226,7 +228,8 @@ class DoseInfluence:
               np.repeat(np.arange(self.num_beams), per_beam))),
             shape=(self.matrix.shape[1], self.num_beams),
         )
-        return (self.matrix @ rep).tocsr().sorted_indices()
+        matrix = self.matrix if rows is None else self.matrix[rows]
+        return (matrix @ rep).tocsr().sorted_indices()
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Shared builders for tiny phantoms, machines and random LP instances."""
 
+import json
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+from mtdplan.case import case_from_dict, read_case_text
 from mtdplan.dmlc import ConstraintBlock, num_trajectory_variables
-from mtdplan.formulation import (BlockLP, Criterion, CriterionColumns, CriterionSet,
+from mtdplan.formulation import (A21Factors, BlockLP, Criterion, CriterionColumns, CriterionSet,
                                  build_weighted_instance, normalized_weights)
 from mtdplan.phantom import DoseInfluence, MachineModel, Phantom, ROI
 
@@ -49,6 +52,26 @@ def toy_dav_instance(num_voxels=2, volume=0.5, weights=(1.0,), hard_upper=None,
     lp = build_weighted_instance(phantom, machine, influence, criteria, np.asarray(weights),
                                  name="toy")
     return phantom, machine, influence, criteria, lp
+
+
+def demo_variant(name):
+    """The demo case (``demo``), with ``ptv_dav50_floor`` at 66 Gy (``floor66``, infeasible),
+    or refined to 2.5 mm voxels with a 5 mm kernel sigma (``refined``, 8x the voxels)."""
+    doc = json.loads(read_case_text("demo:prostate_demo"))
+    if name == "floor66":
+        next(c for c in doc["criteria"] if c["name"] == "ptv_dav50_floor")["hard_lower"] = 66.0
+    elif name == "refined":
+        doc["phantom"]["grid_dims"] = [48, 48, 24]
+        doc["phantom"]["voxel_size_mm"] = [2.5, 2.5, 2.5]
+        doc["kernel"]["lateral_sigma_mm"] = 5.0
+    return case_from_dict(doc, name)
+
+
+def balanced_lp(case):
+    """The case's LP at balanced weights."""
+    slots = case.criteria.num_slots
+    return build_weighted_instance(case.phantom, case.machine, case.dose_influence(),
+                                   case.criteria, np.full(slots, 1.0 / slots), name=case.name)
 
 
 def linprog_reference(lp: BlockLP):
@@ -331,9 +354,84 @@ def reference_weighted_instance(phantom, machine, influence, criteria, weights, 
         columns.append(CriterionColumns(
             xi=xi_cols[k], alpha=alpha_cols[k], eta=eta_slices[k],
             voxel_rows=voxel_row_slices[k]))
-    return BlockLP(a11=a11, a12=a12, a21=a21, a22=a22,
+    return BlockLP(a11=a11, a12=a12, a21_factors=A21Factors.from_matrix(a21), a22=a22,
                    b1=np.asarray(b1), b2=np.asarray(b2),
                    objective_vector=c, lower=lower, upper=upper,
                    num_zero_rows=num_zero_rows, machine=machine,
                    criteria=criteria, weights=w, columns=tuple(columns),
                    row_labels1=tuple(labels1), name=name)
+
+
+def signed_groups(matrix, axis):
+    """Group the nonzero rows (``axis=0``) or columns (``axis=1``) of ``matrix`` equal up to sign.
+
+    Returns the nonzero vectors ``nz`` (increasing), the group of each and
+    its sign, and the first vector of every group, so that for columns
+    ``matrix[:, nz] == matrix[:, firsts][:, group] * sign`` by value (and
+    likewise for rows).  With V holding one vector per row, one mat-vec
+    ``|V| r`` with ``r`` drawn from [1, 2) finds the nonzero vectors and
+    proposes each one's candidate, the first vector with the same
+    fingerprint.  The sparse difference of the two, with the sign taken
+    from ``V r``, confirms the candidate when it stores no entry (sparse
+    subtraction sums duplicates and stores no zero); a fingerprint
+    collision costs a fold, never a wrong one.
+    """
+    vectors = matrix.T if axis else matrix   # one vector per row; a view
+    r = np.random.default_rng(0).uniform(1.0, 2.0, vectors.shape[1])
+    # abs() would sum duplicates in place, in the caller's arrays
+    magnitude = type(vectors)((np.abs(vectors.data), vectors.indices, vectors.indptr),
+                              shape=vectors.shape)
+    fingerprint = magnitude @ r
+    nz = np.flatnonzero(fingerprint)
+    _, first, inverse = np.unique(fingerprint[nz], return_index=True, return_inverse=True)
+    rep = nz[first[inverse]]
+    sign = np.ones(nz.size)
+    pending = np.flatnonzero(rep != nz)
+    if pending.size:
+        vec, other = nz[pending], rep[pending]
+        signed = vectors @ r
+        flip = np.sign(signed[vec]) * np.sign(signed[other])
+        scaled = vectors[other].tocsr()
+        scaled = sp.csr_matrix((np.repeat(flip, np.diff(scaled.indptr)) * scaled.data,
+                                scaled.indices, scaled.indptr), shape=scaled.shape)
+        residual = vectors[vec].tocsr() - scaled
+        differs = np.diff(residual.indptr) > 0
+        rep[pending[differs]] = vec[differs]
+        sign[pending] = np.where(differs, 1.0, flip)
+    firsts = nz[rep == nz]
+    return nz, np.searchsorted(firsts, rep), sign, firsts
+
+
+def reference_fold(a21):
+    """The fold of A21 found by search, the reference for the LP build's factors.
+
+    Columns equal up to sign are grouped (:func:`signed_groups`); the
+    criterion columns C are the longest tail of the grouped columns with
+    at most one stored entry per row; the nonzero rows of the rest are
+    grouped up to sign, one row of ``b`` each.  Returns the factors and
+    ``expand`` = [S | C] as CSR.
+    """
+    a21 = sp.csr_matrix(a21)
+    nz, group, sign, firsts = signed_groups(a21, axis=1)
+    a21c = a21[:, firsts]
+    a21c.sort_indices()
+    # the split is one past the largest second-to-last column of any row
+    second_last = a21c.indices[a21c.indptr[1:][np.diff(a21c.indptr) > 1] - 2]
+    split = int(second_last.max(initial=-1)) + 1
+    trajectory = a21c[:, :split]
+    row_nz, row_group, row_sign, row_firsts = signed_groups(trajectory, axis=0)
+    criterion = a21c[:, split:]
+    membership = sp.csr_matrix((row_sign, (row_nz, row_group)),
+                               shape=(a21c.shape[0], row_firsts.size))
+    factors = A21Factors(shape=a21.shape, nz=nz, group=group, sign=sign,
+                         b=trajectory[row_firsts].toarray(), row_nz=row_nz, row_group=row_group,
+                         row_sign=row_sign, criterion=criterion.toarray(), source=a21)
+    return factors, sp.hstack([membership, criterion], format="csr")
+
+
+FACTOR_ARRAYS = ("nz", "group", "sign", "b", "row_nz", "row_group", "row_sign", "criterion")
+
+
+def assert_same_bytes(mine, theirs, label=""):
+    assert mine.dtype == theirs.dtype and mine.shape == theirs.shape, label
+    assert np.ascontiguousarray(mine).tobytes() == np.ascontiguousarray(theirs).tobytes(), label

@@ -7,12 +7,14 @@ import scipy.sparse as sp
 from mtdplan import evaluation, ipm
 from mtdplan.dmlc import build_deliverability_constraints
 from mtdplan.errors import FormulationError
-from mtdplan.formulation import (BlockLP, Criterion, CriterionSet, build_weighted_instance,
-                                 dump_lp, partition_report, scalarized_objective_value)
+from mtdplan.formulation import (A21Factors, BlockLP, Criterion, CriterionSet,
+                                 build_weighted_instance, dump_lp, partition_report,
+                                 scalarized_objective_value)
 from mtdplan.phantom import roi_weight_vector
 
-from helpers import (influence_from_dense, line_phantom, linprog_reference, make_machine,
-                     random_block_instance, reference_weighted_instance, toy_dav_instance)
+from helpers import (demo_variant, influence_from_dense, line_phantom, linprog_reference,
+                     make_machine, random_block_instance, reference_weighted_instance,
+                     toy_dav_instance)
 
 
 def test_toy_two_voxel_dav_structure():
@@ -223,7 +225,7 @@ def test_optimum_invariant_under_conformal_permutation():
     row_perm = rng.permutation(lp.m1)
     permuted = BlockLP(
         a11=lp.a11[row_perm][:, col_perm], a12=lp.a12[row_perm],
-        a21=lp.a21[:, col_perm], a22=lp.a22,
+        a21_factors=A21Factors.from_matrix(lp.a21[:, col_perm]), a22=lp.a22,
         b1=lp.b1[row_perm], b2=lp.b2,
         objective_vector=np.concatenate([lp.objective_vector[:lp.n1][col_perm],
                                          lp.objective_vector[lp.n1:]]),
@@ -334,11 +336,18 @@ def test_sparse_build_matches_loop_reference_bitwise():
 
 def test_per_beam_row_sums_has_sorted_column_indices():
     influences = [_demo_inputs()[2]] + [random_block_instance(seed)[2] for seed in range(20)]
+    rng = np.random.default_rng(23)
     for influence in influences:
         sums = influence.per_beam_row_sums()
         for row in range(sums.shape[0]):
             cols = sums.indices[sums.indptr[row]:sums.indptr[row + 1]]
             assert np.all(np.diff(cols) > 0)
+        # the sums of some rows only are those rows of the full sums, byte for byte
+        rows = np.sort(rng.choice(sums.shape[0], size=sums.shape[0] // 2, replace=False))
+        some, full = influence.per_beam_row_sums(rows), sums[rows]
+        for part in ("indptr", "indices", "data"):
+            assert getattr(some, part).dtype == getattr(full, part).dtype
+            assert np.array_equal(getattr(some, part), getattr(full, part))
 
 
 def test_zero_transmission_stores_nothing_in_transmission_columns():
@@ -362,8 +371,12 @@ def test_zero_transmission_stores_nothing_in_transmission_columns():
     assert lp.a21.nnz > 0 and lp.a11[deliverability:].nnz > 0
 
 
-def test_dump_lp_of_demo_matches_loop_reference_bytewise(tmp_path):
-    inputs = _demo_inputs()
+@pytest.mark.parametrize("variant", ["demo", "refined"])
+def test_dump_lp_of_demo_matches_loop_reference_bytewise(tmp_path, variant):
+    # A21 is formed from the build's factors on first use, as dump_lp reads it
+    case = demo_variant(variant)
+    inputs = (case.phantom, case.machine, case.dose_influence(), case.criteria,
+              np.full(case.criteria.num_slots, 1.0 / case.criteria.num_slots))
     dump_lp(build_weighted_instance(*inputs, name="demo"), tmp_path / "sparse.lp")
     dump_lp(reference_weighted_instance(*inputs, name="demo"), tmp_path / "loop.lp")
     assert (tmp_path / "sparse.lp").read_bytes() == (tmp_path / "loop.lp").read_bytes()
@@ -383,7 +396,8 @@ def test_reweighted_matches_a_fresh_build_at_every_grid_point():
             assert np.array_equal(getattr(again, name), getattr(fresh, name)), name
         assert (again.name, again.num_deliverability_rows) == \
             (fresh.name, fresh.num_deliverability_rows)
-        for shared in ("a11", "a12", "a21", "a22", "b1", "b2", "lower", "upper", "row_labels1"):
+        for shared in ("a11", "a12", "a21_factors", "a22", "b1", "b2", "lower", "upper",
+                       "row_labels1"):
             assert getattr(again, shared) is getattr(lp, shared), shared
     for bad in ([0.5, 0.5], [-0.5, 1.0, 0.5], [0.2, 0.2, 0.2]):
         with pytest.raises(FormulationError):

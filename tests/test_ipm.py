@@ -1,4 +1,5 @@
 import gc
+import pickle
 import time
 import weakref
 from dataclasses import replace
@@ -9,21 +10,24 @@ import scipy.linalg
 import scipy.linalg.blas
 import scipy.sparse as sp
 
-from mtdplan import ipm, mco
+from mtdplan import cli, formulation, ipm, mco
 from mtdplan.case import load_case
-from mtdplan.formulation import BlockLP, CriterionSet, build_weighted_instance
+from mtdplan.formulation import A21Factors, BlockLP, CriterionSet, build_weighted_instance
 from mtdplan.ipm import (DualSolution, KKTSystem, SolverSettings, _SchurFactorization,
                          duality_gap_in_dose, invert_voxelwise_quadrant, rearrange_kkt,
                          schur_solve, solve)
 
-from helpers import linprog_reference, make_machine, random_block_instance, toy_dav_instance
+from helpers import (FACTOR_ARRAYS, assert_same_bytes, balanced_lp, demo_variant,
+                     linprog_reference, make_machine, random_block_instance, reference_fold,
+                     toy_dav_instance)
 
 
 def raw_lp(a11, b1, c, lower, upper):
     """BlockLP with an empty voxelwise part, for bare solver tests."""
     a11 = sp.csr_matrix(np.atleast_2d(np.asarray(a11, dtype=float)))
     m1, n1 = a11.shape
-    return BlockLP(a11=a11, a12=sp.csr_matrix((m1, 0)), a21=sp.csr_matrix((0, n1)),
+    return BlockLP(a11=a11, a12=sp.csr_matrix((m1, 0)),
+                   a21_factors=A21Factors.from_matrix(sp.csr_matrix((0, n1))),
                    a22=sp.csr_matrix((0, 0)), b1=np.asarray(b1, dtype=float),
                    b2=np.zeros(0), objective_vector=np.asarray(c, dtype=float),
                    lower=np.asarray(lower, dtype=float), upper=np.asarray(upper, dtype=float),
@@ -312,15 +316,18 @@ def unfolded_a21(structure):
 
 
 def test_schur_solve_matches_dense_with_folded_a21_columns():
+    # The reference fold groups columns and rows by value, through
+    # fingerprint collisions, stored zeros and duplicate entries; a
+    # structure built on its factors solves as the dense system does.
     rng = np.random.default_rng(41)
     for _ in range(10):
         system = random_kkt(rng, n1=11, n2=int(rng.integers(3, 12)),
                             m1=int(rng.integers(1, 8)), m2_zero=int(rng.integers(5, 8)))
         a21, dense_a21 = folded_a21(rng, system.m2, system.num_zero_rows)
         stored = [array.copy() for array in (a21.data, a21.indices, a21.indptr)]
-        system = with_a21(system, a21)
+        system = with_a21(system, reference_fold(a21)[0])
         structure = _SchurFactorization(system).structure
-        # the LP's A21 is left as stored, duplicates included
+        # A21 is left as stored, duplicates included
         assert all(np.array_equal(array, copy)
                    for array, copy in zip((a21.data, a21.indices, a21.indptr), stored))
         assert np.array_equal(structure.nz, [0, 1, 3, 4, 5, 6, 8, 9, 10])
@@ -349,7 +356,7 @@ def test_schur_solve_matches_dense_with_no_nonzero_a21_column(capfd):
     system = random_kkt(rng, n1=5, n2=6, m1=4, m2_zero=2)
     zeros = sp.csr_matrix((np.array([0.0, -0.0, -0.0]), (np.array([0, 3, 7]), np.array([1, 1, 4]))),
                           shape=(system.m2, system.n1))
-    system = with_a21(system, zeros)
+    system = with_a21(system, reference_fold(zeros)[0])
     structure = _SchurFactorization(system).structure
     assert structure.nz.size == 0 and structure.row_nz.size == 0 and structure.split == 0
     assert structure.b.shape == (0, 0) and structure.criterion.shape == (system.m2, 0)
@@ -378,7 +385,7 @@ def test_schur_solve_row_fold_edge_cases(case, capfd):
         coo = a21.tocoo()
         a21 = raw_csr(np.append(coo.row, [2, 2]), np.append(coo.col, [5, 5]),
                       np.append(coo.data, [0.5, 0.5]), a21.shape)
-    system = with_a21(system, a21)
+    system = with_a21(system, reference_fold(a21)[0])
     structure = _SchurFactorization(system).structure
     groups = structure.b.shape[0]
     expected = {"distinct-rows": (5, system.m2, system.m2),
@@ -403,7 +410,7 @@ def demo_lp():
 
 
 def unit_structure(lp):
-    system = KKTSystem(a11=lp.a11, a12=lp.a12, a21=lp.a21, a22=lp.a22, d1=np.ones(lp.n1),
+    system = KKTSystem(a11=lp.a11, a12=lp.a12, a21=lp.a21_factors, a22=lp.a22, d1=np.ones(lp.n1),
                        d2=np.ones(lp.n2), d3=np.ones(lp.m1), d4=np.ones(lp.m2),
                        num_zero_rows=lp.num_zero_rows)
     return ipm._NewtonStructure(system)
@@ -431,6 +438,42 @@ def test_newton_structure_folds_demo_rows():
     assert structure.criterion.shape == (600, 5)
     assert np.all(np.count_nonzero(structure.criterion, axis=1) == 1)
     assert np.array_equal(unfolded_a21(structure), lp.a21.toarray())
+
+
+def assert_structure_is_the_fold(lp):
+    """The build's factors, and the structure made of them, are the reference fold's bytes."""
+    fold, expand = reference_fold(lp.a21)
+    for name in FACTOR_ARRAYS:
+        assert_same_bytes(getattr(lp.a21_factors, name), getattr(fold, name), name)
+    structure = unit_structure(lp)
+    for name in ("b", "criterion", "nz", "group", "sign", "row_nz", "row_group"):
+        assert_same_bytes(getattr(structure, name), getattr(fold, name), name)
+    for part in ("indptr", "indices", "data"):
+        assert_same_bytes(getattr(structure.expand, part), getattr(expand, part), part)
+
+
+@pytest.mark.parametrize("variant", ["demo", "floor66", "refined"])
+def test_newton_structure_of_the_build_factors_is_the_fold(variant):
+    assert_structure_is_the_fold(balanced_lp(demo_variant(variant)))
+
+
+def test_newton_structure_of_random_build_factors_is_the_fold():
+    # Seeds 142, 248 and 261 (beyond this range) hold l columns equal by
+    # coincidence, which the fold groups and the factors do not.
+    for seed in range(100):
+        assert_structure_is_the_fold(random_block_instance(seed)[-1])
+
+
+def test_plain_a21_takes_identity_factors():
+    system = random_kkt(np.random.default_rng(45))
+    structure = ipm._NewtonStructure(system)
+    assert np.array_equal(structure.nz, np.arange(system.n1))
+    assert np.array_equal(structure.group, structure.nz) and np.all(structure.sign == 1.0)
+    assert np.array_equal(structure.row_nz, np.arange(system.m2))
+    assert np.array_equal(structure.row_group, structure.row_nz)
+    assert np.array_equal(structure.b, system.a21.toarray())
+    assert structure.criterion.shape == (system.m2, 0) and structure.split == system.n1
+    assert np.array_equal(structure.expand.toarray(), np.eye(system.m2))
 
 
 @pytest.mark.parametrize("seed", [None, 2, 4], ids=["demo", "no-dav-criterion", "no-zero-rows"])
@@ -689,6 +732,47 @@ def test_prepared_solve_builds_no_sparse_matrix(monkeypatch):
     res = solve(lp, SolverSettings(), prepared=prepared)
     assert res.converged, res.message
     assert built == []
+
+
+def test_no_solve_path_forms_a21(monkeypatch, tmp_path):
+    # A21 is formed from its factors only where the whole matrix is read:
+    # dump_lp, BlockLP.matrix(), the partition report and other solvers.
+    formed = []
+    form = formulation._DoseRows.matrix
+
+    def counting(self):
+        formed.append(self)
+        return form(self)
+
+    monkeypatch.setattr(formulation._DoseRows, "matrix", counting)
+    demo = ["--case", "demo:prostate_demo"]
+    assert cli.main(["solve", *demo, "--out", str(tmp_path / "solve")]) == 0
+    assert cli.main(["pareto", *demo, "--grid-order", "2", "--workers", "1",
+                     "--out", str(tmp_path / "pareto")]) == 0
+    lp = demo_lp()
+    prepared = ipm.PreparedLP(lp)
+    assert prepared.serves(lp.reweighted([0.2, 0.3, 0.5])) and not prepared.serves(demo_lp())
+    assert formed == []
+    assert lp.a21 is lp.reweighted([0.2, 0.3, 0.5]).a21   # formed once, shared
+    assert len(formed) == 1
+
+
+def test_pickled_prepared_case_solves_to_the_same_bytes():
+    # A pool worker's case: the structure's workspaces and a formed A21 stay out of it.
+    case = load_case("demo:prostate_demo")
+    prepared = mco.prepared_instance(case)
+    prepared.lp.a21
+    assert not {"m_work", "product_work"} & set(prepared.structure.__getstate__())
+    copy = pickle.loads(pickle.dumps(case))._prepared
+    assert "matrix" not in copy.lp.a21_factors.__dict__
+    for work in (copy.structure.m_work, copy.structure.product_work):
+        assert work.shape == (prepared.lp.n1,) * 2 and work.flags.f_contiguous
+    lp = prepared.lp.reweighted([0.2, 0.3, 0.5])
+    mine = solve(lp, case.solver_settings(), prepared=prepared)
+    theirs = solve(copy.lp.reweighted([0.2, 0.3, 0.5]), case.solver_settings(), prepared=copy)
+    assert mine.converged
+    assert mine.x.tobytes() == theirs.x.tobytes()
+    assert mine.dual.y.tobytes() == theirs.dual.y.tobytes()
 
 
 def history_bytes(res):
