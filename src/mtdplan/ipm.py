@@ -83,19 +83,24 @@ Upper-bound duals ``w`` and gaps ``upper - x`` exist only on the columns
 they enter Dx, the dual residual and the Newton rhs by scatter-adding at
 ``up``.  ``DualSolution.w`` is expanded to full length, zero off ``up``.
 
-A solve starts at a least-squares point: ``x_ls`` and ``y_ls`` are damped
-minimum-norm solves of ``A x ~ b`` and ``A^T y ~ c`` through the
-factorization of the unit-diagonal system, then shifted strictly inside
-the box and the positive orthant.  Everything there but ``y_ls`` leaves
-``c`` alone, so a :class:`PreparedLP` holds the structure, that
-factorization and ``x_ls`` for every LP that differs only in ``c`` (the
-plans of one weight sweep); each solve then does one back-solve for
-``y_ls``.  A solve may instead start at a :class:`Restart`, an iterate of
-an earlier solve of the same constraints.  Every solve records one: its
-first iterate with ``mu`` at most ``_RESTART_MU_FRACTION`` (0.1) of its
-starting ``mu``, past the short steps that leave the least-squares point.
-With only ``c`` changed, that iterate's primal part is exactly as
-feasible as it was; the dual residual absorbs the new ``c``.
+An iterate is a :class:`Restart`: ``x``, the row slacks ``s`` and the
+duals ``y``, ``z`` and ``w``.  Each iteration measures its iterate once
+(the residuals, their scaled norms, ``mu`` and the gap), decides from
+those whether to stop, and otherwise steps to a new iterate; no array of
+an iterate is ever written into.  A solve starts at a least-squares
+point: ``x_ls`` and ``y_ls`` are damped minimum-norm solves of
+``A x ~ b`` and ``A^T y ~ c`` through the factorization of the
+unit-diagonal system, then shifted strictly inside the box and the
+positive orthant.  Everything there but ``y_ls`` leaves ``c`` alone, so a
+:class:`PreparedLP` holds the structure, that factorization and ``x_ls``
+for every LP that differs only in ``c`` (the plans of one weight sweep);
+each solve then does one back-solve for ``y_ls``.  A solve may instead
+start at an iterate of an earlier solve of the same constraints.  Every
+solve records one, with its ``iteration`` and ``mu``: its first iterate
+with ``mu`` at most ``_RESTART_MU_FRACTION`` (0.1) of its starting
+``mu``, past the short steps that leave the least-squares point.  With
+only ``c`` changed, that iterate's primal part is exactly as feasible as
+it was; the dual residual absorbs the new ``c``.
 
 The iteration stops once primal and dual residuals are below the
 feasibility tolerance and the duality gap - which is expressed in the
@@ -121,7 +126,7 @@ from __future__ import annotations
 
 import contextlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -713,23 +718,43 @@ class PreparedLP:
         return all(getattr(self.lp, name) is getattr(lp, name)
                    for name in ("a11", "a12", "a21_factors", "a22", "b1", "b2", "lower", "upper"))
 
+    def least_squares_start(self, c: np.ndarray, timings: dict[str, float]) -> Restart:
+        """The least-squares point for the objective ``c`` (see the module docstring).
+
+        Its one back-solve, for ``y_ls``, is timed into ``timings``.
+        """
+        lp, structure = self.lp, self.structure
+        with _timed(timings, "back_solve"):
+            y_ls = self.ones_fact.solve(np.concatenate([c, np.zeros(lp.num_rows)]))[lp.num_variables:]
+        margin = np.minimum(0.1 * (1.0 + np.abs(self.x_ls)), 0.25 * (lp.upper - lp.lower))
+        x = np.clip(self.x_ls, lp.lower + margin, lp.upper - margin)
+        z_hat = c - structure.rmatvec(y_ls)
+        dz = 0.1 * (1.0 + float(np.mean(np.abs(z_hat))))
+        s_hat = structure.matvec(x) - lp.rhs()
+        return Restart(x=x, s=np.maximum(s_hat, 0.1 * (1.0 + float(np.mean(np.abs(s_hat))))),
+                       y=np.maximum(y_ls, 0.0) + 0.1 * (1.0 + float(np.mean(np.abs(y_ls)))),
+                       z=np.maximum(z_hat, 0.0) + dz,
+                       w=np.maximum(-z_hat[np.isfinite(lp.upper)], 0.0) + dz)
+
 
 @dataclass(frozen=True)
 class Restart:
-    """An iterate of one solve, to start another solve of the same constraints from.
+    """An iterate of a solve: ``x``, the row slacks ``s``, the duals ``y``, ``z`` and ``w``.
 
-    ``iteration`` and ``mu`` say where in its solve it was taken; ``w`` is
-    on the columns with a finite upper bound.  The arrays are the solve's
-    own: it rebinds its iterate each step and never writes into it.
+    ``w`` is on the columns with a finite upper bound.  :func:`solve`
+    steps from one iterate to a new one and never writes into an array
+    of one, so an iterate it hands out, ``SolveResult.restart``, stays as
+    it was taken, to start another solve of the same constraints from.
+    ``iteration`` and ``mu`` say where in its solve a restart was taken.
     """
 
-    iteration: int
-    mu: float
     x: np.ndarray
     s: np.ndarray
     y: np.ndarray
     z: np.ndarray
     w: np.ndarray
+    iteration: int = 0
+    mu: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -879,83 +904,61 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
     structure = prepared.structure
     settings = settings or SolverSettings()
     n, m = lp.num_variables, lp.num_rows
-    b = lp.rhs()
-    c = lp.objective_vector
-    lower = lp.lower
-    upper = lp.upper
-    up = np.flatnonzero(np.isfinite(upper))   # the only columns with an upper-bound dual
-    upper_up = upper[up]
-
-    regularized = start is None and prepared.ones_fact.regularized
-    if start is not None:
-        x, s, y, z, w = start.x, start.s, start.y, start.z, start.w
-    else:  # the least-squares point (see the module docstring)
-        with _timed(timings, "back_solve"):
-            y_ls = prepared.ones_fact.solve(np.concatenate([c, np.zeros(m)]))[n:]
-        x_ls = prepared.x_ls
-        margin = np.minimum(0.1 * (1.0 + np.abs(x_ls)), 0.25 * (upper - lower))
-        x = np.clip(x_ls, lower + margin, upper - margin)
-
-        z_hat = c - structure.rmatvec(y_ls)
-        dz = 0.1 * (1.0 + float(np.mean(np.abs(z_hat))))
-        z = np.maximum(z_hat, 0.0) + dz
-        w = np.maximum(-z_hat[up], 0.0) + dz
-        s_hat = structure.matvec(x) - b
-        ds_shift = 0.1 * (1.0 + float(np.mean(np.abs(s_hat))))
-        s = np.maximum(s_hat, ds_shift)
-        y = np.maximum(y_ls, 0.0) + 0.1 * (1.0 + float(np.mean(np.abs(y_ls))))
-
+    b, c, lower = lp.rhs(), lp.objective_vector, lp.lower
+    up = np.flatnonzero(np.isfinite(lp.upper))   # the only columns with an upper-bound dual
+    upper_up = lp.upper[up]
     b_scale = 1.0 + float(np.max(np.abs(b))) if m else 1.0
     c_scale = 1.0 + float(np.max(np.abs(c)))
     history: list[IterationRecord] = []
     kkt_log: list = []
 
-    def residuals():
-        """``b - A x + s``, ``c - A^T y - z + w`` and their scaled max norms."""
-        rp = b - structure.matvec(x) + s
-        rd = c - structure.rmatvec(y) - z
-        rd[up] += w
-        return rp, rd, float(np.max(np.abs(rp))) / b_scale, float(np.max(np.abs(rd))) / c_scale
-
-    def current_gap() -> float:
-        dual_obj = float(np.dot(b, y)) + float(np.dot(lower, z)) - float(np.dot(upper_up, w))
-        return float(np.dot(c, x)) - dual_obj
-
     def mean_complementarity(x_shift, s, up_gap, z, y, w) -> float:
         return float(np.dot(x_shift, z) + np.dot(s, y) + np.dot(up_gap, w)) / (n + m + up.size)
 
-    def max_steps(dx, ds, dy, dz, dw):
-        """Largest primal and dual steps keeping the iterate nonnegative."""
-        return (_max_step([x_shift, s, up_gap], [dx, ds, -dx[up]]),
-                _max_step([z, y, w], [dz, dy, dw]))
-
-    def result(status: str, message: str = "") -> SolveResult:
+    def result(status: str, it: Restart, measured: tuple[float, float, float],
+               message: str = "") -> SolveResult:
+        """The result at ``it``, with its scaled residual norms and gap as measured."""
         step = time.perf_counter() - begin - sum(timings.values())
-        _, _, rel_p, rel_d = residuals()
+        rel_p, rel_d, gap = measured
         w_full = np.zeros(n)
-        w_full[up] = w
-        return SolveResult(status=status, x=x.copy(),
-                           dual=DualSolution(y=y.copy(), z=z.copy(), w=w_full),
-                           slack=s.copy(), objective=float(np.dot(c, x)),
-                           gap_gy=current_gap(), primal_residual=rel_p, dual_residual=rel_d,
+        w_full[up] = it.w
+        return SolveResult(status=status, x=it.x.copy(),
+                           dual=DualSolution(y=it.y.copy(), z=it.z.copy(), w=w_full),
+                           slack=it.s.copy(), objective=float(np.dot(c, it.x)),
+                           gap_gy=gap, primal_residual=rel_p, dual_residual=rel_d,
                            iterations=len(history), history=history,
                            kkt_log=kkt_log, message=message,
                            timings=dict(timings, step=max(step, 0.0)), factored_order=lp.n1,
                            restart=restart)
 
-    x_shift = x - lower
-    up_gap = upper_up - x[up]
-    sigma = 0.0
-    alpha_p = alpha_d = 0.0
+    it = start if start is not None else prepared.least_squares_start(c, timings)
+    regularized = start is None and prepared.ones_fact.regularized
+    sigma = alpha_p = alpha_d = 0.0
     restart = None
-    for iteration in range(settings.max_iterations):
-        rp, rd, rel_p, rel_d = residuals()
-        mu = mean_complementarity(x_shift, s, up_gap, z, y, w)
-        gap = current_gap()
+    for iteration in range(settings.max_iterations + 1):
+        # The iterate, measured once: its gaps to the bounds, the residuals
+        # b - A x + s and c - A^T y - z + w, their scaled max norms and the gap.
+        x_shift, up_gap = it.x - lower, upper_up - it.x[up]
+        rp = b - structure.matvec(it.x) + it.s
+        rd = c - structure.rmatvec(it.y) - it.z
+        rd[up] += it.w
+        dual_obj = float(np.dot(b, it.y)) + float(np.dot(lower, it.z)) - float(np.dot(upper_up, it.w))
+        measured = rel_p, rel_d, gap = (float(np.max(np.abs(rp))) / b_scale,
+                                        float(np.max(np.abs(rd))) / c_scale,
+                                        float(np.dot(c, it.x)) - dual_obj)
+        # Each step must keep its iterate strictly inside; fmin skips NaN, as any(part <= 0) does.
+        if iteration and any(np.fmin.reduce(part, initial=np.inf) <= 0
+                             for part in (x_shift, it.s, it.z, it.y, up_gap, it.w)):
+            return result("numerical_failure", it, measured, "lost strict positivity")
+        if iteration == settings.max_iterations:
+            return result("iteration_limit", it, measured,
+                          "iteration limit reached before convergence")
+
+        mu = mean_complementarity(x_shift, it.s, up_gap, it.z, it.y, it.w)
         if iteration == 0:
             mu0 = mu
         elif restart is None and mu <= _RESTART_MU_FRACTION * mu0:
-            restart = Restart(iteration=iteration, mu=mu, x=x, s=s, y=y, z=z, w=w)
+            restart = replace(it, iteration=iteration, mu=mu)
         history.append(IterationRecord(iteration=iteration, primal_residual=rel_p,
                                        dual_residual=rel_d, gap_gy=gap, mu=mu,
                                        step_primal=alpha_p, step_dual=alpha_d,
@@ -963,90 +966,80 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
 
         if rel_p <= settings.feasibility_tolerance and rel_d <= settings.feasibility_tolerance \
                 and gap <= settings.dose_tolerance_gy:
-            return result("converged")
+            return result("converged", it, measured)
         if not np.isfinite(mu) or not np.isfinite(gap):
-            return result("numerical_failure", "non-finite iterate")
+            return result("numerical_failure", it, measured, "non-finite iterate")
         # Farkas ray from the dual iterate: A^T y - w is c - rd - z, and z'
         # takes up its negative part (see the module docstring).
-        atyw = c - rd - z
+        atyw = c - rd - it.z
         z_ray = np.maximum(-atyw, 0.0)
-        norm = float(np.sum(y) + np.sum(z_ray) + np.sum(w))
+        norm = float(np.sum(it.y) + np.sum(z_ray) + np.sum(it.w))
         violation = float(np.max(atyw, initial=0.0)) / norm
-        value = (float(np.dot(b, y)) + float(np.dot(lower, z_ray))
-                 - float(np.dot(upper_up, w))) / norm
+        value = (float(np.dot(b, it.y)) + float(np.dot(lower, z_ray))
+                 - float(np.dot(upper_up, it.w))) / norm
         if violation <= settings.feasibility_tolerance < value:
-            return result("infeasible",
+            return result("infeasible", it, measured,
                           f"Farkas ray with violation {violation:.1e} and value {value:.3e}; "
-                          + _conflict_report(lp, y / norm, z_ray / norm, w / norm, up, value))
+                          + _conflict_report(lp, it.y / norm, z_ray / norm, it.w / norm, up, value))
 
-        dx_diag = z / x_shift
-        dx_diag[up] += w / up_gap
+        dx_diag = it.z / x_shift
+        dx_diag[up] += it.w / up_gap
         dx_diag += _REGULARIZATION
-        ds_diag = s / y + _REGULARIZATION
-        system = _kkt_system(lp, dx_diag, ds_diag)
+        system = _kkt_system(lp, dx_diag, it.s / it.y + _REGULARIZATION)
         try:
             with _timed(timings, "factorization"):
                 fact = _SchurFactorization(system, structure)
         except (scipy.linalg.LinAlgError, RuntimeError, ValueError) as exc:
-            return result("numerical_failure", f"factorization failed: {exc}")
+            return result("numerical_failure", it, measured, f"factorization failed: {exc}")
         regularized = fact.regularized
 
-        def directions(rc_xz, rc_xw, rc_sy):
+        def step_lengths(d, fraction: float) -> tuple[float, float]:
+            """``fraction`` of the largest primal and dual steps along ``d``, each at most 1."""
+            dx, dy, ds, dz, dw = d
+            return (min(1.0, fraction * _max_step([x_shift, it.s, up_gap], [dx, ds, -dx[up]])),
+                    min(1.0, fraction * _max_step([it.z, it.y, it.w], [dz, dy, dw])))
+
+        def direction(rc_xz, rc_xw, rc_sy):
+            """``(dx, dy, ds, dz, dw)`` from ``it`` for the complementarity targets ``rc``."""
             r1 = rd - rc_xz / x_shift
             r1[up] += rc_xw / up_gap
-            rhs = np.concatenate([r1, rp + rc_sy / y])
+            rhs = np.concatenate([r1, rp + rc_sy / it.y])
             with _timed(timings, "back_solve"):
                 delta = fact.solve(rhs)
-            ddx = delta[:n]
-            ddy = delta[n:]
-            dds = structure.matvec(ddx) - rp
-            ddz = (rc_xz - z * ddx) / x_shift
-            ddw = (rc_xw + w * ddx[up]) / up_gap
             if settings.log_kkt:
                 kkt_log.append((system, rhs, delta))
-            return ddx, ddy, dds, ddz, ddw
+            dx = delta[:n]
+            return (dx, delta[n:], structure.matvec(dx) - rp, (rc_xz - it.z * dx) / x_shift,
+                    (rc_xw + it.w * dx[up]) / up_gap)
 
         # predictor (affine scaling)
         try:
-            dx_a, dy_a, ds_a, dz_a, dw_a = directions(-x_shift * z, -up_gap * w, -s * y)
+            dx_a, dy_a, ds_a, dz_a, dw_a = affine = direction(-x_shift * it.z, -up_gap * it.w,
+                                                              -it.s * it.y)
         except (scipy.linalg.LinAlgError, ValueError) as exc:
-            return result("numerical_failure", f"predictor solve failed: {exc}")
-
-        ap, ad = (min(1.0, step) for step in max_steps(dx_a, ds_a, dy_a, dz_a, dw_a))
-        mu_aff = mean_complementarity(_stepped(x_shift, ap, dx_a), _stepped(s, ap, ds_a),
-                                      _stepped(up_gap, -ap, dx_a[up]), _stepped(z, ad, dz_a),
-                                      _stepped(y, ad, dy_a), _stepped(w, ad, dw_a))
+            return result("numerical_failure", it, measured, f"predictor solve failed: {exc}")
+        ap, ad = step_lengths(affine, 1.0)
+        # The trial point is x_shift + ap*dx, which rounds unlike the update's (x + a*dx) - lower.
+        mu_aff = mean_complementarity(_stepped(x_shift, ap, dx_a), _stepped(it.s, ap, ds_a),
+                                      _stepped(up_gap, -ap, dx_a[up]), _stepped(it.z, ad, dz_a),
+                                      _stepped(it.y, ad, dy_a), _stepped(it.w, ad, dw_a))
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** _CENTERING_POWER, 0.0, 0.999)) \
             if mu > 0 else 0.0
 
         # corrector (centering + second order)
-        rc_xz = sigma * mu - x_shift * z - dx_a * dz_a
-        rc_xw = sigma * mu - up_gap * w + dx_a[up] * dw_a
-        rc_sy = sigma * mu - s * y - ds_a * dy_a
         try:
-            dx_c, dy_c, ds_c, dz_c, dw_c = directions(rc_xz, rc_xw, rc_sy)
+            dx, dy, ds, dz, dw = corrector = direction(
+                sigma * mu - x_shift * it.z - dx_a * dz_a,
+                sigma * mu - up_gap * it.w + dx_a[up] * dw_a,
+                sigma * mu - it.s * it.y - ds_a * dy_a)
         except (scipy.linalg.LinAlgError, ValueError) as exc:
-            return result("numerical_failure", f"corrector solve failed: {exc}")
-
-        theta = settings.step_fraction
-        alpha_p, alpha_d = (min(1.0, theta * step)
-                            for step in max_steps(dx_c, ds_c, dy_c, dz_c, dw_c))
+            return result("numerical_failure", it, measured, f"corrector solve failed: {exc}")
+        alpha_p, alpha_d = step_lengths(corrector, settings.step_fraction)
         if alpha_p < _STEP_FLOOR and alpha_d < _STEP_FLOOR:
-            return result("numerical_failure", "step sizes collapsed")
-
-        # New arrays: a Restart keeps the old ones.
-        x = _stepped(x, alpha_p, dx_c)
-        s = _stepped(s, alpha_p, ds_c)
-        y = _stepped(y, alpha_d, dy_c)
-        z = _stepped(z, alpha_d, dz_c)
-        w = _stepped(w, alpha_d, dw_c)
-        np.subtract(x, lower, out=x_shift)
-        np.subtract(upper_up, x[up], out=up_gap)
-        # fmin skips NaN, as any(part <= 0) does
-        if any(np.fmin.reduce(part, initial=np.inf) <= 0 for part in (x_shift, s, z, y, up_gap, w)):
-            return result("numerical_failure", "lost strict positivity")
-
-    return result("iteration_limit", "iteration limit reached before convergence")
+            return result("numerical_failure", it, measured, "step sizes collapsed")
+        it = Restart(x=_stepped(it.x, alpha_p, dx), s=_stepped(it.s, alpha_p, ds),
+                     y=_stepped(it.y, alpha_d, dy), z=_stepped(it.z, alpha_d, dz),
+                     w=_stepped(it.w, alpha_d, dw))
 
 
 def write_iteration_log(path, history) -> None:

@@ -228,23 +228,19 @@ class ShiftReport:
     mean_displacement: np.ndarray
     residual_rms: float
     residual_max: float
-    quality_hull_vertices: np.ndarray | None
-    objective_hull_vertices: np.ndarray | None
     degenerate: bool = False
     note: str = ""
 
 
 def hull_and_shift_report(quality_points, objective_points) -> ShiftReport:
-    """Convex hulls of both clouds plus the per-plan displacement field.
+    """The per-plan displacement field between the two clouds.
 
     The displacement of a plan is its quality vector minus its objective
     value vector; after removing the mean displacement the residual
     spread measures how far the clouds are from a rigid shift of each
-    other.  Degenerate (e.g. coplanar) clouds fall back to reporting
-    displacements without hulls.
+    other.  A cloud is degenerate when it has too few points to span its
+    space, or when its centred points do not (e.g. coplanar in 3-D).
     """
-    from scipy.spatial import ConvexHull, QhullError  # imported here: only this report uses it
-
     quality = np.asarray(quality_points, dtype=float)
     objective = np.asarray(objective_points, dtype=float)
     if quality.shape != objective.shape:
@@ -253,24 +249,17 @@ def hull_and_shift_report(quality_points, objective_points) -> ShiftReport:
     mean = displacement.mean(axis=0)
     residual = displacement - mean
     norms = np.linalg.norm(residual, axis=1)
-    q_hull = o_hull = None
-    degenerate = False
-    note = ""
-    if quality.shape[0] >= quality.shape[1] + 1:
-        try:
-            q_hull = ConvexHull(quality).vertices
-            o_hull = ConvexHull(objective).vertices
-        except QhullError:
-            degenerate = True
-            note = "degenerate point cloud (coplanar or collinear); hulls omitted"
-    else:
-        degenerate = True
+    if quality.shape[0] < quality.shape[1] + 1:
         note = "too few points for a full-dimensional hull"
+    elif any(np.linalg.matrix_rank(cloud - cloud.mean(axis=0)) < cloud.shape[1]
+             for cloud in (quality, objective)):
+        note = "degenerate point cloud (coplanar or collinear)"
+    else:
+        note = ""
     return ShiftReport(displacement=displacement, mean_displacement=mean,
                        residual_rms=float(np.sqrt(np.mean(norms ** 2))),
                        residual_max=float(norms.max()) if norms.size else 0.0,
-                       quality_hull_vertices=q_hull, objective_hull_vertices=o_hull,
-                       degenerate=degenerate, note=note)
+                       degenerate=bool(note), note=note)
 
 
 def write_pareto_csv(path, pareto: ParetoSet, criteria, index_specs) -> None:

@@ -165,16 +165,30 @@ def solved_dir(tmp_path_factory):
     return out
 
 
-def test_importing_the_cli_loads_no_module_only_some_commands_use():
-    # Every command is a fresh process, so whatever `import mtdplan.cli` loads is paid on each.
-    # The Pareto hull report imports scipy.spatial and --workers > 1 the process pool themselves.
+def fresh_process_output(probe: str) -> list[str]:
+    """The words ``probe`` prints when run by a new interpreter on this checkout's package."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = ("import sys, mtdplan.cli; print(' '.join(m for m in ('scipy.ndimage', "
-             "'scipy.spatial', 'scipy.optimize', 'multiprocessing') if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True)
-    assert done.stdout.split() == []
+    return done.stdout.split()
+
+
+def test_importing_the_cli_loads_no_module_only_some_commands_use():
+    # Every command is a fresh process, so whatever `import mtdplan.cli` loads is paid on each.
+    # Only --workers > 1 imports the process pool itself.
+    assert fresh_process_output(
+        "import sys, mtdplan.cli; print(' '.join(m for m in ('scipy.ndimage', "
+        "'scipy.spatial', 'scipy.optimize', 'multiprocessing') if m in sys.modules))") == []
+
+
+def test_pareto_loads_no_scipy_spatial(tmp_path):
+    # A fresh process: scipy.optimize, which other tests use, loads scipy.spatial in this one.
+    argv = ["pareto", "--case", "demo:prostate_demo", "--grid-order", "2", "--out", str(tmp_path)]
+    assert fresh_process_output(
+        f"import sys, mtdplan.cli; code = mtdplan.cli.main({argv!r}); "
+        "print(code, 'scipy.spatial' in sys.modules)")[-2:] == [str(cli.EXIT_OK), "False"]
+    assert (tmp_path / "hull_shift_report.csv").exists()
 
 
 def test_validate_demo_case_exits_zero(capsys):

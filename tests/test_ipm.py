@@ -800,6 +800,26 @@ def test_prepared_start_factor_survives_a_sweep_on_its_structure():
     assert history_bytes(before) == history_bytes(after) == history_bytes(fresh)
 
 
+@pytest.mark.parametrize("seed", [None, 0, 3, 90, 121], ids=["demo", "0", "3", "90-infeasible",
+                                                           "121-numerical-failure"])
+def test_restart_continues_its_solve_bit_for_bit(seed):
+    lp = demo_lp() if seed is None else random_block_instance(seed)[-1]
+    first = solve(lp, SolverSettings())
+    start = first.restart
+    again = solve(lp, SolverSettings(), start=start)
+    assert start.iteration + again.iterations == first.iterations
+    assert (again.status, again.message) == (first.status, first.message)
+    assert again.x.tobytes() == first.x.tobytes()
+    assert again.dual.y.tobytes() == first.dual.y.tobytes()
+
+    def measured(res, skip):
+        return [(rec.primal_residual, rec.dual_residual, rec.gap_gy, rec.mu)
+                for rec in res.history[skip:]]
+
+    assert measured(again, 0) == measured(first, start.iteration)
+    assert again.history[0].mu == start.mu
+
+
 def max_step_of_part(values, deltas):
     """Largest step keeping values + step*deltas nonnegative; 1.0 if nothing shrinks."""
     shrinking = deltas < 0

@@ -96,8 +96,7 @@ def test_shift_report_pure_translation():
     report = hull_and_shift_report(quality, quality - shift)
     assert np.allclose(report.mean_displacement, shift, atol=1e-12)
     assert report.residual_rms <= 1e-12
-    assert report.quality_hull_vertices is not None
-    assert set(report.quality_hull_vertices.tolist()) == set(report.objective_hull_vertices.tolist())
+    assert not report.degenerate
 
 
 def test_shift_report_degenerate_cloud_falls_back():
@@ -106,7 +105,6 @@ def test_shift_report_degenerate_cloud_falls_back():
     coplanar[:, 1] = np.arange(6) * 2.0
     report = hull_and_shift_report(coplanar, coplanar)
     assert report.degenerate
-    assert report.quality_hull_vertices is None
     assert report.note
 
 
