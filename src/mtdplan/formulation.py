@@ -37,8 +37,9 @@ when ``tau = 0``); the xi column serves max/min rows, the alpha column
 eta rows.  An average row is the column sum, in voxel order, of the same
 slices with ``s = -w`` (avg-min) or ``s = +w`` (avg-max).
 
-The build emits A21 in these factors (:class:`A21Factors`), which the
-solver takes as they are, and forms A21 itself only on first use.
+The build emits A21 only in these factors (:class:`A21Factors`), which
+the solver takes as they are; A21 itself is formed from the factors on
+first use, where the whole matrix is read.
 """
 
 from __future__ import annotations
@@ -203,42 +204,6 @@ class CriterionColumns:
 
 
 @dataclass(frozen=True, eq=False)
-class _DoseRows:
-    """What A21 is formed from: its blocks ``[s*d_V | -s on xi/alpha]``, in row order.
-
-    ``blocks`` holds each voxelwise criterion's ``(voxels, s, aux column)``;
-    ``leak`` the per-beam row sums of the sorted ``leak_voxels`` (None when
-    ``tau = 0``).
-    """
-
-    influence: sp.csr_matrix
-    leak: sp.csr_matrix | None
-    leak_voxels: np.ndarray
-    blocks: tuple
-    open_scale: float
-    leak_scale: float
-    n1: int
-    num_beams: int
-
-    def matrix(self) -> sp.csr_matrix:
-        n_traj = 2 * self.influence.shape[1] + self.num_beams
-        rows = []
-        for voxels, sign, aux_col in self.blocks:
-            scale = np.full(voxels.size, sign)
-            dose = self.influence[voxels]
-            leak = (_scale_rows(self.leak[np.searchsorted(self.leak_voxels, voxels)],
-                                scale * self.leak_scale) if self.leak is not None
-                    else sp.csr_matrix((voxels.size, self.num_beams)))
-            aux = sp.csr_matrix((np.full(voxels.size, -sign),
-                                 np.full(voxels.size, aux_col - n_traj), np.arange(voxels.size + 1)),
-                                shape=(voxels.size, self.n1 - n_traj))
-            rows.append(sp.hstack([_scale_rows(dose, scale * self.open_scale),
-                                   _scale_rows(dose, -scale * self.open_scale), leak, aux],
-                                  format="csr"))
-        return sp.vstack(rows, format="csr") if rows else sp.csr_matrix((0, self.n1))
-
-
-@dataclass(frozen=True, eq=False)
 class A21Factors:
     """A21 as the build knows it: ``A21[:, nz] = [S b | C][:, group] * sign``.
 
@@ -250,10 +215,11 @@ class A21Factors:
     of A21 is ``row_sign[i] * b[row_group[i]]`` beside its entry in C
     (``criterion``, dense, one entry per row).
 
-    :attr:`matrix` forms A21 from ``source`` on first use and keeps it;
-    only ``dump_lp``, :meth:`BlockLP.matrix`, the partition report and
-    other solvers read it.  :meth:`from_matrix` gives a plain matrix
-    identity factors.
+    :attr:`expand` is ``[S | C]`` as CSR.  :attr:`matrix` forms A21 from
+    the factors on first use and keeps it; only ``dump_lp``,
+    :meth:`BlockLP.matrix`, the partition report and other solvers read
+    it.  :meth:`from_matrix` gives a plain matrix identity factors and
+    keeps the matrix as it is.  Neither ``expand`` nor ``matrix`` is pickled.
     """
 
     shape: tuple[int, int]
@@ -265,7 +231,6 @@ class A21Factors:
     row_group: np.ndarray
     row_sign: np.ndarray
     criterion: np.ndarray
-    source: _DoseRows | sp.csr_matrix = field(repr=False)
 
     @classmethod
     def from_matrix(cls, a21) -> "A21Factors":
@@ -273,17 +238,39 @@ class A21Factors:
         a21 = sp.csr_matrix(a21)
         m2, n1 = a21.shape
         rows, cols = np.arange(m2), np.arange(n1)
-        return cls(shape=(m2, n1), nz=cols, group=cols, sign=np.ones(n1), b=a21.toarray(),
-                   row_nz=rows, row_group=rows, row_sign=np.ones(m2),
-                   criterion=np.zeros((m2, 0)), source=a21)
+        factors = cls(shape=(m2, n1), nz=cols, group=cols, sign=np.ones(n1), b=a21.toarray(),
+                      row_nz=rows, row_group=rows, row_sign=np.ones(m2),
+                      criterion=np.zeros((m2, 0)))
+        factors.__dict__["matrix"] = a21   # formed already
+        return factors
+
+    @functools.cached_property
+    def expand(self) -> sp.csr_matrix:
+        """``[S | C]``: row ``row_nz[i]`` holds ``row_sign[i]`` at ``row_group[i]``, then its C entries."""
+        membership = sp.csr_matrix((self.row_sign, (self.row_nz, self.row_group)),
+                                   shape=(self.shape[0], self.b.shape[0]))
+        return sp.hstack([membership, sp.csr_matrix(self.criterion)], format="csr")
 
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
-        return self.source.matrix() if isinstance(self.source, _DoseRows) else self.source
+        """``A21 = [S b | C] E``, with E taking each group to its columns with their signs.
+
+        Each stored entry is one entry of ``b`` or C times +-1, so it is
+        exact; ``b`` as CSR holds no zeros, so the pattern is exact too.
+        The indices are sorted.
+        """
+        distinct = sp.block_diag([sp.csr_matrix(self.b), sp.eye(self.criterion.shape[1])],
+                                 format="csr")
+        spread = sp.csr_matrix((self.sign, (self.group, self.nz)),
+                               shape=(distinct.shape[1], self.shape[1]))
+        a21 = self.expand @ (distinct @ spread)
+        a21.sort_indices()
+        return a21
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state.pop("matrix", None)   # formed again on first use
+        for formed in ("expand", "matrix"):   # formed again on first use
+            state.pop(formed, None)
         return state
 
 
@@ -445,15 +432,17 @@ def _nonzero_rows(matrix: sp.csr_matrix) -> np.ndarray:
                        minlength=counts.size) > 0
 
 
-def _a21_factors(source: _DoseRows) -> A21Factors:
-    """The factors of the A21 that ``source`` forms (see :class:`A21Factors`).
+def _a21_factors(P: sp.csr_matrix, PR: sp.csr_matrix | None, leak_voxels: np.ndarray,
+                 blocks, n1: int, open_scale: float, leak_scale: float) -> A21Factors:
+    """The factors of A21 (see :class:`A21Factors`), the only form the build gives it.
 
+    ``blocks`` holds each voxelwise criterion's ``(voxels, s, aux column)``
+    in row order, its rows ``[s*d_V | -s on xi/alpha]``; ``PR`` holds the
+    per-beam row sums of the sorted ``leak_voxels`` (None when ``tau = 0``).
     ``b`` holds each distinct voxel's row as A21 stores it where the voxel
     first occurs, ``(s*o) P[v]`` and ``(s*t) PR[v]``, on the live columns.
     """
-    blocks, influence, leak = source.blocks, source.influence, source.leak
-    nb, num_beams, n1 = influence.shape[1], source.num_beams, source.n1
-    n_traj = 2 * nb + num_beams
+    nb = P.shape[1]
     voxels = np.concatenate([v for v, _, _ in blocks] + [np.zeros(0, np.int64)])
     m2 = voxels.size
     signs = np.concatenate([np.full(v.size, s) for v, s, _ in blocks] + [np.zeros(0)])
@@ -461,7 +450,7 @@ def _a21_factors(source: _DoseRows) -> A21Factors:
 
     # Rows: the voxels with a nonzero dose row, by first occurrence.
     distinct, first, inverse = np.unique(voxels, return_index=True, return_inverse=True)
-    live = np.flatnonzero(_nonzero_rows(influence[distinct]))
+    live = np.flatnonzero(_nonzero_rows(P[distinct]))
     by_occurrence = live[np.argsort(first[live])]
     group_of = np.full(distinct.size, -1)
     group_of[by_occurrence] = np.arange(by_occurrence.size)
@@ -470,18 +459,18 @@ def _a21_factors(source: _DoseRows) -> A21Factors:
     row_group = row_group[row_nz]
     first_sign = signs[first[by_occurrence]]
     row_sign = signs[row_nz] * first_sign[row_group]
-    parts = [_scale_rows(influence[distinct[by_occurrence]], first_sign * source.open_scale)]
-    if leak is not None:
-        rows = leak[np.searchsorted(source.leak_voxels, distinct[by_occurrence])]
-        parts.append(_scale_rows(rows, first_sign * source.leak_scale))
+    parts = [_scale_rows(P[distinct[by_occurrence]], first_sign * open_scale)]
+    if PR is not None:
+        rows = PR[np.searchsorted(leak_voxels, distinct[by_occurrence])]
+        parts.append(_scale_rows(rows, first_sign * leak_scale))
 
     # Columns: [l | T] groups of the nonzero columns, then the xi/alpha ones.
     used = [np.bincount(part.indices, weights=part.data != 0, minlength=part.shape[1]) > 0
             for part in parts]
     live_cols = np.zeros(n1, bool)
     live_cols[:nb] = live_cols[nb:2 * nb] = used[0]
-    if leak is not None:
-        live_cols[2 * nb:n_traj] = used[1]
+    if PR is not None:
+        live_cols[2 * nb:2 * nb + PR.shape[1]] = used[1]
     live_cols[aux] = True
     nz = np.flatnonzero(live_cols)
     column_group = np.cumsum(live_cols) - 1
@@ -491,11 +480,11 @@ def _a21_factors(source: _DoseRows) -> A21Factors:
     sign = np.where((nz >= nb) & (nz < 2 * nb), -1.0, 1.0)
     b = sp.hstack([part[:, np.flatnonzero(mask)] for part, mask in zip(parts, used)],
                   format="csr").toarray()
-    criterion = np.zeros((m2, int(live_cols[n_traj:].sum())))
+    criterion = np.zeros((m2, np.unique(aux).size))
     criterion[np.arange(m2), column_group[aux] - split] = -signs
     return A21Factors(shape=(m2, n1), nz=nz, group=column_group[nz], sign=sign, b=b,
                       row_nz=row_nz, row_group=row_group, row_sign=row_sign,
-                      criterion=criterion, source=source)
+                      criterion=criterion)
 
 
 def build_weighted_instance(phantom: Phantom, machine: MachineModel, influence: DoseInfluence,
@@ -573,9 +562,6 @@ def build_weighted_instance(phantom: Phantom, machine: MachineModel, influence: 
         [voxels for voxels, _, _ in blocks] + [phantom.roi(criteria.criteria[k].roi).voxels
                                                for k in average] + [np.zeros(0, np.int64)]))
     PR = influence.per_beam_row_sums(leak_voxels) if leak_scale != 0.0 else None
-    source = _DoseRows(influence=P, leak=PR, leak_voxels=leak_voxels, blocks=tuple(blocks),
-                       open_scale=open_scale, leak_scale=leak_scale, n1=n1,
-                       num_beams=machine.num_beams)
 
     def average_row(voxels: np.ndarray, scale: np.ndarray):
         """Stored columns and sums of ``sum_i scale_i * d_{voxels_i}`` over (l, r, T).
@@ -629,7 +615,7 @@ def build_weighted_instance(phantom: Phantom, machine: MachineModel, influence: 
     b1 = np.concatenate([deliv.rhs, np.zeros(len(rows11) - 1)])
 
     # ---- block row 2: voxelwise rows, as A21's factors and A22 ----------
-    a21_factors = _a21_factors(source)
+    a21_factors = _a21_factors(P, PR, leak_voxels, blocks, n1, open_scale, leak_scale)
     b2 = np.zeros(m2)
     a22 = sp.vstack([sp.csr_matrix((num_zero_rows, n2)), sp.eye(n2, format="csr")],
                     format="csr") if n2 or num_zero_rows else sp.csr_matrix((0, 0))

@@ -48,7 +48,8 @@ columns fold to 98).  Each criterion on an ROI repeats that ROI's dose
 rows, so A21c = [S b | C]: b holds the distinct dose rows, one per voxel
 (the demo's 600 rows fold to 192, the 8x-refined case's 4116 to 1380),
 S maps rows onto them with signs, and C, the K criterion (xi/alpha)
-columns, has one entry per row.  A system given a plain A21 takes its
+columns, has one entry per row; the factors also give [S | C] as CSR
+(``A21Factors.expand``).  A system given a plain A21 takes its
 identity factors: b is A21, S the identity and C empty.  With
 D = diag(aa, rr) the voxel term is E^T (A21c^T D A21c) E,
 
@@ -376,7 +377,7 @@ class _NewtonStructure:
     trajectory groups come before the criterion columns C (the 5 xi/alpha
     columns on both cases).  The rows ``row_nz`` with a nonzero trajectory
     part map onto the rows of ``b`` with signs, so A21c = [S b | C] with S
-    the signed membership; ``expand`` is [S | C].
+    the signed membership; ``expand`` is [S | C], the factors' own.
     The demo's 600 rows fold to 192, the refined case's 4116 to 1380.
     ``b`` and C are dense: ``b`` is the ``syrk`` operand, and at its 28 %
     fill on the refined case dense products measure faster than CSR ones.
@@ -410,9 +411,7 @@ class _NewtonStructure:
         self.b, self.criterion = factors.b, factors.criterion
         self.split = self.b.shape[1]
         self.k = self.split + self.criterion.shape[1]
-        membership = sp.csr_matrix((factors.row_sign, (self.row_nz, self.row_group)),
-                                   shape=(factors.shape[0], self.b.shape[0]))
-        self.expand = sp.hstack([membership, sp.csr_matrix(self.criterion)], format="csr")
+        self.expand = factors.expand
         self.expand_t = self.expand.T.tocsr()
         # the pairs a <= b by b, then a: M's upper cells in its Fortran order
         upper_b, upper_a = np.tril_indices(self.nz.size)
@@ -729,12 +728,17 @@ class PreparedLP:
         margin = np.minimum(0.1 * (1.0 + np.abs(self.x_ls)), 0.25 * (lp.upper - lp.lower))
         x = np.clip(self.x_ls, lp.lower + margin, lp.upper - margin)
         z_hat = c - structure.rmatvec(y_ls)
-        dz = 0.1 * (1.0 + float(np.mean(np.abs(z_hat))))
+        dz = 0.1 * (1.0 + _mean_abs(z_hat))
         s_hat = structure.matvec(x) - lp.rhs()
-        return Restart(x=x, s=np.maximum(s_hat, 0.1 * (1.0 + float(np.mean(np.abs(s_hat))))),
-                       y=np.maximum(y_ls, 0.0) + 0.1 * (1.0 + float(np.mean(np.abs(y_ls)))),
+        return Restart(x=x, s=np.maximum(s_hat, 0.1 * (1.0 + _mean_abs(s_hat))),
+                       y=np.maximum(y_ls, 0.0) + 0.1 * (1.0 + _mean_abs(y_ls)),
                        z=np.maximum(z_hat, 0.0) + dz,
                        w=np.maximum(-z_hat[np.isfinite(lp.upper)], 0.0) + dz)
+
+
+def _mean_abs(v: np.ndarray) -> float:
+    """``mean(|v|)``, rounded as ``np.mean`` rounds it, and 0 for an LP without rows."""
+    return float(np.sum(np.abs(v))) / max(v.size, 1)
 
 
 @dataclass(frozen=True)
@@ -943,7 +947,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
         rd = c - structure.rmatvec(it.y) - it.z
         rd[up] += it.w
         dual_obj = float(np.dot(b, it.y)) + float(np.dot(lower, it.z)) - float(np.dot(upper_up, it.w))
-        measured = rel_p, rel_d, gap = (float(np.max(np.abs(rp))) / b_scale,
+        measured = rel_p, rel_d, gap = (float(np.max(np.abs(rp), initial=0.0)) / b_scale,
                                         float(np.max(np.abs(rd))) / c_scale,
                                         float(np.dot(c, it.x)) - dual_obj)
         # Each step must keep its iterate strictly inside; fmin skips NaN, as any(part <= 0) does.

@@ -425,7 +425,7 @@ def reference_fold(a21):
                                shape=(a21c.shape[0], row_firsts.size))
     factors = A21Factors(shape=a21.shape, nz=nz, group=group, sign=sign,
                          b=trajectory[row_firsts].toarray(), row_nz=row_nz, row_group=row_group,
-                         row_sign=row_sign, criterion=criterion.toarray(), source=a21)
+                         row_sign=row_sign, criterion=criterion.toarray())
     return factors, sp.hstack([membership, criterion], format="csr")
 
 

@@ -1,3 +1,4 @@
+import functools
 import gc
 import pickle
 import time
@@ -474,6 +475,10 @@ def test_plain_a21_takes_identity_factors():
     assert np.array_equal(structure.b, system.a21.toarray())
     assert structure.criterion.shape == (system.m2, 0) and structure.split == system.n1
     assert np.array_equal(structure.expand.toarray(), np.eye(system.m2))
+    # a plain matrix is kept as given, with its stored zeros and duplicate halves
+    a21, _ = folded_a21(np.random.default_rng(46), 12, 6)
+    kept = A21Factors.from_matrix(a21).matrix
+    assert kept.nnz == a21.nnz and np.array_equal(kept.data, a21.data)
 
 
 @pytest.mark.parametrize("seed", [None, 2, 4], ids=["demo", "no-dav-criterion", "no-zero-rows"])
@@ -738,13 +743,15 @@ def test_no_solve_path_forms_a21(monkeypatch, tmp_path):
     # A21 is formed from its factors only where the whole matrix is read:
     # dump_lp, BlockLP.matrix(), the partition report and other solvers.
     formed = []
-    form = formulation._DoseRows.matrix
+    form = formulation.A21Factors.matrix.func
 
     def counting(self):
         formed.append(self)
         return form(self)
 
-    monkeypatch.setattr(formulation._DoseRows, "matrix", counting)
+    counted = functools.cached_property(counting)
+    counted.__set_name__(formulation.A21Factors, "matrix")
+    monkeypatch.setattr(formulation.A21Factors, "matrix", counted)
     demo = ["--case", "demo:prostate_demo"]
     assert cli.main(["solve", *demo, "--out", str(tmp_path / "solve")]) == 0
     assert cli.main(["pareto", *demo, "--grid-order", "2", "--workers", "1",
@@ -773,6 +780,21 @@ def test_pickled_prepared_case_solves_to_the_same_bytes():
     assert mine.converged
     assert mine.x.tobytes() == theirs.x.tobytes()
     assert mine.dual.y.tobytes() == theirs.dual.y.tobytes()
+
+
+def test_pickled_factors_hold_only_the_factors():
+    # A21 travels to pool workers as its factors alone: no formed matrix and
+    # none of the dose rows or voxel lists it was built from.
+    case = load_case("demo:prostate_demo")
+    prepared = mco.prepared_instance(case)
+    factors = prepared.lp.a21_factors
+    assert prepared.structure.expand is factors.expand
+    formed = factors.matrix
+    assert set(factors.__getstate__()) == {"shape", *FACTOR_ARRAYS}
+    copy = pickle.loads(pickle.dumps(case))._prepared.lp.a21_factors
+    assert set(copy.__dict__) == {"shape", *FACTOR_ARRAYS}
+    for part in ("indptr", "indices", "data"):
+        assert_same_bytes(getattr(copy.matrix, part), getattr(formed, part), part)
 
 
 def history_bytes(res):
@@ -863,6 +885,16 @@ def test_minimal_lp():
     assert res.x[0] == pytest.approx(1.0, abs=1e-6)
     assert res.gap_gy <= 1e-6
     assert np.array_equal(res.dual.w, np.zeros(1))
+
+
+@pytest.mark.parametrize("c", [[1.0, 2.0], [-1.0, 2.0]])
+def test_lp_without_rows_solves_to_the_highs_objective(c):
+    # only the box 0 <= x0 <= 1, x1 >= 0 constrains x
+    lp = raw_lp(np.zeros((0, 2)), [], c, [0.0, 0.0], [1.0, np.inf])
+    res = solve(lp, SolverSettings(dose_tolerance_gy=1e-6))
+    assert res.converged, res.message
+    assert res.primal_residual == 0.0 and res.slack.shape == (0,)
+    assert res.objective == pytest.approx(linprog_reference(lp).fun, abs=1e-6)
 
 
 def test_upper_bound_dual_lands_on_its_column():
