@@ -22,6 +22,7 @@ from .errors import CaseError, DataError, MtdplanError
 from .fileio import read_dose_volume, write_dose_volume
 from .formulation import build_weighted_instance, dump_lp, partition_report
 from .mco import Plan, solve_single_weight
+# The benchmark tracer (benchmarks/tracing.py) wraps this name; nothing here calls it.
 from .phantom import roi_weight_vector
 
 EXIT_OK = 0
@@ -146,10 +147,9 @@ def _write_quality_report(case: Case, dose: np.ndarray, quality: np.ndarray, vio
                           out: str, tag: str, plan: Plan | None = None) -> None:
     """DVH, violation and quality files for a dose evaluated by the caller."""
     grid = evaluation.default_dose_grid(dose)
-    curves = {}
-    for spec in case.quality_indices:
-        if spec.roi not in curves:
-            curves[spec.roi] = evaluation.dvh_curve(dose, roi_weight_vector(case.phantom, spec.roi), grid)
+    rois = {spec.roi: case.phantom.roi(spec.roi) for spec in case.quality_indices}
+    curves = {name: evaluation.dvh_curve(dose[roi.voxels], roi.weights, grid)
+              for name, roi in rois.items()}
     evaluation.write_dvh_csv(os.path.join(out, f"{tag}_dvh.csv"), grid, curves)
     evaluation.write_violation_csv(os.path.join(out, f"{tag}_violations.csv"), violations)
     with open(os.path.join(out, f"{tag}_quality.txt"), "w") as fh:
@@ -231,17 +231,13 @@ def cmd_pareto(args) -> int:
 def _write_dvh_band_svg(case: Case, pareto: mco.ParetoSet, out: str) -> None:
     converged = pareto.converged()  # not empty: the caller checks
     grid = evaluation.default_dose_grid(np.array([e.plan.dose.max() for e in converged]))
-    bands = {}
-    highlight = {}
-    balanced_entry = next((e for e in converged if e.index == pareto.balanced_index), converged[0])
-    for spec in case.quality_indices:
-        if spec.roi in bands:
-            continue
-        w = roi_weight_vector(case.phantom, spec.roi)
-        curves = np.array([evaluation.dvh_curve(e.plan.dose, w, grid) for e in converged])
-        bands[spec.roi] = curves
-        highlight[spec.roi] = evaluation.dvh_curve(balanced_entry.plan.dose, w, grid)
-    svgplot.dvh_bands(os.path.join(out, "dvh_bands.svg"), grid, bands, highlight)
+    balanced = next((k for k, e in enumerate(converged) if e.index == pareto.balanced_index), 0)
+    rois = {spec.roi: case.phantom.roi(spec.roi) for spec in case.quality_indices}
+    bands = {name: np.array([evaluation.dvh_curve(e.plan.dose[roi.voxels], roi.weights, grid)
+                             for e in converged])
+             for name, roi in rois.items()}
+    svgplot.dvh_bands(os.path.join(out, "dvh_bands.svg"), grid, bands,
+                      {name: curves[balanced] for name, curves in bands.items()})
 
 
 def cmd_evaluate(args) -> int:

@@ -1,8 +1,10 @@
 """Volume-weighted dose statistics and plan-quality evaluation.
 
-All statistics operate on a dose vector ``d`` (Gy per voxel) and a dense
-relative-volume weight vector ``w`` that is zero outside the region of
-interest and sums to one over it.  Quantile boundaries are split
+All statistics operate on a dose vector ``d`` (Gy per voxel) and a
+relative-volume weight vector ``w`` over the same voxels: the region of
+interest's own, ``d[roi.voxels]`` with ``roi.weights`` as the planner
+passes them, or all voxels, with ``roi_weight_vector``'s zeros outside
+the region.  The weights sum to one.  Quantile boundaries are split
 fractionally, so the hottest ``v``-fraction has total weight exactly
 ``v`` and the tail means are continuous in ``v``.
 """
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import write_csv
-from .phantom import Phantom, roi_weight_vector
+from .phantom import Phantom
 
 _EPS = 1e-12
 _DVH_STEP_GY = 0.1
@@ -213,21 +215,17 @@ def evaluate_plan(phantom: Phantom, d: np.ndarray, index_specs, criteria):
     one percent.
     """
     d = np.asarray(d, dtype=float)
+    if d.shape != (phantom.num_voxels,):
+        raise ValueError("dose and phantom must have the same number of voxels")
     quality = np.empty(len(index_specs))
-    weight_cache: dict[str, np.ndarray] = {}
-
-    def weights_for(roi_name: str) -> np.ndarray:
-        if roi_name not in weight_cache:
-            weight_cache[roi_name] = roi_weight_vector(phantom, roi_name)
-        return weight_cache[roi_name]
-
     for i, spec in enumerate(index_specs):
-        quality[i] = quality_index_value(d, weights_for(spec.roi), spec)
+        roi = phantom.roi(spec.roi)
+        quality[i] = quality_index_value(d[roi.voxels], roi.weights, spec)
 
     violations: list[ViolationRecord] = []
     for criterion in criteria:
-        w = weights_for(criterion.roi)
-        label, achieved, tail = criterion_statistics(d, w, criterion)
+        roi = phantom.roi(criterion.roi)
+        label, achieved, tail = criterion_statistics(d[roi.voxels], roi.weights, criterion)
         for bound, bound_kind in ((criterion.hard_upper, "upper"), (criterion.hard_lower, "lower")):
             if bound is None:
                 continue

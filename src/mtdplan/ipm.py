@@ -158,7 +158,10 @@ class SolverSettings:
         # Written so that NaN fails.
         if not 0.0 < self.dose_tolerance_gy < np.inf:
             raise ValueError("dose_tolerance_gy must be finite and > 0")
-        if not self.max_iterations >= 1:
+        count = self.max_iterations
+        if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
+            raise ValueError("max_iterations must be an int")
+        if not count >= 1:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 < self.step_fraction < 1.0:
             raise ValueError("step_fraction must lie in (0, 1)")
@@ -990,12 +993,6 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
         dx_diag[up] += it.w / up_gap
         dx_diag += _REGULARIZATION
         system = _kkt_system(lp, dx_diag, it.s / it.y + _REGULARIZATION)
-        try:
-            with _timed(timings, "factorization"):
-                fact = _SchurFactorization(system, structure)
-        except (scipy.linalg.LinAlgError, RuntimeError, ValueError) as exc:
-            return result("numerical_failure", it, measured, f"factorization failed: {exc}")
-        regularized = fact.regularized
 
         def step_lengths(d, fraction: float) -> tuple[float, float]:
             """``fraction`` of the largest primal and dual steps along ``d``, each at most 1."""
@@ -1016,28 +1013,29 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
             return (dx, delta[n:], structure.matvec(dx) - rp, (rc_xz - it.z * dx) / x_shift,
                     (rc_xw + it.w * dx[up]) / up_gap)
 
-        # predictor (affine scaling)
+        # One Newton step; a failure in any phase ends the solve, named by its phase.
+        phase = "factorization"
         try:
+            with _timed(timings, "factorization"):
+                fact = _SchurFactorization(system, structure)
+            regularized = fact.regularized
+            phase = "predictor solve"  # affine scaling
             dx_a, dy_a, ds_a, dz_a, dw_a = affine = direction(-x_shift * it.z, -up_gap * it.w,
                                                               -it.s * it.y)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            return result("numerical_failure", it, measured, f"predictor solve failed: {exc}")
-        ap, ad = step_lengths(affine, 1.0)
-        # The trial point is x_shift + ap*dx, which rounds unlike the update's (x + a*dx) - lower.
-        mu_aff = mean_complementarity(_stepped(x_shift, ap, dx_a), _stepped(it.s, ap, ds_a),
-                                      _stepped(up_gap, -ap, dx_a[up]), _stepped(it.z, ad, dz_a),
-                                      _stepped(it.y, ad, dy_a), _stepped(it.w, ad, dw_a))
-        sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** _CENTERING_POWER, 0.0, 0.999)) \
-            if mu > 0 else 0.0
-
-        # corrector (centering + second order)
-        try:
+            ap, ad = step_lengths(affine, 1.0)
+            # The trial point is x_shift + ap*dx, which rounds unlike the update's (x + a*dx) - lower.
+            mu_aff = mean_complementarity(_stepped(x_shift, ap, dx_a), _stepped(it.s, ap, ds_a),
+                                          _stepped(up_gap, -ap, dx_a[up]), _stepped(it.z, ad, dz_a),
+                                          _stepped(it.y, ad, dy_a), _stepped(it.w, ad, dw_a))
+            sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** _CENTERING_POWER, 0.0, 0.999)) \
+                if mu > 0 else 0.0
+            phase = "corrector solve"  # centering + second order
             dx, dy, ds, dz, dw = corrector = direction(
                 sigma * mu - x_shift * it.z - dx_a * dz_a,
                 sigma * mu - up_gap * it.w + dx_a[up] * dw_a,
                 sigma * mu - it.s * it.y - ds_a * dy_a)
         except (scipy.linalg.LinAlgError, ValueError) as exc:
-            return result("numerical_failure", it, measured, f"corrector solve failed: {exc}")
+            return result("numerical_failure", it, measured, f"{phase} failed: {exc}")
         alpha_p, alpha_d = step_lengths(corrector, settings.step_fraction)
         if alpha_p < _STEP_FLOOR and alpha_d < _STEP_FLOOR:
             return result("numerical_failure", it, measured, "step sizes collapsed")

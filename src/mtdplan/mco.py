@@ -20,10 +20,9 @@ def weight_grid(num_objectives: int, order: int) -> np.ndarray:
     i.e. C(n+K-1, K-1) vectors; for K = 3 they tile the triangle with
     corners (1,0,0), (0,1,0) and (0,0,1).
     """
-    if order <= 0:
-        raise ValueError("grid order must be >= 1")
-    if num_objectives <= 0:
-        raise ValueError("num_objectives must be >= 1")
+    for name, value in (("grid order", order), ("num_objectives", num_objectives)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"{name} must be an int >= 1")
 
     def compositions(total, parts):
         if parts == 1:

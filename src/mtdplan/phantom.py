@@ -157,16 +157,17 @@ class MachineModel:
             raise PhantomError(f"machine has {self.num_bixels} bixels, more than numpy can index")
         if len(self.beam_angles_deg) != self.num_beams:
             raise PhantomError("beam_angles_deg length must equal num_beams")
-        if self.traverse_time_s <= 0:
-            raise PhantomError("traverse_time_s must be > 0")
+        # Written so that NaN and inf fail.
+        if not 0.0 < self.traverse_time_s < np.inf:
+            raise PhantomError("traverse_time_s must be finite and > 0")
         if not (0.0 < self.min_gap_fraction < 1.0):
             raise PhantomError("min_gap_fraction must lie in (0, 1)")
         if not (0.0 <= self.transmission < 1.0):
             raise PhantomError("transmission must lie in [0, 1)")
-        if self.dose_rate <= 0:
-            raise PhantomError("dose_rate must be > 0")
-        if self.max_time_s <= 0:
-            raise PhantomError("max_time_s must be > 0")
+        if not 0.0 < self.dose_rate < np.inf:
+            raise PhantomError("dose_rate must be finite and > 0")
+        if not 0.0 < self.max_time_s < np.inf:
+            raise PhantomError("max_time_s must be finite and > 0")
 
     @property
     def num_bixels(self) -> int:
@@ -190,16 +191,17 @@ class KernelParams:
     output_factor: float = 1.0
 
     def __post_init__(self):
-        if self.lateral_sigma_mm <= 0:
-            raise PhantomError("lateral_sigma_mm must be > 0")
-        if self.attenuation_per_mm < 0:
-            raise PhantomError("attenuation_per_mm must be >= 0")
-        if self.bixel_width_mm <= 0 or self.leaf_width_mm <= 0:
-            raise PhantomError("bixel/leaf widths must be > 0")
-        if self.cutoff_sigmas <= 0:
-            raise PhantomError("cutoff_sigmas must be > 0")
-        if self.output_factor <= 0:
-            raise PhantomError("output_factor must be > 0")
+        # Written so that NaN and inf fail.
+        if not 0.0 < self.lateral_sigma_mm < np.inf:
+            raise PhantomError("lateral_sigma_mm must be finite and > 0")
+        if not 0.0 <= self.attenuation_per_mm < np.inf:
+            raise PhantomError("attenuation_per_mm must be finite and >= 0")
+        if not (0.0 < self.bixel_width_mm < np.inf and 0.0 < self.leaf_width_mm < np.inf):
+            raise PhantomError("bixel/leaf widths must be finite and > 0")
+        if not 0.0 < self.cutoff_sigmas < np.inf:
+            raise PhantomError("cutoff_sigmas must be finite and > 0")
+        if not 0.0 < self.output_factor < np.inf:
+            raise PhantomError("output_factor must be finite and > 0")
 
 
 @dataclass(frozen=True)

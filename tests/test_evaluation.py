@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from mtdplan import evaluation
-from mtdplan.evaluation import (QualityIndexSpec, dose_at_volume, dvh_curve, evaluate_plan,
-                                homogeneity_index, lower_mean_tail_dose, mean_dose,
-                                upper_mean_tail_dose)
+import mtdplan.phantom
+from mtdplan import cli, evaluation, mco
+from mtdplan.case import load_case
+from mtdplan.evaluation import (QualityIndexSpec, criterion_statistics, dose_at_volume, dvh_curve,
+                                evaluate_plan, homogeneity_index, lower_mean_tail_dose, mean_dose,
+                                quality_index_value, upper_mean_tail_dose)
 from mtdplan.formulation import Criterion
-from mtdplan.phantom import Phantom, ROI
+from mtdplan.phantom import Phantom, ROI, roi_weight_vector
 
 
 # --- independent oracles -----------------------------------------------------
@@ -257,6 +259,13 @@ def test_evaluate_plan_exact_bounds_unflagged():
     assert not any(v.over_1pct for v in violations)
 
 
+@pytest.mark.parametrize("size", [5, 7])
+def test_evaluate_plan_rejects_a_dose_of_another_grid(size):
+    specs = [QualityIndexSpec(name="q", roi="ptv", kind="average", aim="minimize")]
+    with pytest.raises(ValueError, match="same number of voxels"):
+        evaluate_plan(_two_roi_phantom(), np.full(size, 60.0), specs, [])
+
+
 def test_uniform_dose_has_zero_homogeneity_index():
     phantom = _two_roi_phantom()
     d = np.full(6, 42.0)
@@ -286,3 +295,41 @@ def test_dvh_csv_roundtrip(tmp_path):
     assert np.array_equal(grid, data[:, 0])
     assert np.array_equal(curves["a"], data[:, 1])
     assert np.array_equal(curves["b"], data[:, 2])
+
+
+@pytest.mark.parametrize("command", [
+    ["solve"], ["pareto", "--grid-order", "2", "--workers", "1"], ["evaluate"]],
+    ids=["solve", "pareto", "evaluate"])
+def test_planner_evaluates_on_roi_voxels(monkeypatch, tmp_path, command):
+    # Every statistic takes an ROI's own voxels and weights, never the all-voxel vector.
+    demo = ["--case", "demo:prostate_demo"]
+    if command == ["evaluate"]:
+        assert cli.main(["solve", *demo, "--out", str(tmp_path / "plan")]) == 0
+        command = ["evaluate", "--plan", str(tmp_path / "plan" / "plan_dose.bin")]
+    calls = []
+    for module in (mtdplan.phantom, cli):
+        def counting(*args, original=module.roi_weight_vector):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, "roi_weight_vector", counting)
+    assert cli.main([command[0], *demo, *command[1:], "--out", str(tmp_path / "out")]) == 0
+    assert calls == []
+
+
+def test_evaluate_plan_equals_the_all_voxel_statistics():
+    case = load_case("demo:prostate_demo")
+    slots = case.criteria.num_slots
+    dose = mco.solve_single_weight(case, np.full(slots, 1.0 / slots)).dose
+    quality, violations = evaluate_plan(case.phantom, dose, case.quality_indices, case.criteria)
+    expected = [quality_index_value(dose, roi_weight_vector(case.phantom, spec.roi), spec)
+                for spec in case.quality_indices]
+    assert quality.tobytes() == np.array(expected).tobytes()
+    expected = []
+    for criterion in case.criteria:
+        _, achieved, tail = criterion_statistics(
+            dose, roi_weight_vector(case.phantom, criterion.roi), criterion)
+        bounds = (criterion.hard_upper, criterion.hard_lower)
+        expected += [(achieved, tail)] * sum(bound is not None for bound in bounds)
+    assert expected
+    assert [(v.achieved_gy, v.tail_gy) for v in violations] == expected

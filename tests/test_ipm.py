@@ -1018,11 +1018,49 @@ def test_contradictory_demo_bounds_certified_infeasible_and_named():
     assert np.max(atyw, initial=0.0) / norm <= 1e-8 < value
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0, True])
+def test_max_iterations_must_be_an_int(count):
+    with pytest.raises(ValueError, match="max_iterations must be an int"):
+        SolverSettings(max_iterations=count)
+
+
 def test_iteration_limit_status():
     *_, lp = toy_dav_instance(num_voxels=4, volume=0.5)
     res = solve(lp, SolverSettings(max_iterations=2))
     assert res.status == "iteration_limit"
     assert res.iterations == 2
+
+
+# phase: (the _SchurFactorization method that raises, at which of the solve's calls to
+# it, the exception, the iteration it fails in).  Constructions count from iteration 0's
+# factorization and back-solves from the least-squares y, so construction 3 is iteration
+# 2's factorization and solve calls 4 and 5 are iteration 1's predictor and corrector.
+_NEWTON_FAILURES = {"factorization": ("__init__", 3, scipy.linalg.LinAlgError, 2),
+                    "predictor solve": ("solve", 4, ValueError, 1),
+                    "corrector solve": ("solve", 5, ValueError, 1)}
+
+
+@pytest.mark.parametrize("phase", list(_NEWTON_FAILURES))
+def test_a_failed_newton_step_names_its_phase(monkeypatch, phase):
+    method, failing_call, error, iteration = _NEWTON_FAILURES[phase]
+    lp = demo_lp()
+    prepared = ipm.PreparedLP(lp)
+    clean = solve(lp, SolverSettings(), prepared=prepared)
+    original = getattr(_SchurFactorization, method)
+    calls = []
+
+    def failing(self, *args):
+        calls.append(method)
+        if len(calls) == failing_call:
+            raise error("injected")
+        return original(self, *args)
+
+    monkeypatch.setattr(_SchurFactorization, method, failing)
+    res = solve(lp, SolverSettings(), prepared=prepared)
+    assert (res.status, res.message) == ("numerical_failure", f"{phase} failed: injected")
+    assert len(calls) == failing_call
+    assert clean.iterations > iteration + 1
+    assert res.history == clean.history[:iteration + 1]
 
 
 def test_result_residuals_reported():

@@ -32,6 +32,14 @@ def test_weight_grid_rejects_bad_order():
         weight_grid(3, 0)
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0, True])
+def test_weight_grid_takes_only_int_counts(count):
+    with pytest.raises(ValueError, match="grid order must be an int >= 1"):
+        weight_grid(3, count)
+    with pytest.raises(ValueError, match="num_objectives must be an int >= 1"):
+        weight_grid(count, 2)
+
+
 # --- non-dominance -------------------------------------------------------------
 
 def brute_force_nondominated(points, aims):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -356,6 +357,21 @@ def test_influence_hash_keys_exactly_the_influence_inputs():
     # Transmission and dose rate scale delivered dose, not the influence matrix.
     assert _demo_hash("machine", "transmission", 0.05) == reference
     assert _demo_hash("machine", "dose_rate", 2.0) == reference
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["traverse_time_s", "dose_rate", "max_time_s"])
+def test_machine_model_rejects_a_non_finite_time_or_rate(field, value):
+    with pytest.raises(PhantomError, match="must be finite"):
+        replace(make_machine(), **{field: value})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["lateral_sigma_mm", "attenuation_per_mm", "bixel_width_mm",
+                                   "leaf_width_mm", "cutoff_sigmas", "output_factor"])
+def test_kernel_params_reject_a_non_finite_field(field, value):
+    with pytest.raises(PhantomError, match="must be finite"):
+        KernelParams(**{field: value})
 
 
 def test_machine_model_invariants():
