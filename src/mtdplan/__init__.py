@@ -17,7 +17,7 @@ from .evaluation import (QualityIndexSpec, dose_at_volume, dvh_curve, evaluate_p
 from .formulation import (BlockLP, Criterion, CriterionSet, build_weighted_instance,
                           partition_report, scalarized_objective_value)
 from .ipm import (KKTSystem, SolverSettings, SolveResult, duality_gap_in_dose,
-                  invert_voxelwise_quadrant, rearrange_kkt, schur_solve, solve)
+                  invert_voxelwise_quadrant, schur_solve, solve)
 from .mco import (ParetoSet, Plan, generate_pareto_set, hull_and_shift_report,
                   nondominated_subset, solve_single_weight, weight_grid)
 from .phantom import (DoseInfluence, KernelParams, MachineModel, Phantom, PhantomSpec, ROI,

@@ -103,7 +103,14 @@ with ``mu`` at most ``_RESTART_MU_FRACTION`` (0.1) of its starting
 only ``c`` changed, that iterate's primal part is exactly as feasible as
 it was; the dual residual absorbs the new ``c``.
 
-The iteration stops once primal and dual residuals are below the
+Each measured iterate goes to one routine, ``verdict`` in :func:`solve`,
+which checks in order: lost strict positivity past the first iterate and
+the iteration limit, both of which end the solve before the iterate is
+recorded, then ``converged``, a non-finite ``mu`` or gap, and
+``infeasible``.  Only the Newton step's own failures end a solve
+elsewhere: a factorization or back-solve that raises, and collapsed steps.
+
+It stops with ``converged`` once primal and dual residuals are below the
 feasibility tolerance and the duality gap - which is expressed in the
 same Gy-weighted scale as the objective - certifies the objective value
 to within the dose tolerance (default 1 cGy).
@@ -226,38 +233,6 @@ class KKTSystem:
             [a21, self.a22, None, sp.diags(self.d4) if m2 else None],
         ]
         return sp.bmat(blocks, format="csr")
-
-
-@dataclass(frozen=True)
-class Rearrangement:
-    """Permutation concentrating voxelwise components in one quadrant."""
-
-    perm: np.ndarray
-    top_order: int      # n1 + m1, of the order of the bixel count
-    bottom_order: int   # n2 + m2, voxel-sized
-
-    @property
-    def inverse(self) -> np.ndarray:
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(self.perm.size)
-        return inv
-
-
-def rearrange_kkt(system: KKTSystem) -> Rearrangement:
-    """Permutation taking (x1, x2, y1, y2) to (x1, y1, x2, y2).
-
-    Applying it symmetrically to the assembled matrix yields the 2x2
-    super-block form whose bottom-right quadrant carries every voxelwise
-    component.
-    """
-    n1, n2, m1, m2 = system.n1, system.n2, system.m1, system.m2
-    perm = np.concatenate([
-        np.arange(n1),                                    # x1
-        n1 + n2 + np.arange(m1),                          # y1
-        n1 + np.arange(n2),                               # x2
-        n1 + n2 + m1 + np.arange(m2),                     # y2
-    ])
-    return Rearrangement(perm=perm, top_order=n1 + m1, bottom_order=n2 + m2)
 
 
 @dataclass(frozen=True)
@@ -938,6 +913,45 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
                            timings=dict(timings, step=max(step, 0.0)), factored_order=lp.n1,
                            restart=restart)
 
+    def verdict(iteration: int, it: Restart, x_shift: np.ndarray, up_gap: np.ndarray,
+                rd: np.ndarray, measured: tuple[float, float, float]):
+        """How the solve ends at the measured iterate ``it``: ``(status, message, mu)``.
+
+        ``status`` is None to step on; the checks go in the module
+        docstring's order.  An iterate past the first that lost positivity,
+        or one at the limit, is not an iteration of the solve: its ``mu`` is
+        None, not measured, and the solve ends without recording it in the
+        history or taking it as the restart.  Every other iterate is
+        recorded with its ``mu``.  The Farkas ray is formed only after the
+        earlier checks: its norm can be 0 on an iterate that lost positivity.
+        """
+        rel_p, rel_d, gap = measured
+        # Each step must keep its iterate strictly inside; fmin skips NaN, as any(part <= 0) does.
+        if iteration and any(np.fmin.reduce(part, initial=np.inf) <= 0
+                             for part in (x_shift, it.s, it.z, it.y, up_gap, it.w)):
+            return "numerical_failure", "lost strict positivity", None
+        if iteration == settings.max_iterations:
+            return "iteration_limit", "iteration limit reached before convergence", None
+        mu = mean_complementarity(x_shift, it.s, up_gap, it.z, it.y, it.w)
+        if rel_p <= settings.feasibility_tolerance and rel_d <= settings.feasibility_tolerance \
+                and gap <= settings.dose_tolerance_gy:
+            return "converged", "", mu
+        if not np.isfinite(mu) or not np.isfinite(gap):
+            return "numerical_failure", "non-finite iterate", mu
+        # Farkas ray from the dual iterate: A^T y - w is c - rd - z, and z'
+        # takes up its negative part (see the module docstring).
+        atyw = c - rd - it.z
+        z_ray = np.maximum(-atyw, 0.0)
+        norm = float(np.sum(it.y) + np.sum(z_ray) + np.sum(it.w))
+        violation = float(np.max(atyw, initial=0.0)) / norm
+        value = (float(np.dot(b, it.y)) + float(np.dot(lower, z_ray))
+                 - float(np.dot(upper_up, it.w))) / norm
+        if violation <= settings.feasibility_tolerance < value:
+            return ("infeasible",
+                    f"Farkas ray with violation {violation:.1e} and value {value:.3e}; "
+                    + _conflict_report(lp, it.y / norm, z_ray / norm, it.w / norm, up, value), mu)
+        return None, "", mu
+
     it = start if start is not None else prepared.least_squares_start(c, timings)
     regularized = start is None and prepared.ones_fact.regularized
     sigma = alpha_p = alpha_d = 0.0
@@ -953,41 +967,18 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
         measured = rel_p, rel_d, gap = (float(np.max(np.abs(rp), initial=0.0)) / b_scale,
                                         float(np.max(np.abs(rd))) / c_scale,
                                         float(np.dot(c, it.x)) - dual_obj)
-        # Each step must keep its iterate strictly inside; fmin skips NaN, as any(part <= 0) does.
-        if iteration and any(np.fmin.reduce(part, initial=np.inf) <= 0
-                             for part in (x_shift, it.s, it.z, it.y, up_gap, it.w)):
-            return result("numerical_failure", it, measured, "lost strict positivity")
-        if iteration == settings.max_iterations:
-            return result("iteration_limit", it, measured,
-                          "iteration limit reached before convergence")
-
-        mu = mean_complementarity(x_shift, it.s, up_gap, it.z, it.y, it.w)
-        if iteration == 0:
-            mu0 = mu
-        elif restart is None and mu <= _RESTART_MU_FRACTION * mu0:
-            restart = replace(it, iteration=iteration, mu=mu)
-        history.append(IterationRecord(iteration=iteration, primal_residual=rel_p,
-                                       dual_residual=rel_d, gap_gy=gap, mu=mu,
-                                       step_primal=alpha_p, step_dual=alpha_d,
-                                       sigma=sigma, regularized=regularized))
-
-        if rel_p <= settings.feasibility_tolerance and rel_d <= settings.feasibility_tolerance \
-                and gap <= settings.dose_tolerance_gy:
-            return result("converged", it, measured)
-        if not np.isfinite(mu) or not np.isfinite(gap):
-            return result("numerical_failure", it, measured, "non-finite iterate")
-        # Farkas ray from the dual iterate: A^T y - w is c - rd - z, and z'
-        # takes up its negative part (see the module docstring).
-        atyw = c - rd - it.z
-        z_ray = np.maximum(-atyw, 0.0)
-        norm = float(np.sum(it.y) + np.sum(z_ray) + np.sum(it.w))
-        violation = float(np.max(atyw, initial=0.0)) / norm
-        value = (float(np.dot(b, it.y)) + float(np.dot(lower, z_ray))
-                 - float(np.dot(upper_up, it.w))) / norm
-        if violation <= settings.feasibility_tolerance < value:
-            return result("infeasible", it, measured,
-                          f"Farkas ray with violation {violation:.1e} and value {value:.3e}; "
-                          + _conflict_report(lp, it.y / norm, z_ray / norm, it.w / norm, up, value))
+        status, message, mu = verdict(iteration, it, x_shift, up_gap, rd, measured)
+        if mu is not None:   # an iteration of the solve: recorded
+            if iteration == 0:
+                mu0 = mu
+            elif restart is None and mu <= _RESTART_MU_FRACTION * mu0:
+                restart = replace(it, iteration=iteration, mu=mu)
+            history.append(IterationRecord(iteration=iteration, primal_residual=rel_p,
+                                           dual_residual=rel_d, gap_gy=gap, mu=mu,
+                                           step_primal=alpha_p, step_dual=alpha_d,
+                                           sigma=sigma, regularized=regularized))
+        if status is not None:
+            return result(status, it, measured, message)
 
         dx_diag = it.z / x_shift
         dx_diag[up] += it.w / up_gap

@@ -151,6 +151,10 @@ class MachineModel:
 
     def __post_init__(self):
         object.__setattr__(self, "beam_angles_deg", tuple(float(a) for a in self.beam_angles_deg))
+        for name in ("num_beams", "leaf_pairs", "bixels_per_row"):
+            count = getattr(self, name)
+            if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
+                raise PhantomError(f"{name} must be an int")
         if self.num_beams <= 0 or self.leaf_pairs <= 0 or self.bixels_per_row <= 0:
             raise PhantomError("machine dimensions must be positive")
         if self.num_bixels > np.iinfo(np.intp).max:  # bounds each dimension too

@@ -1,8 +1,10 @@
 """Print one line per solve of a fixed set of LPs, to compare two versions of the solver.
 
-The set is every ``random_block_instance`` seed 0-399 and the 64 demo
+The set is every ``random_block_instance`` seed 0-399, the 64 demo
 bound sets ``draw_bound_set`` draws (seeds 1, 2, 3 and 302, draws 0-15
-each), solved at balanced weights with the case's settings.  Each line
+each), solved at balanced weights with the case's settings, and seeds
+0-39 again with ``max_iterations=8``, most of which end at the iteration
+limit, whose iterate the history and restart leave out.  Each line
 holds the label, status, iteration count, a digest of the history, the
 solution (x, y, z, w, slack) and the restart iterate, and the message.
 A change meant to keep every iterate shows the same output as its
@@ -35,6 +37,8 @@ from workloads import draw_bound_set  # noqa: E402
 RANDOM_SEEDS = range(400)
 DRAW_SEEDS = (1, 2, 3, 302)
 DRAWS_PER_SEED = 16
+LIMITED_SEEDS = range(40)
+LIMITED_ITERATIONS = 8
 
 
 def digest(result: ipm.SolveResult) -> str:
@@ -70,6 +74,10 @@ def main() -> None:
             case = case_from_dict(draw_bound_set(rng, index))
             result = ipm.solve(balanced_lp(case), case.solver_settings())
             print(line(f"seed{seed}-draw{index:03d}", result), flush=True)
+    for seed in LIMITED_SEEDS:
+        *_, lp = random_block_instance(seed)
+        result = ipm.solve(lp, ipm.SolverSettings(max_iterations=LIMITED_ITERATIONS))
+        print(line(f"limit{LIMITED_ITERATIONS}-random{seed:03d}", result), flush=True)
 
 
 if __name__ == "__main__":

@@ -15,8 +15,7 @@ from mtdplan import cli, formulation, ipm, mco
 from mtdplan.case import load_case
 from mtdplan.formulation import A21Factors, BlockLP, CriterionSet, build_weighted_instance
 from mtdplan.ipm import (DualSolution, KKTSystem, SolverSettings, _SchurFactorization,
-                         duality_gap_in_dose, invert_voxelwise_quadrant, rearrange_kkt,
-                         schur_solve, solve)
+                         duality_gap_in_dose, invert_voxelwise_quadrant, schur_solve, solve)
 
 from helpers import (FACTOR_ARRAYS, assert_same_bytes, balanced_lp, demo_variant,
                      linprog_reference, make_machine, random_block_instance, reference_fold,
@@ -123,41 +122,6 @@ def test_quadrant_inverse_requires_positive_diagonals():
         invert_voxelwise_quadrant(np.array([0.0]), np.array([1.0]), 0)
 
 
-# --- rearrangement ------------------------------------------------------------
-
-def test_rearrangement_is_permutation_certificate():
-    rng = np.random.default_rng(3)
-    system = random_kkt(rng)
-    re = rearrange_kkt(system)
-    full = system.assemble().toarray()
-    permuted = full[np.ix_(re.perm, re.perm)]
-    n1, m1 = system.n1, system.m1
-    # top-left super-block is [[-D1, A11^T], [A11, D3]]
-    assert np.allclose(permuted[:n1, :n1], -np.diag(system.d1))
-    assert np.allclose(permuted[:n1, n1:n1 + m1], system.a11.toarray().T)
-    assert np.allclose(permuted[n1:n1 + m1, n1:n1 + m1], np.diag(system.d3))
-    assert re.top_order == n1 + m1
-    assert re.bottom_order == system.n2 + system.m2
-    # applying the recorded permutation then its inverse is the identity
-    assert np.array_equal(re.perm[re.inverse], np.arange(system.order))
-    back = permuted[np.ix_(re.inverse, re.inverse)]
-    assert np.array_equal(back, full)
-
-
-def test_rearranged_system_decouples_without_coupling_blocks():
-    rng = np.random.default_rng(5)
-    system = random_kkt(rng)
-    system = KKTSystem(a11=system.a11, a12=sp.csr_matrix(system.a12.shape),
-                       a21=sp.csr_matrix(system.a21.shape), a22=system.a22,
-                       d1=system.d1, d2=system.d2, d3=system.d3, d4=system.d4,
-                       num_zero_rows=system.num_zero_rows)
-    re = rearrange_kkt(system)
-    permuted = system.assemble().toarray()[np.ix_(re.perm, re.perm)]
-    top = re.top_order
-    assert np.count_nonzero(permuted[:top, top:]) == 0
-    assert np.count_nonzero(permuted[top:, :top]) == 0
-
-
 # --- schur solve ---------------------------------------------------------------
 
 def test_schur_solve_diagonal_system_is_elementwise():
@@ -178,7 +142,13 @@ def test_schur_solve_matches_dense_random():
                             m1=int(rng.integers(1, 8)), m2_zero=int(rng.integers(0, 6)))
         rhs = rng.standard_normal(system.order)
         delta, info = schur_solve(system, rhs)
-        dense = np.linalg.solve(system.assemble().toarray(), rhs)
+        full = system.assemble().toarray()
+        # (x1, y1) block of the (x1, x2, y1, y2) ordering: [[-D1, A11^T], [A11, D3]]
+        n1, y1 = system.n1, slice(system.n1 + system.n2, system.n1 + system.n2 + system.m1)
+        assert np.array_equal(full[:n1, :n1], -np.diag(system.d1))
+        assert np.array_equal(full[:n1, y1], system.a11.toarray().T)
+        assert np.array_equal(full[y1, y1], np.diag(system.d3))
+        dense = np.linalg.solve(full, rhs)
         assert np.linalg.norm(delta - dense) <= 1e-10 * max(1.0, np.linalg.norm(dense))
         assert info["relative_residual"] <= 1e-10
         assert not info["regularized"]
@@ -1027,8 +997,10 @@ def test_max_iterations_must_be_an_int(count):
 def test_iteration_limit_status():
     *_, lp = toy_dav_instance(num_voxels=4, volume=0.5)
     res = solve(lp, SolverSettings(max_iterations=2))
-    assert res.status == "iteration_limit"
-    assert res.iterations == 2
+    assert (res.status, res.message) == ("iteration_limit",
+                                         "iteration limit reached before convergence")
+    # the iterate at the limit is not an iteration of the solve: it is not recorded
+    assert res.iterations == len(res.history) == 2
 
 
 # phase: (the _SchurFactorization method that raises, at which of the solve's calls to
@@ -1061,6 +1033,39 @@ def test_a_failed_newton_step_names_its_phase(monkeypatch, phase):
     assert len(calls) == failing_call
     assert clean.iterations > iteration + 1
     assert res.history == clean.history[:iteration + 1]
+
+
+def test_collapsed_steps_end_the_solve_at_the_iterate_they_left(monkeypatch):
+    *_, lp = random_block_instance(0)
+    clean = solve(lp, SolverSettings())
+    monkeypatch.setattr(ipm, "_max_step", lambda values, deltas: 0.0)
+    res = solve(lp, SolverSettings())
+    assert (res.status, res.message) == ("numerical_failure", "step sizes collapsed")
+    assert clean.converged and clean.iterations > 1
+    assert res.iterations == 1 and res.history == clean.history[:1]
+
+
+def test_a_non_finite_iterate_ends_the_solve_recorded(monkeypatch):
+    # Each iteration calls _stepped 6 times for the predictor's trial point, then
+    # 5 times for the update (x, s, y, z, w): call 29 is iteration 2's update of x.
+    *_, lp = random_block_instance(0)
+    clean = solve(lp, SolverSettings())
+    original, calls = ipm._stepped, []
+
+    def poisoned(value, step, delta):
+        out = original(value, step, delta)
+        calls.append(step)
+        if len(calls) == 29:
+            out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(ipm, "_stepped", poisoned)
+    res = solve(lp, SolverSettings())
+    assert (res.status, res.message) == ("numerical_failure", "non-finite iterate")
+    assert clean.converged and clean.iterations > 4
+    assert res.iterations == len(res.history) == 4
+    assert res.history[:3] == clean.history[:3]
+    assert res.history[3].iteration == 3 and np.isnan(res.history[3].mu)
 
 
 def test_result_residuals_reported():

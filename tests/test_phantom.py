@@ -374,6 +374,13 @@ def test_kernel_params_reject_a_non_finite_field(field, value):
         KernelParams(**{field: value})
 
 
+@pytest.mark.parametrize("value", [1.5, 2.0, True])
+@pytest.mark.parametrize("field", ["num_beams", "leaf_pairs", "bixels_per_row"])
+def test_machine_model_takes_only_int_counts(field, value):
+    with pytest.raises(PhantomError, match=f"{field} must be an int"):
+        replace(make_machine(), **{field: value})
+
+
 def test_machine_model_invariants():
     with pytest.raises(PhantomError):
         make_machine(B=1, N=1, J=1, rho=0.0)
