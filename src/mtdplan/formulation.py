@@ -97,6 +97,9 @@ class Criterion:
         if not self.is_minimized and (self.hard_upper is not None or self.utopian_lower is not None):
             raise FormulationError(
                 f"criterion {self.describe()}: maximized types take hard_lower/utopian_upper only")
+        for bound in ("hard_lower", "hard_upper", "utopian_lower", "utopian_upper"):
+            if getattr(self, bound) is not None and not np.isfinite(getattr(self, bound)):
+                raise FormulationError(f"criterion {self.describe()}: {bound} must be finite")
         lo, hi = self._bound_pair()
         if lo > hi:
             raise FormulationError(

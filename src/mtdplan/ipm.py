@@ -67,10 +67,11 @@ F_R and G_RR are CSR times a dense block of |R| columns.  Every cell of
 M is so the same sum of the same products, in ascending row order, as
 the sparse products A11_~R^T D3^-1 A11_~R, A12_R diag(xr) A21_eta and
 A12_R diag(-xx) A12_R^T give, and an iteration builds no sparse matrix.
-M is built Fortran-ordered in a workspace of the LP's structure and
-factored there in place by LAPACK ``potrf``, with no copy and no fresh
-array; back-solves call ``potrs``.  Each factor is checked for finiteness
-once, when it is made, and a back-solve checks only its right-hand side.
+M is built Fortran-ordered in a work array that each solve allocates
+once, and factored there in place by LAPACK ``potrf``, with no copy and
+no fresh array; back-solves call ``potrs``.  Each factor is checked for
+finiteness once, when it is made, and a back-solve checks only its
+right-hand side.
 ``_NewtonStructure`` holds each block of A once per LP in the forms its
 products need, and every product with A or A^T (start point, residuals,
 back-solves) goes through those blocks; A itself is never formed.  Each
@@ -360,25 +361,19 @@ class _NewtonStructure:
     ``b`` and C are dense: ``b`` is the ``syrk`` operand, and at its 28 %
     fill on the refined case dense products measure faster than CSR ones.
     ``expand`` is CSR with its transpose.
-    ``m_index_t``, ``gram_index`` and ``pair_sign`` scatter the Gram
-    matrix of A21c into ``M``'s upper triangle in M's memory order
-    (``m_index`` numbers the same cells row-major).  Also held: A12 as
-    CSR with its transpose, and A11 split on the rows ``R`` that A12
-    touches.  The
-    rows ``R`` are dense; the back-solves swap in ``F``'s.  A12's rows
-    ``R`` are kept on the columns ``a12_cols`` they touch, as CSR and
-    dense, with ``expand``'s eta rows there, transposed: the operands of
-    F_R and G_RR.  The rest of A11, where ``G`` is D3 and ``F`` is A11,
-    is CSR with its transpose, and its term of ``M`` has an index plan
-    (:meth:`a11_gram`): the entry pairs of the rows before the first
+    ``m_index_t``, ``gram_index`` and ``pair_sign`` scatter the Gram matrix
+    of A21c into ``M``'s upper triangle in M's memory order.  Also held:
+    A12 as CSR with its transpose, and A11 split on the rows ``R`` that A12
+    touches.  The rows ``R`` are dense; the back-solves swap in ``F``'s.
+    A12's rows ``R`` are kept on the columns ``a12_cols`` they touch, as
+    CSR and dense, with ``expand``'s eta rows there, transposed: the
+    operands of F_R and G_RR.  The rest of A11, where ``G`` is D3 and ``F``
+    is A11, is CSR with its transpose, and its term of ``M`` has an index
+    plan (:meth:`a11_gram`): the entry pairs of the rows before the first
     dense row, and the rows from it on as dense vectors.  A22 = [0 I]^T is
-    a shift onto the eta rows.  ``matvec`` and ``rmatvec`` apply A and
-    A^T from these blocks.  Two Fortran-ordered n1 x n1 workspaces,
-    which every factorization refills, hold M, factored in place into
-    its Cholesky factor, and one product: a structure holds the factor of
-    one factorization at a time, and ``fills`` counts them.  Built once
-    per LP; memory linear in the voxel count.  A pickled structure leaves
-    its workspaces behind, and loading it allocates them afresh.
+    a shift onto the eta rows.  ``matvec`` and ``rmatvec`` apply A and A^T
+    from these blocks.  Built once per LP and only read after; memory
+    linear in the voxel count.
     """
 
     def __init__(self, system: KKTSystem):
@@ -395,7 +390,6 @@ class _NewtonStructure:
         upper_b, upper_a = np.tril_indices(self.nz.size)
         low = np.minimum(self.group[upper_a], self.group[upper_b])
         high = np.maximum(self.group[upper_a], self.group[upper_b])
-        self.m_index = self.nz[upper_a] * n1 + self.nz[upper_b]   # row-major
         self.m_index_t = self.nz[upper_b] * n1 + self.nz[upper_a]   # in m.T, M's memory order
         self.gram_index = low + high * self.k   # (low, high) in Fortran order
         self.pair_sign = self.sign[upper_a] * self.sign[upper_b]
@@ -416,27 +410,6 @@ class _NewtonStructure:
         self.a11_rest = a11[self.rest]
         self.a11_rest_t = self.a11_rest.T.tocsr()
         self._plan_a11_gram()
-        self._allocate_work()
-        self.fills = 0   # factorizations that have filled m_work
-
-    def _allocate_work(self) -> None:
-        """M, factored in place, and one n1 x n1 product.
-
-        Every factorization refills them, which spares the page faults of
-        fresh arrays this size.  Two arrays, as each n1 x n1 part of one
-        Fortran-ordered block is strided.
-        """
-        self.m_work = np.empty((self.n1, self.n1), order="F")
-        self.product_work = np.empty((self.n1, self.n1), order="F")
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["m_work"], state["product_work"]   # no later factorization reads them
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._allocate_work()
 
     def _plan_a11_gram(self) -> None:
         """Index plan of :meth:`a11_gram`, vectorized over the rows.
@@ -524,6 +497,11 @@ class _NewtonStructure:
                                _csr_dot(self.a12_t, y1) + y2[self.num_zero_rows:]])
 
 
+def _work_pair(n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """M, factored in place, and one product, Fortran-ordered: each n1 x n1 part of one block is strided."""
+    return np.empty((n1, n1), order="F"), np.empty((n1, n1), order="F")
+
+
 class _SchurFactorization:
     """Factorization of one augmented system, reusable across right-hand sides.
 
@@ -531,14 +509,14 @@ class _SchurFactorization:
     the rows ``R`` and that of ``M = E + F^T G^-1 F`` (see the module
     docstring).  ``structure`` is the LP's :class:`_NewtonStructure`; a
     standalone factorization builds its own.  M is built and factored in
-    the structure's ``m_work``, so the next factorization on the structure
-    overwrites ``m_chol``: from then on :meth:`solve` raises, unless
-    :meth:`own_factor` has copied the factor out first.
+    the first array of ``work``, a pair from :func:`_work_pair`, which
+    ``m_chol`` then is; without one, the factorization allocates its own.
+    :func:`solve` passes every factorization the same pair, so each
+    overwrites the factor of the one before.
     """
 
-    fill: int | None = None   # the structure's fill count when m_chol lives in m_work
-
-    def __init__(self, system: KKTSystem, structure: _NewtonStructure | None = None):
+    def __init__(self, system: KKTSystem, structure: _NewtonStructure | None = None,
+                 work: tuple[np.ndarray, np.ndarray] | None = None):
         self.system = system
         self.structure = st = structure if structure is not None else _NewtonStructure(system)
         mz = system.num_zero_rows
@@ -560,19 +538,18 @@ class _SchurFactorization:
         g_rows[np.diag_indices_from(g_rows)] += d3[st.rows]
         self.g_chol = _cho_factor(g_rows)
 
-        st.fills += 1
-        self.fill = st.fills
+        work = work if work is not None else _work_pair(st.n1)
         self.regularized = False
         try:
-            self.m_chol = _cho_factor(self._fill_m())
+            self.m_chol = _cho_factor(self._fill_m(*work))
         except scipy.linalg.LinAlgError:
             self.regularized = True
-            m = self._fill_m()   # the failed potrf left a partial factor in its place
+            m = self._fill_m(*work)   # the failed potrf left a partial factor in its place
             m[np.diag_indices_from(m)] += 1e-8 * (1.0 + np.abs(np.triu(m)).max())
             self.m_chol = _cho_factor(m)
 
-    def _fill_m(self) -> np.ndarray:
-        """M in the structure's ``m_work``, each cell summed as the sparse products sum it.
+    def _fill_m(self, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """M in ``out``, each cell summed as the sparse products sum it; ``scratch`` takes a product.
 
         M = D1 + A21^T diag(aa, rr) A21 + A11_rest^T D3_rest^-1 A11_rest + F_R^T G_RR^-1 F_R.
         With A21c = [S b | C] the A21 term's Gram matrix of A21c is
@@ -586,11 +563,11 @@ class _SchurFactorization:
         ``gemm``, whose cells are the same sums in the same order.
         """
         st, q = self.structure, self.quadrant
-        m = st.a11_gram(self.inv_d3[st.rest], st.m_work, st.product_work)
-        m += np.matmul(self.f_rows.T, _cho_solve(self.g_chol, self.f_rows), out=st.product_work)
+        m = st.a11_gram(self.inv_d3[st.rest], out, scratch)
+        m += np.matmul(self.f_rows.T, _cho_solve(self.g_chol, self.f_rows), out=scratch)
         flat = m.T.reshape(-1)
         flat[::st.n1 + 1] += self.system.d1   # the diagonal
-        if st.m_index.size:
+        if st.m_index_t.size:
             d = np.concatenate([q.aa, q.rr])
             gram = np.zeros((st.k, st.k), order="F")
             if st.b.size:
@@ -601,11 +578,6 @@ class _SchurFactorization:
             np.add.at(flat, st.m_index_t, st.pair_sign * gram.reshape(-1, order="F")[st.gram_index])
         return m
 
-    def own_factor(self) -> None:
-        """Copy ``m_chol`` out of the structure's workspace, which later factorizations refill."""
-        self.m_chol = self.m_chol.copy(order="F")
-        self.fill = None
-
     def _g_solve(self, v: np.ndarray) -> np.ndarray:
         out = v * self.inv_d3
         out[self.structure.rows] = _cho_solve(self.g_chol, v[self.structure.rows])
@@ -614,9 +586,6 @@ class _SchurFactorization:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the full augmented system for one (x1, x2, y1, y2) rhs."""
         system, st = self.system, self.structure
-        if self.fill not in (None, st.fills):
-            raise RuntimeError("this factorization's M factor was overwritten by a later "
-                               "factorization on the same Newton structure")
         n1, n2, m1 = system.n1, system.n2, system.m1
         mz = system.num_zero_rows
         rx1 = rhs[:n1]
@@ -685,7 +654,6 @@ class PreparedLP:
             self.structure = _NewtonStructure(system)
         with _timed(self.timings, "factorization"):
             self.ones_fact = _SchurFactorization(system, self.structure)
-            self.ones_fact.own_factor()   # every solve's factorizations refill the workspace
         with _timed(self.timings, "back_solve"):
             self.x_ls = self.ones_fact.solve(np.concatenate([np.zeros(lp.num_variables),
                                                              lp.rhs()]))[:lp.num_variables]
@@ -789,13 +757,17 @@ class SolveResult:
         return self.status == "converged"
 
 
+def _dual_objective(b: np.ndarray, lower: np.ndarray, upper_up: np.ndarray,
+                    y: np.ndarray, z: np.ndarray, w_up: np.ndarray) -> float:
+    """``b.y + lower.z - upper.w``, with ``upper`` and ``w`` on the columns with a finite upper bound."""
+    return float(np.dot(b, y)) + float(np.dot(lower, z)) - float(np.dot(upper_up, w_up))
+
+
 def duality_gap_in_dose(lp: BlockLP, x: np.ndarray, dual: DualSolution) -> float:
     """Primal-minus-dual objective in the Gy-weighted objective scale."""
     up = np.flatnonzero(np.isfinite(lp.upper))
-    dual_obj = (float(np.dot(lp.rhs(), dual.y))
-                + float(np.dot(lp.lower, dual.z))
-                - float(np.dot(lp.upper[up], dual.w[up])))
-    return float(np.dot(lp.objective_vector, x)) - dual_obj
+    return float(np.dot(lp.objective_vector, x)) - _dual_objective(lp.rhs(), lp.lower, lp.upper[up],
+                                                                   dual.y, dual.z, dual.w[up])
 
 
 def _conflict_report(lp: BlockLP, y: np.ndarray, z_ray: np.ndarray, w: np.ndarray,
@@ -884,6 +856,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
     elif not prepared.serves(lp):
         raise ValueError("prepared for an LP with other constraints or bounds")
     structure = prepared.structure
+    work = _work_pair(lp.n1)   # every factorization of this solve builds and factors M here
     settings = settings or SolverSettings()
     n, m = lp.num_variables, lp.num_rows
     b, c, lower = lp.rhs(), lp.objective_vector, lp.lower
@@ -944,8 +917,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
         z_ray = np.maximum(-atyw, 0.0)
         norm = float(np.sum(it.y) + np.sum(z_ray) + np.sum(it.w))
         violation = float(np.max(atyw, initial=0.0)) / norm
-        value = (float(np.dot(b, it.y)) + float(np.dot(lower, z_ray))
-                 - float(np.dot(upper_up, it.w))) / norm
+        value = _dual_objective(b, lower, upper_up, it.y, z_ray, it.w) / norm
         if violation <= settings.feasibility_tolerance < value:
             return ("infeasible",
                     f"Farkas ray with violation {violation:.1e} and value {value:.3e}; "
@@ -963,7 +935,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
         rp = b - structure.matvec(it.x) + it.s
         rd = c - structure.rmatvec(it.y) - it.z
         rd[up] += it.w
-        dual_obj = float(np.dot(b, it.y)) + float(np.dot(lower, it.z)) - float(np.dot(upper_up, it.w))
+        dual_obj = _dual_objective(b, lower, upper_up, it.y, it.z, it.w)
         measured = rel_p, rel_d, gap = (float(np.max(np.abs(rp), initial=0.0)) / b_scale,
                                         float(np.max(np.abs(rd))) / c_scale,
                                         float(np.dot(c, it.x)) - dual_obj)
@@ -1008,7 +980,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
         phase = "factorization"
         try:
             with _timed(timings, "factorization"):
-                fact = _SchurFactorization(system, structure)
+                fact = _SchurFactorization(system, structure, work)
             regularized = fact.regularized
             phase = "predictor solve"  # affine scaling
             dx_a, dy_a, ds_a, dz_a, dw_a = affine = direction(-x_shift * it.z, -up_gap * it.w,

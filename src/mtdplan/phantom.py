@@ -161,6 +161,8 @@ class MachineModel:
             raise PhantomError(f"machine has {self.num_bixels} bixels, more than numpy can index")
         if len(self.beam_angles_deg) != self.num_beams:
             raise PhantomError("beam_angles_deg length must equal num_beams")
+        if not np.isfinite(self.beam_angles_deg).all():
+            raise PhantomError("beam_angles_deg must be finite")
         # Written so that NaN and inf fail.
         if not 0.0 < self.traverse_time_s < np.inf:
             raise PhantomError("traverse_time_s must be finite and > 0")

@@ -140,6 +140,11 @@ def test_criterion_validation_errors():
                   utopian_lower=50.0, hard_upper=40.0)            # infeasible pair
     with pytest.raises(FormulationError):
         Criterion(roi="r", ctype="mean")                          # unknown type
+    for ctype, bound in (("dav-min", "hard_upper"), ("dav-min", "utopian_lower"),
+                         ("dav-max", "hard_lower"), ("dav-max", "utopian_upper")):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(FormulationError, match=f"criterion ptv_dav1: {bound} must be finite"):
+                Criterion(roi="r", ctype=ctype, volume=0.5, name="ptv_dav1", **{bound: value})
 
 
 def test_unknown_roi_rejected_at_build():

@@ -499,7 +499,7 @@ class SparseProductFactorization(_SchurFactorization):
         m = scale_columns(st.a11_rest_t, self.inv_d3[st.rest]) @ st.a11_rest.toarray()
         m += self.f_rows.T @ scipy.linalg.cho_solve(g_chol, self.f_rows)
         m[np.diag_indices_from(m)] += system.d1
-        if st.m_index.size:
+        if st.m_index_t.size:
             d = np.concatenate([q.aa, q.rr])
             gram = np.zeros((st.k, st.k))
             if st.b.size:
@@ -507,7 +507,8 @@ class SparseProductFactorization(_SchurFactorization):
                 scaled = st.b * np.sqrt(group_d)[:, None]
                 gram[:st.split, :st.split] = scipy.linalg.blas.dsyrk(1.0, scaled.T, trans=0)
             gram[:, st.split:] = st.to_columns(st.expand_t @ (st.criterion * d[:, None]))
-            m.reshape(-1)[st.m_index] += st.pair_sign * gram.reshape(-1, order="F")[st.gram_index]
+            column, row = np.divmod(st.m_index_t, st.n1)   # m_index_t numbers m.T's cells
+            m[row, column] += st.pair_sign * gram.reshape(-1, order="F")[st.gram_index]
         self.regularized = False
         self.m_chol = scipy.linalg.cho_factor(m)[0]
 
@@ -579,12 +580,16 @@ def test_back_solve_rejects_a_non_finite_rhs():
         fact.solve(rhs)
 
 
+def singular_reduced_system():
+    """E = 0 and F = [1 1] make M = F^T G^-1 F = [[1, 1], [1, 1]] singular."""
+    return KKTSystem(a11=sp.csr_matrix([[1.0, 1.0]]), a12=sp.csr_matrix((1, 0)),
+                     a21=sp.csr_matrix((0, 2)), a22=sp.csr_matrix((0, 0)),
+                     d1=np.zeros(2), d2=np.zeros(0), d3=np.ones(1), d4=np.zeros(0),
+                     num_zero_rows=0)
+
+
 def test_schur_solve_singular_reduced_matrix_is_regularized():
-    # E = 0 and F = [1 1] make M = F^T G^-1 F = [[1, 1], [1, 1]] singular
-    system = KKTSystem(a11=sp.csr_matrix([[1.0, 1.0]]), a12=sp.csr_matrix((1, 0)),
-                       a21=sp.csr_matrix((0, 2)), a22=sp.csr_matrix((0, 0)),
-                       d1=np.zeros(2), d2=np.zeros(0), d3=np.ones(1), d4=np.zeros(0),
-                       num_zero_rows=0)
+    system = singular_reduced_system()
     delta, info = schur_solve(system, np.array([1.0, -1.0, 0.5]))
     assert info["regularized"]
     assert np.all(np.isfinite(delta))
@@ -598,19 +603,29 @@ def test_schur_solve_singular_reduced_matrix_is_regularized():
     assert np.ascontiguousarray(fact.m_chol).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
-def test_factorization_refuses_to_solve_once_its_workspace_is_refilled():
+def test_regularized_factorization_refills_a_shared_work_pair():
+    # A solve passes every factorization one work pair, filled by the one before:
+    # after the failed potrf, M is rebuilt there from scratch, as in a fresh pair.
+    system = singular_reduced_system()
+    fresh = _SchurFactorization(system)
+    work = ipm._work_pair(2)
+    for array, value in zip(work, (7.0, -3.0)):
+        array.fill(value)
+    shared = _SchurFactorization(system, fresh.structure, work)
+    assert shared.regularized and shared.m_chol is work[0]
+    assert shared.m_chol.tobytes(order="A") == fresh.m_chol.tobytes(order="A")
+
+
+def test_factorization_keeps_solving_after_later_ones_on_its_structure():
     system = random_kkt(np.random.default_rng(18))
     rhs = np.random.default_rng(19).standard_normal(system.order)
     first = _SchurFactorization(system)
     expected = first.solve(rhs)
-    _SchurFactorization(replace(system, d1=2.0 * system.d1), first.structure)
-    with pytest.raises(RuntimeError, match="overwritten by a later factorization"):
-        first.solve(rhs)
-    # a factorization that owns its factor keeps solving
-    owner = _SchurFactorization(system, first.structure)
-    owner.own_factor()
-    _SchurFactorization(replace(system, d1=2.0 * system.d1), first.structure)
-    assert owner.solve(rhs).tobytes() == expected.tobytes()
+    work = ipm._work_pair(system.n1)
+    for scale in (2.0, 3.0):
+        _SchurFactorization(replace(system, d1=scale * system.d1), first.structure)
+        _SchurFactorization(replace(system, d1=scale * system.d1), first.structure, work)
+    assert first.solve(rhs).tobytes() == expected.tobytes()
 
 
 def test_schur_factorization_is_freed_without_cyclic_gc():
@@ -675,6 +690,18 @@ def test_solve_builds_newton_structure_once(monkeypatch):
         assert len(built) == 1
 
 
+def test_solve_allocates_one_work_pair(monkeypatch):
+    # every factorization of a solve builds M in the same pair
+    *_, lp = toy_dav_instance(num_voxels=6, volume=0.4)
+    prepared = ipm.PreparedLP(lp)
+    allocate, allocated = ipm._work_pair, []
+    monkeypatch.setattr(ipm, "_work_pair", lambda n1: allocated.append(n1) or allocate(n1))
+    res = solve(lp, SolverSettings(dose_tolerance_gy=1e-6), prepared=prepared)
+    assert res.converged
+    assert res.iterations > 2
+    assert allocated == [lp.n1]
+
+
 def test_solve_never_forms_full_matrix(monkeypatch):
     # Every product with A goes through the Newton structure's blocks.
     def refuse(self):
@@ -735,15 +762,12 @@ def test_no_solve_path_forms_a21(monkeypatch, tmp_path):
 
 
 def test_pickled_prepared_case_solves_to_the_same_bytes():
-    # A pool worker's case: the structure's workspaces and a formed A21 stay out of it.
+    # A pool worker's case: a formed A21 stays out of it.
     case = load_case("demo:prostate_demo")
     prepared = mco.prepared_instance(case)
     prepared.lp.a21
-    assert not {"m_work", "product_work"} & set(prepared.structure.__getstate__())
     copy = pickle.loads(pickle.dumps(case))._prepared
     assert "matrix" not in copy.lp.a21_factors.__dict__
-    for work in (copy.structure.m_work, copy.structure.product_work):
-        assert work.shape == (prepared.lp.n1,) * 2 and work.flags.f_contiguous
     lp = prepared.lp.reweighted([0.2, 0.3, 0.5])
     mine = solve(lp, case.solver_settings(), prepared=prepared)
     theirs = solve(copy.lp.reweighted([0.2, 0.3, 0.5]), case.solver_settings(), prepared=copy)

@@ -366,6 +366,15 @@ def test_machine_model_rejects_a_non_finite_time_or_rate(field, value):
         replace(make_machine(), **{field: value})
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_machine_model_rejects_a_non_finite_beam_angle(value):
+    machine = make_machine()
+    angles = list(machine.beam_angles_deg)
+    angles[-1] = value
+    with pytest.raises(PhantomError, match="beam_angles_deg must be finite"):
+        replace(machine, beam_angles_deg=angles)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("field", ["lateral_sigma_mm", "attenuation_per_mm", "bixel_width_mm",
                                    "leaf_width_mm", "cutoff_sigmas", "output_factor"])
