@@ -94,9 +94,14 @@ def _parse_weights(text: str, num_slots: int) -> np.ndarray:
     if len(values) != num_slots:
         raise CaseError(f"expected {num_slots} weights, got {len(values)}", path="--weights")
     w = np.asarray(values)
-    if not (np.all(np.isfinite(w) & (w >= 0)) and w.sum() > 0):
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not (np.all(np.isfinite(w) & (w >= 0)) and total > 0):
         raise CaseError("weights must be finite, nonnegative and not all zero", path="--weights")
-    return w / w.sum()
+    if np.isinf(total):  # finite weights whose sum overflows: scale by the largest first
+        w = w / w.max()
+        total = w.sum()
+    return w / total
 
 
 def cmd_validate(args) -> int:
@@ -197,8 +202,7 @@ def cmd_pareto(args) -> int:
     out = _out_dir(args.out or f"{case.name}-{time.strftime('%Y%m%d-%H%M%S')}")
 
     grid = mco.weight_grid(case.criteria.num_slots, case.grid_order)
-    pareto = mco.generate_pareto_set(case, grid, settings=case.solver_settings(),
-                                     workers=case.workers)
+    pareto = mco.generate_pareto_set(case, grid)
     mco.write_pareto_csv(os.path.join(out, "pareto.csv"), pareto,
                          case.criteria, case.quality_indices)
 

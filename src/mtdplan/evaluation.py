@@ -11,7 +11,7 @@ fractionally, so the hottest ``v``-fraction has total weight exactly
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -42,11 +42,15 @@ class QualityIndexSpec:
         if self.kind == "dose-at-volume":
             if self.volume is None or not (0.0 < self.volume < 1.0):
                 raise ValueError(f"index {self.name!r}: volume must lie in (0, 1)")
+        elif self.volume is not None:
+            raise ValueError(f"index {self.name!r}: volume only applies to dose-at-volume")
         if self.kind == "homogeneity":
             if self.low_pct is None or self.high_pct is None:
                 raise ValueError(f"index {self.name!r}: homogeneity needs low/high fractions")
             if not (0.0 < self.low_pct < self.high_pct < 1.0):
                 raise ValueError(f"index {self.name!r}: need 0 < low < high < 1")
+        elif self.low_pct is not None or self.high_pct is not None:
+            raise ValueError(f"index {self.name!r}: low/high fractions only apply to homogeneity")
 
 
 @dataclass(frozen=True)
@@ -263,7 +267,4 @@ def write_dvh_csv(path, dose_grid: np.ndarray, curves: dict[str, np.ndarray]) ->
 
 
 def write_violation_csv(path, violations) -> None:
-    write_csv(path, ["criterion", "roi", "statistic", "achieved_gy", "tail_gy", "bound_gy",
-                     "bound_kind", "relative_violation", "over_1pct"],
-              ([v.criterion, v.roi, v.statistic, v.achieved_gy, v.tail_gy, v.bound_gy,
-                v.bound_kind, v.relative_violation, int(v.over_1pct)] for v in violations))
+    write_csv(path, [f.name for f in fields(ViolationRecord)], map(astuple, violations))

@@ -22,12 +22,14 @@ def write_csv(path, header, rows) -> None:
     """Write ``header`` and then ``rows`` as CSV.
 
     A Python or numpy float is written as ``repr(float(v))``, which
-    ``float()`` reads back exactly; any other value as its text.
+    ``float()`` reads back exactly; a bool as ``0`` or ``1``; any other
+    value as its text.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else
+                          int(v) if isinstance(v, (bool, np.bool_)) else v
                           for v in row] for row in rows)
 
 

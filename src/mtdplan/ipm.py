@@ -135,7 +135,7 @@ from __future__ import annotations
 
 import contextlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 import scipy.linalg
@@ -1008,11 +1008,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
 
 
 def write_iteration_log(path, history) -> None:
-    write_csv(path, ["iteration", "primal_residual", "dual_residual", "gap_gy", "mu",
-                     "step_primal", "step_dual", "sigma", "regularized"],
-              ([rec.iteration, rec.primal_residual, rec.dual_residual, rec.gap_gy, rec.mu,
-                rec.step_primal, rec.step_dual, rec.sigma, int(rec.regularized)]
-               for rec in history))
+    write_csv(path, [f.name for f in fields(IterationRecord)], map(astuple, history))
 
 
 def time_newton_solve(system: KKTSystem, rhs: np.ndarray, repeats: int = 3) -> float:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -137,37 +136,35 @@ def _start_worker(case) -> None:
     _worker_case = case
 
 
-def _solve_entry(case, index, weights, settings, restart) -> ParetoEntry:
-    """Solve one grid point, started at ``restart`` (an :class:`ipm.Restart`) or cold if None."""
-    case = replace(case, _restart=restart)
+def _solve_entry(case, index, weights, restart) -> ParetoEntry:
+    """Solve grid point ``index`` with the case's settings, from ``restart`` or cold if None."""
     try:
-        plan = solve_single_weight(case, weights, settings)
-        return ParetoEntry(index=index, weights=np.asarray(weights), status=plan.status, plan=plan)
+        plan = solve_single_weight(replace(case, _restart=restart), weights)
     except Exception as exc:  # a failed weight must not kill the sweep
-        return ParetoEntry(index=index, weights=np.asarray(weights), status="error",
-                           plan=None, message=str(exc))
+        return ParetoEntry(index, np.asarray(weights), "error", None, message=str(exc))
+    return ParetoEntry(index, np.asarray(weights), plan.status, plan)
 
 
 def _solve_in_worker(task) -> ParetoEntry:
     return _solve_entry(_worker_case, *task)
 
 
-def generate_pareto_set(case, grid: np.ndarray, settings: ipm.SolverSettings | None = None,
-                        workers: int = 1) -> ParetoSet:
-    """Solve one weighted-sum instance per grid point.
+def generate_pareto_set(case, grid: np.ndarray) -> ParetoSet:
+    """Solve one weighted-sum instance per grid point, with the case's settings.
 
     Every point solves the case's one prepared LP (:func:`prepared_instance`),
-    reweighted.  Grid point 0 is solved first, from the least-squares point.
-    If it converges, every later point whose grid row differs from point 0's
-    starts at point 0's restart iterate, the first with ``mu`` at most 0.1
-    of its starting ``mu``.  A point repeating row 0, and every point of a
-    sweep whose point 0 did not converge, are solved cold.  This rule lives
-    here alone: :func:`_solve_entry` sets the point's restart as the case's
-    ``_restart``, where :func:`solve_single_weight` starts from it.  The
-    restarts are fixed before the later points are dispatched, and results
+    reweighted.  Grid point 0 is solved first, in this process, from the
+    least-squares point.  If it converges, every later point whose grid row
+    differs from point 0's starts at point 0's restart iterate, the first
+    with ``mu`` at most 0.1 of its starting ``mu``.  A point repeating row 0,
+    and every point of a sweep whose point 0 did not converge, are solved
+    cold.  This rule lives here alone: :func:`_solve_entry` sets the point's
+    restart as the case's ``_restart``, where :func:`solve_single_weight`
+    starts from it.  Each later point is a task ``(index, weights, restart)``.
+    With ``case.workers`` > 1 and more than one later point, a pool of
+    ``min(case.workers, later points)`` processes, started after point 0,
+    runs them; each worker receives the case once, when it starts.  Results
     are merged in grid order, so output is the same for any worker count.
-    With ``workers`` > 1 each worker receives the case once, when it starts,
-    and a task carries only its grid index, weights, settings and restart.
     Failures are recorded per entry rather than raised, except when every
     single instance fails.
     """
@@ -175,20 +172,18 @@ def generate_pareto_set(case, grid: np.ndarray, settings: ipm.SolverSettings | N
     if grid.shape[0] == 0:
         raise ValueError("the weight grid is empty")
     prepared_instance(case)  # built once here, so every worker starts with it
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # imported only where a pool is started
-    with (ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(case,))
-          if workers > 1 else contextlib.nullcontext()) as pool:
-        def solve_all(tasks):
-            if pool is None:
-                return [_solve_entry(case, *task) for task in tasks]
-            return list(pool.map(_solve_in_worker, tasks))
-
-        first, = solve_all([(0, grid[0], settings, None)])
-        restart = first.plan.restart if first.status == "converged" else None
-        entries = [first, *solve_all([(i, grid[i], settings,
-                                       None if np.array_equal(grid[i], grid[0]) else restart)
-                                      for i in range(1, grid.shape[0])])]
+    entries = [_solve_entry(case, 0, grid[0], None)]
+    restart = entries[0].plan.restart if entries[0].status == "converged" else None
+    tasks = [(i, grid[i], None if np.array_equal(grid[i], grid[0]) else restart)
+             for i in range(1, grid.shape[0])]
+    workers = min(case.workers, len(tasks))
+    if workers <= 1:
+        entries += [_solve_entry(case, *task) for task in tasks]
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # imported only where a pool starts
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                 initargs=(case,)) as pool:
+            entries += pool.map(_solve_in_worker, tasks)
     if all(e.plan is None for e in entries):
         raise RuntimeError("every weighted-sum instance failed: "
                            + "; ".join(e.message for e in entries[:3]))
@@ -280,7 +275,7 @@ def write_pareto_csv(path, pareto: ParetoSet, criteria, index_specs) -> None:
             row += [plan.iterations, plan.gap_gy, *entry.weights, *plan.xi,
                     *plan.objective_coordinates, *plan.quality,
                     sum(1 for v in plan.violations if v.over_1pct),
-                    int(entry.index == pareto.balanced_index)]
+                    entry.index == pareto.balanced_index]
         rows.append(row)
     write_csv(path, header, rows)
 
@@ -289,6 +284,6 @@ def write_shift_report_csv(path, report: ShiftReport, index_specs) -> None:
     rows = [["mean_displacement", *report.mean_displacement],
             ["residual_rms", report.residual_rms],
             ["residual_max", report.residual_max],
-            ["degenerate", int(report.degenerate), report.note]]
+            ["degenerate", report.degenerate, report.note]]
     rows += [[f"displacement_{i}", *row] for i, row in enumerate(report.displacement)]
     write_csv(path, ["record"] + [spec.name for spec in index_specs], rows)

@@ -237,7 +237,7 @@ def demo_pareto():
     grid = mco.weight_grid(case.criteria.num_slots, 4)  # 15 weight vectors
     assert grid.shape[0] >= 15
     start = time.perf_counter()
-    pareto = mco.generate_pareto_set(case, grid, settings=case.solver_settings())
+    pareto = mco.generate_pareto_set(case, grid)
     return case, grid, pareto, time.perf_counter() - start
 
 

@@ -95,6 +95,12 @@ def test_write_csv_cell_text(tmp_path):
                                  b'0.5,1e-300,-2,s,7.0\r\n')
 
 
+def test_write_csv_writes_bools_as_digits(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b", "c", "d"], [[True, False, np.True_, np.False_]])
+    assert path.read_bytes() == b"a,b,c,d\r\n1,0,1,0\r\n"
+
+
 def test_dose_volume_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     dose = rng.random(4 * 3 * 2) * 70.0
@@ -176,7 +182,7 @@ def fresh_process_output(probe: str) -> list[str]:
 
 def test_importing_the_cli_loads_no_module_only_some_commands_use():
     # Every command is a fresh process, so whatever `import mtdplan.cli` loads is paid on each.
-    # Only --workers > 1 imports the process pool itself.
+    # Only a sweep with a pool of two or more workers imports the process pool itself.
     assert fresh_process_output(
         "import sys, mtdplan.cli; print(' '.join(m for m in ('scipy.ndimage', "
         "'scipy.spatial', 'scipy.optimize', 'multiprocessing') if m in sys.modules))") == []
@@ -269,6 +275,12 @@ def _put(keys, value):
                  "$.machine: machine has", id="bixels-beyond-index-range"),
     pytest.param(_put(["solver", "max_iterations"], 0), [],
                  "$.solver: max_iterations must be >= 1", id="zero-max-iterations"),
+    pytest.param(_put(["quality_indices", 0, "volume"], 0.5), [],
+                 "$.quality_indices[0]: index 'ptv_hi': volume only applies to dose-at-volume",
+                 id="volume-on-homogeneity-index"),
+    pytest.param(_put(["quality_indices", 1, "low_pct"], 0.1), [],
+                 "$.quality_indices[1]: index 'ring_avg': low/high fractions only apply to "
+                 "homogeneity", id="low-pct-on-average-index"),
     pytest.param(None, ["pareto", "--grid-order", "0"], "--grid-order: grid_order must be >= 1",
                  id="grid-order-flag"),
     pytest.param(None, ["pareto", "--grid-order", "1", "--workers", "0"],
@@ -419,6 +431,17 @@ def test_solve_contradictory_bounds_reports_conflict(tmp_path, capsys):
     assert "ptv_dav1 <= 63 Gy" in message and "ptv_dav50_floor >= 66 Gy" in message
     assert f"message: {message.removeprefix('infeasible: ')}\n" \
         in (out / "plan_quality.txt").read_text()
+
+
+def test_weights_whose_sum_overflows_solve_as_the_balanced_weights(tmp_path):
+    # The sum of three 1e308 overflows to inf; scaled by the largest first, they normalize.
+    assert cli._parse_weights("1e308,1e308,1e308", 3).tobytes() == np.full(3, 1 / 3).tobytes()
+    big, balanced = tmp_path / "big", tmp_path / "balanced"
+    assert cli.main(["solve", "--case", demo_case_path(), "--out", str(big),
+                     "--weights", "1e308,1e308,1e308"]) == cli.EXIT_OK
+    assert cli.main(["solve", "--case", demo_case_path(), "--out", str(balanced)]) == cli.EXIT_OK
+    for name in ("plan_trajectories.csv", "plan_quality.txt", "plan_solver_log.csv"):
+        assert (big / name).read_bytes() == (balanced / name).read_bytes(), name
 
 
 def test_solve_reruns_bit_identical(solved_dir, tmp_path):

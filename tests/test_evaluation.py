@@ -266,6 +266,19 @@ def test_evaluate_plan_rejects_a_dose_of_another_grid(size):
         evaluate_plan(_two_roi_phantom(), np.full(size, 60.0), specs, [])
 
 
+@pytest.mark.parametrize("kind, extra, message", [
+    ("average", {"volume": 0.5}, "volume only applies to dose-at-volume"),
+    ("homogeneity", {"volume": 0.5, "low_pct": 0.1, "high_pct": 0.9},
+     "volume only applies to dose-at-volume"),
+    ("average", {"low_pct": 0.1}, "low/high fractions only apply to homogeneity"),
+    ("dose-at-volume", {"volume": 0.5, "high_pct": 0.9},
+     "low/high fractions only apply to homogeneity"),
+])
+def test_quality_index_refuses_fields_its_kind_ignores(kind, extra, message):
+    with pytest.raises(ValueError, match=message):
+        QualityIndexSpec(name="q", roi="ptv", kind=kind, aim="minimize", **extra)
+
+
 def test_uniform_dose_has_zero_homogeneity_index():
     phantom = _two_roi_phantom()
     d = np.full(6, 42.0)

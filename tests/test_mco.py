@@ -1,6 +1,8 @@
 import concurrent.futures
 import json
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -154,24 +156,24 @@ def test_generate_pareto_deterministic_repeat(tiny_case):
 
 def test_parallel_matches_serial(tiny_case):
     grid = weight_grid(3, 1)
-    serial = generate_pareto_set(tiny_case, grid, workers=1)
-    parallel = generate_pareto_set(tiny_case, grid, workers=2)
+    serial = generate_pareto_set(replace(tiny_case, workers=1), grid)
+    parallel = generate_pareto_set(replace(tiny_case, workers=2), grid)
     for a, b in zip(serial.entries, parallel.entries):
         assert a.status == b.status
         assert np.array_equal(a.plan.objective_coordinates, b.plan.objective_coordinates)
         assert np.array_equal(a.plan.dose, b.plan.dose)
 
 
-def test_parallel_workers_start_with_the_dose_influence(monkeypatch):
-    started, tasks_run = [], []
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Pools that run in process, recording their size, their workers' case and every task."""
+    record = SimpleNamespace(pools=[], tasks=[])
 
     class RecordingPool:
-        """Runs in process; records the case each worker starts with and every task."""
-
         def __init__(self, max_workers, initializer, initargs):
             case, = initargs
-            started.append(case._influence is not None and case._prepared is not None
-                           and case._restart is None)
+            record.pools.append((max_workers, case._influence is not None
+                                 and case._prepared is not None and case._restart is None))
             initializer(*initargs)
 
         def __enter__(self):
@@ -182,26 +184,49 @@ def test_parallel_workers_start_with_the_dose_influence(monkeypatch):
 
         def map(self, fn, tasks):
             tasks = list(tasks)
-            tasks_run.extend(tasks)
+            record.tasks.extend(tasks)
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(mco, "_worker_case", None)   # the initializer sets it in this process
-    case = load_case("demo:prostate_demo")
-    pareto = generate_pareto_set(case, weight_grid(3, 1), workers=2)
-    assert started == [True]
-    # a task carries its index, weights, settings and restart, never the case
-    assert [task[0] for task in tasks_run] == [0, 1, 2]
-    assert not any(isinstance(part, Case) for task in tasks_run for part in task)
-    assert tasks_run[0][3] is None and tasks_run[1][3] is pareto.entries[0].plan.restart
-    assert isinstance(tasks_run[1][3], ipm.Restart)
+    return record
+
+
+def test_parallel_workers_start_with_the_dose_influence(recording_pool):
+    case = replace(load_case("demo:prostate_demo"), workers=2)
+    pareto = generate_pareto_set(case, weight_grid(3, 1))
+    assert recording_pool.pools == [(2, True)]
+    # point 0 is solved in process; a task carries its index, weights and restart
+    assert [task[0] for task in recording_pool.tasks] == [1, 2]
+    assert all(task[2] is pareto.entries[0].plan.restart for task in recording_pool.tasks)
+    assert isinstance(pareto.entries[0].plan.restart, ipm.Restart)
     assert [e.status for e in pareto.entries] == ["converged"] * 3
+
+
+def test_pool_is_sized_to_the_points_after_point_0(recording_pool, tiny_case):
+    pareto = generate_pareto_set(replace(tiny_case, workers=64), weight_grid(3, 1))
+    assert [size for size, _ in recording_pool.pools] == [2]
+    assert [task[0] for task in recording_pool.tasks] == [1, 2]
+    for index, weights, restart in recording_pool.tasks:
+        assert np.array_equal(weights, pareto.entries[index].weights)
+        assert restart is pareto.entries[0].plan.restart
+    assert not any(isinstance(part, (Case, ipm.SolverSettings))
+                   for task in recording_pool.tasks for part in task)
+
+
+def test_one_point_after_point_0_builds_no_pool(recording_pool, tiny_case):
+    case = replace(tiny_case, workers=8)
+    pareto = generate_pareto_set(case, weight_grid(3, 1)[:2])
+    assert recording_pool.pools == [] and recording_pool.tasks == []
+    assert [e.status for e in pareto.entries] == ["converged"] * 2
+    generate_pareto_set(case, weight_grid(3, 1))   # the same case, two later points: a pool
+    assert [size for size, _ in recording_pool.pools] == [2]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_point_repeating_point_0_is_solved_cold(tiny_case, workers):
     grid = weight_grid(3, 2)
-    pareto = generate_pareto_set(tiny_case, np.vstack([grid, grid[:1]]), workers=workers)
+    pareto = generate_pareto_set(replace(tiny_case, workers=workers), np.vstack([grid, grid[:1]]))
     first, *middle, last = (e.plan for e in pareto.entries)
     assert first.start == last.start == "least-squares"
     assert all(plan.start.startswith("restart from grid point 0") for plan in middle)
@@ -246,7 +271,7 @@ def demo_sweep():
         patch.setattr(ipm, "_NewtonStructure", counted("structure", ipm._NewtonStructure))
         case = load_case("demo:prostate_demo")
         grid = weight_grid(case.criteria.num_slots, 4)
-        pareto = generate_pareto_set(case, grid, settings=case.solver_settings())
+        pareto = generate_pareto_set(case, grid)
     return case, grid, pareto, calls
 
 
