@@ -93,7 +93,7 @@ def _parse_weights(text: str, num_slots: int) -> np.ndarray:
         raise CaseError(f"cannot parse weights {text!r}", path="--weights")
     if len(values) != num_slots:
         raise CaseError(f"expected {num_slots} weights, got {len(values)}", path="--weights")
-    w = np.asarray(values)
+    w = np.asarray(values) + 0.0   # -0.0 + 0.0 is 0.0: a weight's sign never shows
     with np.errstate(over="ignore"):
         total = w.sum()
     if not (np.all(np.isfinite(w) & (w >= 0)) and total > 0):

@@ -23,11 +23,15 @@ def write_csv(path, header, rows) -> None:
 
     A Python or numpy float is written as ``repr(float(v))``, which
     ``float()`` reads back exactly; a bool as ``0`` or ``1``; any other
-    value as its text.
+    value as its text.  A float ``ndarray`` of rows goes through
+    ``tolist()``, whose Python floats ``csv`` writes by ``repr`` itself.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
+        if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+            writer.writerows(rows.tolist())
+            return
         writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else
                           int(v) if isinstance(v, (bool, np.bool_)) else v
                           for v in row] for row in rows)

@@ -57,7 +57,11 @@ D = diag(aa, rr) the voxel term is E^T (A21c^T D A21c) E,
                     (      C^T D S b           C^T D C  ) ,
 
 one dense ``syrk`` over the distinct rows, a rank-K product and a
-diagonal, scattered with signs into M.  The A11 term goes by an index
+diagonal, scattered with signs into M.  The criterion columns go by an
+index plan built once per LP: ``S^T D C`` and ``C^T D C`` are one
+``np.bincount`` each, every bin summed in ascending row order as the
+sparse product ``[S | C]^T (D C)`` sums it, and ``b^T`` takes the first
+to the trajectory groups.  The A11 term goes by an index
 plan built once per LP: each pair of stored entries of a row of A11_~R
 before the first dense row (more than ``_SPARSE_ROW_ENTRIES`` entries;
 on the demo, the ``avg-cap`` row, which is last) is one term, summed
@@ -71,7 +75,9 @@ M is built Fortran-ordered in a work array that each solve allocates
 once, and factored there in place by LAPACK ``potrf``, with no copy and
 no fresh array; back-solves call ``potrs``.  Each factor is checked for
 finiteness once, when it is made, and a back-solve checks only its
-right-hand side.
+right-hand side.  A back-solve keeps the ``A21 dx1`` its bottom solve
+forms, and the step's ``ds = A dx - rp`` takes it from there rather than
+making another pass over ``b``.
 ``_NewtonStructure`` holds each block of A once per LP in the forms its
 products need, and every product with A or A^T (start point, residuals,
 back-solves) goes through those blocks; A itself is never formed.  Each
@@ -362,7 +368,9 @@ class _NewtonStructure:
     fill on the refined case dense products measure faster than CSR ones.
     ``expand`` is CSR with its transpose.
     ``m_index_t``, ``gram_index`` and ``pair_sign`` scatter the Gram matrix
-    of A21c into ``M``'s upper triangle in M's memory order.  Also held:
+    of A21c into ``M``'s upper triangle in M's memory order, and the
+    ``c_*`` and ``sc_*`` arrays give its criterion columns
+    (:meth:`criterion_columns`).  Also held:
     A12 as CSR with its transpose, and A11 split on the rows ``R`` that A12
     touches.  The rows ``R`` are dense; the back-solves swap in ``F``'s.
     A12's rows ``R`` are kept on the columns ``a12_cols`` they touch, as
@@ -393,6 +401,19 @@ class _NewtonStructure:
         self.m_index_t = self.nz[upper_b] * n1 + self.nz[upper_a]   # in m.T, M's memory order
         self.gram_index = low + high * self.k   # (low, high) in Fortran order
         self.pair_sign = self.sign[upper_a] * self.sign[upper_b]
+        # criterion_columns' index plan: C's entries (one per row) in row order, and on the
+        # rows S maps, those entries times the row's sign, binned by (row group, C column)
+        self.c_row, self.c_col = np.nonzero(self.criterion)
+        assert np.all(np.diff(self.c_row) > 0), "C has one entry per row"
+        self.c_value = self.criterion[self.c_row, self.c_col]
+        column_of = np.full(self.criterion.shape[0], -1)
+        column_of[self.c_row] = self.c_col
+        sc_col = column_of[self.row_nz]
+        mapped = sc_col >= 0
+        self.sc_row, sc_col = self.row_nz[mapped], sc_col[mapped]
+        # exact: a sign of +-1 commutes with the rounding of C d
+        self.sc_value = factors.row_sign[mapped] * self.criterion[self.sc_row, sc_col]
+        self.sc_bin = self.row_group[mapped] * self.criterion.shape[1] + sc_col
 
         self.a12 = sp.csr_matrix(system.a12)
         self.a12_t = self.a12.T.tocsr()
@@ -455,6 +476,23 @@ class _NewtonStructure:
             out += np.multiply(scaled_row[:, None], dense, out=scratch)
         return out
 
+    def criterion_columns(self, d: np.ndarray) -> np.ndarray:
+        """``A21c^T diag(d) C``, the criterion columns of the Gram matrix of A21c.
+
+        ``S^T D C``, which ``b^T`` takes to the trajectory groups, and the
+        diagonal ``C^T D C`` are one ``np.bincount`` each.  Each bin sums its
+        rows in ascending order, as ``to_columns(expand_t @ (C * d))`` does;
+        C has one entry per row, so that product's other terms are zeros.
+        """
+        groups, width = self.b.shape[0], self.criterion.shape[1]
+        s_dc = np.bincount(self.sc_bin, weights=self.sc_value * d[self.sc_row],
+                           minlength=groups * width).reshape(groups, width)
+        out = np.zeros((self.k, width))
+        out[:self.split] = self.b.T @ s_dc
+        out[self.split + np.arange(width), np.arange(width)] = np.bincount(
+            self.c_col, weights=self.c_value * (self.c_value * d[self.c_row]), minlength=width)
+        return out
+
     def to_columns(self, folded: np.ndarray) -> np.ndarray:
         """``[b^T f_S; f_C]``: takes ``[S | C]^T X`` to ``A21c^T X`` for a vector or matrix X."""
         groups = self.b.shape[0]
@@ -483,12 +521,16 @@ class _NewtonStructure:
         """``A11^T @ u`` with the rows ``R`` replaced by ``rows_r`` (A11's own or F's)."""
         return _csr_dot(self.a11_rest_t, u[self.rest]) + rows_r.T @ u[self.rows]
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``A @ x``; A22 = [0 I]^T adds ``x2`` to the eta rows."""
+    def matvec(self, x: np.ndarray, a21_x1: np.ndarray | None = None) -> np.ndarray:
+        """``A @ x``; A22 = [0 I]^T adds ``x2`` to the eta rows.
+
+        ``a21_x1``, if given, is ``A21 @ x1``, and no pass over ``b`` forms it again.
+        """
         x1, x2 = x[:self.n1], x[self.n1:]
-        bottom = self.a21_matvec(x1)
-        bottom[self.num_zero_rows:] += x2
-        return np.concatenate([self.a11_matvec(x1, self.a11_rows) + _csr_dot(self.a12, x2), bottom])
+        out = np.concatenate([self.a11_matvec(x1, self.a11_rows) + _csr_dot(self.a12, x2),
+                              self.a21_matvec(x1) if a21_x1 is None else a21_x1])
+        out[self.m1 + self.num_zero_rows:] += x2
+        return out
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """``A^T @ y``; A22^T takes the eta rows of ``y2`` onto ``x2``."""
@@ -555,10 +597,11 @@ class _SchurFactorization:
         With A21c = [S b | C] the A21 term's Gram matrix of A21c is
           [ b^T diag(S^T D S) b   b^T (S^T D C) ]
           [        .                C^T D C     ],
-        one dsyrk over b's distinct rows, a rank-K product and a diagonal,
-        scattered with signs into the upper triangle only, which is all
-        that potrf (upper) reads.  Cell (i, j) of the Fortran-ordered M is
-        entry ``i + j n1`` of the row-major ``m.T``, where the scatters go.
+        one dsyrk over b's distinct rows and the two bincounts of
+        :meth:`_NewtonStructure.criterion_columns`, scattered with signs
+        into the upper triangle only, which is all that potrf (upper) reads.
+        Cell (i, j) of the Fortran-ordered M is entry ``i + j n1`` of the
+        row-major ``m.T``, where the scatters go.
         numpy forms the Fortran-ordered F^T (G^-1 F) as the transposed
         ``gemm``, whose cells are the same sums in the same order.
         """
@@ -574,7 +617,7 @@ class _SchurFactorization:
                 group_d = np.bincount(st.row_group, weights=d[st.row_nz], minlength=st.b.shape[0])
                 scaled = st.b * np.sqrt(group_d)[:, None]
                 gram[:st.split, :st.split] = scipy.linalg.blas.dsyrk(1.0, scaled.T, trans=0)
-            gram[:, st.split:] = st.to_columns(_csr_dot(st.expand_t, st.criterion * d[:, None]))
+            gram[:, st.split:] = st.criterion_columns(d)
             np.add.at(flat, st.m_index_t, st.pair_sign * gram.reshape(-1, order="F")[st.gram_index])
         return m
 
@@ -584,7 +627,11 @@ class _SchurFactorization:
         return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve the full augmented system for one (x1, x2, y1, y2) rhs."""
+        """Solve the full augmented system for one (x1, x2, y1, y2) rhs.
+
+        Keeps ``A21 @ dx1``, which the bottom solve forms, as ``a21_dx1``:
+        ``A @ dx`` takes it instead of another pass over ``b``.
+        """
         system, st = self.system, self.structure
         n1, n2, m1 = system.n1, system.n2, system.m1
         mz = system.num_zero_rows
@@ -607,7 +654,8 @@ class _SchurFactorization:
 
         # bottom solve: Qinv * (bottom rhs - BL * top)
         ux2 = rx2 - _csr_dot(st.a12_t, dy1)
-        uy2 = ry2 - st.a21_matvec(dx1)
+        self.a21_dx1 = st.a21_matvec(dx1)
+        uy2 = ry2 - self.a21_dx1
         dx2, dy_zero, dy_eta = self.quadrant.apply(ux2, uy2[:mz], uy2[mz:])
         return np.concatenate([dx1, dx2, dy1, dy_zero, dy_eta])
 
@@ -973,7 +1021,8 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
             if settings.log_kkt:
                 kkt_log.append((system, rhs, delta))
             dx = delta[:n]
-            return (dx, delta[n:], structure.matvec(dx) - rp, (rc_xz - it.z * dx) / x_shift,
+            return (dx, delta[n:], structure.matvec(dx, fact.a21_dx1) - rp,
+                    (rc_xz - it.z * dx) / x_shift,
                     (rc_xw + it.w * dx[up]) / up_gap)
 
         # One Newton step; a failure in any phase ends the solve, named by its phase.

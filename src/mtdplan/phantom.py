@@ -442,19 +442,31 @@ def compute_dose_influence(phantom: Phantom, machine: MachineModel, kernel: Kern
     share an isocenter at the grid center; leaf rows are stacked along
     z.  The result depends only on geometry and kernel parameters, never
     on transmission or dose rate, and is bitwise deterministic.
+
+    Each beam looks only at the (x, y) cells that come within the cutoff
+    of its bixel span, and each leaf row only at the slices within the
+    cutoff in z; each bixel masks those voxels by its lateral distance.
+    No voxel left out could pass a mask, so the matrix is the same, byte
+    for byte, as masking the whole grid.
     """
     centers = phantom.voxel_centers_mm()
     grid_center = phantom.extent_mm() / 2.0
     rel = centers - grid_center
+    nz = phantom.grid_dims[2]
+    slice_z = rel[:nz, 2]   # z varies fastest: every (x, y) cell holds these slices in turn
 
     B, N, J = machine.num_beams, machine.leaf_pairs, machine.bixels_per_row
     t_off = (np.arange(J) - (J - 1) / 2.0) * kernel.bixel_width_mm
     z_off = (np.arange(N) - (N - 1) / 2.0) * kernel.leaf_width_mm
-    cutoff2 = (kernel.cutoff_sigmas * kernel.lateral_sigma_mm) ** 2
+    cutoff = kernel.cutoff_sigmas * kernel.lateral_sigma_mm
+    cutoff2 = cutoff ** 2
     inv_two_sigma2 = 1.0 / (2.0 * kernel.lateral_sigma_mm ** 2)
 
     # Half-diagonal bounds the entry-plane offset for any beam angle.
     half_diag = float(np.linalg.norm(phantom.extent_mm()) / 2.0)
+    # The band a cell must reach to be kept: the bixel span plus the cutoff, widened far
+    # beyond any rounding, so that no voxel left out could pass a bixel's mask.
+    reach = cutoff + 1e-9 * (half_diag + abs(t_off[0]) + cutoff)
 
     # Columns arrive in bixel_index order, so the CSC arrays are built directly.
     rows: list[np.ndarray] = []
@@ -467,10 +479,14 @@ def compute_dose_influence(phantom: Phantom, machine: MachineModel, kernel: Kern
         depth = rel @ direction + half_diag
         proj_t = rel @ transverse
         atten = kernel.output_factor * np.exp(-kernel.attenuation_per_mm * depth)
+        cell_t = proj_t.reshape(-1, nz)
+        cells = np.flatnonzero((cell_t.max(axis=1) >= t_off[0] - reach)
+                               & (cell_t.min(axis=1) <= t_off[-1] + reach))
         for n in range(N):
-            dz2 = (rel[:, 2] - z_off[n]) ** 2
-            near = np.flatnonzero(dz2 <= cutoff2)  # voxels this leaf row can reach
-            dz2, t_near, atten_near = dz2[near], proj_t[near], atten[near]
+            dz2 = (slice_z - z_off[n]) ** 2
+            slices = np.flatnonzero(dz2 <= cutoff2)   # the slices this leaf row can reach
+            near = cells[:, None] * nz + slices   # ascending voxel indices, cells x slices
+            dz2, t_near, atten_near = dz2[slices], proj_t[near], atten[near]
             for j in range(J):
                 lat2 = (t_near - t_off[j]) ** 2 + dz2
                 mask = lat2 <= cutoff2

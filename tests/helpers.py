@@ -10,7 +10,7 @@ from mtdplan.case import case_from_dict, read_case_text
 from mtdplan.dmlc import ConstraintBlock, num_trajectory_variables
 from mtdplan.formulation import (A21Factors, BlockLP, Criterion, CriterionColumns, CriterionSet,
                                  build_weighted_instance, normalized_weights)
-from mtdplan.phantom import DoseInfluence, MachineModel, Phantom, ROI
+from mtdplan.phantom import DoseInfluence, KernelParams, MachineModel, Phantom, ROI
 
 
 def make_machine(B=1, N=1, J=1, dt=1.0, rho=0.5, tau=0.0, rate=1.0, t_max=100.0, angles=None):
@@ -35,6 +35,43 @@ def influence_from_dense(dense, machine):
     return DoseInfluence(matrix=sp.csr_matrix(np.asarray(dense, dtype=float)),
                          num_beams=machine.num_beams, leaf_pairs=machine.leaf_pairs,
                          bixels_per_row=machine.bixels_per_row)
+
+
+def reference_dose_influence(phantom: Phantom, machine: MachineModel,
+                             kernel: KernelParams) -> sp.csr_matrix:
+    """Per-bixel loop reference for ``phantom.compute_dose_influence``'s matrix.
+
+    Each leaf row takes every voxel of the grid within the cutoff in z, and
+    each bixel masks those by its full lateral distance.
+    """
+    centers = phantom.voxel_centers_mm()
+    rel = centers - phantom.extent_mm() / 2.0
+    B, N, J = machine.num_beams, machine.leaf_pairs, machine.bixels_per_row
+    t_off = (np.arange(J) - (J - 1) / 2.0) * kernel.bixel_width_mm
+    z_off = (np.arange(N) - (N - 1) / 2.0) * kernel.leaf_width_mm
+    cutoff2 = (kernel.cutoff_sigmas * kernel.lateral_sigma_mm) ** 2
+    inv_two_sigma2 = 1.0 / (2.0 * kernel.lateral_sigma_mm ** 2)
+    half_diag = float(np.linalg.norm(phantom.extent_mm()) / 2.0)
+    rows, vals = [], []
+    counts = np.zeros(machine.num_bixels, dtype=np.int64)
+    for b, angle in enumerate(machine.beam_angles_deg):
+        theta = np.deg2rad(angle)
+        depth = rel @ np.array([np.cos(theta), np.sin(theta), 0.0]) + half_diag
+        proj_t = rel @ np.array([-np.sin(theta), np.cos(theta), 0.0])
+        atten = kernel.output_factor * np.exp(-kernel.attenuation_per_mm * depth)
+        for n in range(N):
+            dz2 = (rel[:, 2] - z_off[n]) ** 2
+            near = np.flatnonzero(dz2 <= cutoff2)
+            dz2, t_near, atten_near = dz2[near], proj_t[near], atten[near]
+            for j in range(J):
+                lat2 = (t_near - t_off[j]) ** 2 + dz2
+                mask = lat2 <= cutoff2
+                rows.append(near[mask])
+                vals.append(atten_near[mask] * np.exp(-lat2[mask] * inv_two_sigma2))
+                counts[machine.bixel_index(b, n, j)] = mask.sum()
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return sp.csc_matrix((np.concatenate(vals), np.concatenate(rows), indptr),
+                         shape=(phantom.num_voxels, machine.num_bixels)).tocsr()
 
 
 def toy_dav_instance(num_voxels=2, volume=0.5, weights=(1.0,), hard_upper=None,

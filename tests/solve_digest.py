@@ -2,9 +2,11 @@
 
 The set is every ``random_block_instance`` seed 0-399, the 64 demo
 bound sets ``draw_bound_set`` draws (seeds 1, 2, 3 and 302, draws 0-15
-each), solved at balanced weights with the case's settings, and seeds
+each), solved at balanced weights with the case's settings, seeds
 0-39 again with ``max_iterations=8``, most of which end at the iteration
-limit, whose iterate the history and restart leave out.  Each line
+limit, whose iterate the history and restart leave out, and the demo
+refined to 8x the voxels at the six weights of its grid-order-2 sweep,
+each solved from the least-squares point of one ``PreparedLP``.  Each line
 holds the label, status, iteration count, a digest of the history, the
 solution (x, y, z, w, slack) and the restart iterate, and the message.
 A change meant to keep every iterate shows the same output as its
@@ -28,10 +30,10 @@ import numpy as np
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "benchmarks")]
 
-from mtdplan import ipm  # noqa: E402
+from mtdplan import ipm, mco  # noqa: E402
 from mtdplan.case import case_from_dict  # noqa: E402
 
-from helpers import balanced_lp, random_block_instance  # noqa: E402
+from helpers import balanced_lp, demo_variant, random_block_instance  # noqa: E402
 from workloads import draw_bound_set  # noqa: E402
 
 RANDOM_SEEDS = range(400)
@@ -39,6 +41,7 @@ DRAW_SEEDS = (1, 2, 3, 302)
 DRAWS_PER_SEED = 16
 LIMITED_SEEDS = range(40)
 LIMITED_ITERATIONS = 8
+REFINED_GRID_ORDER = 2
 
 
 def digest(result: ipm.SolveResult) -> str:
@@ -78,6 +81,12 @@ def main() -> None:
         *_, lp = random_block_instance(seed)
         result = ipm.solve(lp, ipm.SolverSettings(max_iterations=LIMITED_ITERATIONS))
         print(line(f"limit{LIMITED_ITERATIONS}-random{seed:03d}", result), flush=True)
+    case = demo_variant("refined")
+    prepared = mco.prepared_instance(case)
+    for index, weights in enumerate(mco.weight_grid(case.criteria.num_slots, REFINED_GRID_ORDER)):
+        result = ipm.solve(prepared.lp.reweighted(weights), case.solver_settings(),
+                           prepared=prepared)
+        print(line(f"refined-grid{REFINED_GRID_ORDER}-point{index}", result), flush=True)
 
 
 if __name__ == "__main__":

@@ -101,6 +101,15 @@ def test_write_csv_writes_bools_as_digits(tmp_path):
     assert path.read_bytes() == b"a,b,c,d\r\n1,0,1,0\r\n"
 
 
+def test_write_csv_writes_a_float_array_as_its_rows_of_floats(tmp_path):
+    values = np.array([[0.1, -0.0, 1e-300, 1.0 / 3.0], [np.inf, -np.inf, np.nan, 5e20]])
+    fast, rows = tmp_path / "fast.csv", tmp_path / "rows.csv"
+    write_csv(fast, ["a", "b", "c", "d"], values)
+    write_csv(rows, ["a", "b", "c", "d"], list(values))   # rows of numpy floats
+    assert fast.read_bytes() == rows.read_bytes() == (
+        b"a,b,c,d\r\n0.1,-0.0,1e-300,0.3333333333333333\r\ninf,-inf,nan,5e+20\r\n")
+
+
 def test_dose_volume_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     dose = rng.random(4 * 3 * 2) * 70.0
@@ -442,6 +451,19 @@ def test_weights_whose_sum_overflows_solve_as_the_balanced_weights(tmp_path):
     assert cli.main(["solve", "--case", demo_case_path(), "--out", str(balanced)]) == cli.EXIT_OK
     for name in ("plan_trajectories.csv", "plan_quality.txt", "plan_solver_log.csv"):
         assert (big / name).read_bytes() == (balanced / name).read_bytes(), name
+
+
+def test_a_negative_zero_weight_solves_as_zero(tmp_path):
+    # -0.0 >= 0 holds, so -0 is a valid weight; it must not keep its sign.
+    assert cli._parse_weights("-0,1,1", 3).tobytes() == np.array([0.0, 0.5, 0.5]).tobytes()
+    negative, zero = tmp_path / "negative", tmp_path / "zero"
+    for out, weights in ((negative, "-0,1,1"), (zero, "0,1,1")):
+        assert cli.main(["solve", "--case", demo_case_path(), "--out", str(out),
+                         f"--weights={weights}"]) == cli.EXIT_OK
+    names = sorted(path.name for path in zero.iterdir())
+    assert sorted(path.name for path in negative.iterdir()) == names
+    for name in names:
+        assert (negative / name).read_bytes() == (zero / name).read_bytes(), name
 
 
 def test_solve_reruns_bit_identical(solved_dir, tmp_path):

@@ -571,6 +571,58 @@ def test_factorization_is_byte_equal_to_sparse_products(case):
         assert fact.solve(rhs).tobytes() == ref.solve(rhs).tobytes()
 
 
+def criterion_columns_by_csr(structure, d):
+    """The criterion columns of M's Gram matrix of A21c by the CSR product ``[S | C]^T (C d)``."""
+    return structure.to_columns(structure.expand_t @ (structure.criterion * d[:, None]))
+
+
+@pytest.mark.parametrize("source", ["folded", "random", "refined"])
+def test_criterion_columns_by_bincount_equal_the_csr_product(source):
+    # Each bin sums its rows in the CSR product's order; d spans six decades, so
+    # another order shows in the rounding.
+    rng = np.random.default_rng(71)
+    if source == "folded":   # rows of one group share the criterion column: S^T D C sums them
+        structures = []
+        for _ in range(5):
+            system = random_kkt(rng, n1=11, n2=int(rng.integers(3, 12)), m1=4,
+                                m2_zero=int(rng.integers(5, 8)))
+            a21, _ = folded_a21(rng, system.m2, system.num_zero_rows)
+            structures.append(ipm._NewtonStructure(with_a21(system, reference_fold(a21)[0])))
+        assert all(np.bincount(st.sc_bin).max() > 2 for st in structures)
+    elif source == "random":
+        structures = [unit_structure(random_block_instance(seed)[-1]) for seed in range(10)]
+        assert structures[3].criterion.shape == (0, 0)   # no voxelwise row at all
+    else:
+        structures = [unit_structure(balanced_lp(demo_variant("refined")))]
+    assert all(np.bincount(st.c_col).max() > 2 for st in structures if st.c_col.size)
+    for structure in structures:
+        for _ in range(3):
+            d = 10.0 ** rng.uniform(-3, 3, structure.expand.shape[0])
+            assert_same_bytes(structure.criterion_columns(d),
+                              criterion_columns_by_csr(structure, d))
+
+
+@pytest.mark.parametrize("variant", [0, 3, "refined"])
+def test_a_dx_from_the_back_solve_equals_the_product(monkeypatch, variant):
+    # Each direction's ds = A dx - rp takes A21 dx1 from its back-solve: it must be
+    # the bytes that A dx formed anew gives.
+    lp = balanced_lp(demo_variant(variant)) if variant == "refined" else \
+        random_block_instance(variant)[-1]
+    matvec, checked = ipm._NewtonStructure.matvec, []
+
+    def checking(self, x, a21_x1=None):
+        out = matvec(self, x, a21_x1)
+        if a21_x1 is not None:
+            assert_same_bytes(a21_x1, self.a21_matvec(x[:self.n1]))
+            assert_same_bytes(out, matvec(self, x))
+            checked.append(x)
+        return out
+
+    monkeypatch.setattr(ipm._NewtonStructure, "matvec", checking)
+    res = solve(lp, SolverSettings())
+    assert res.converged and len(checked) == 2 * (res.iterations - 1)
+
+
 def test_back_solve_rejects_a_non_finite_rhs():
     system = dense_row_system(np.random.default_rng(62))
     fact = _SchurFactorization(system)

@@ -13,7 +13,7 @@ from mtdplan.phantom import (KernelParams, MachineModel, Phantom, PhantomSpec, R
                              _voxelize_ring, _voxelize_shape, influence_content_hash,
                              roi_weight_vector)
 
-from helpers import make_machine
+from helpers import make_machine, reference_dose_influence
 
 
 def sphere(name, center, radius, kind="target"):
@@ -338,6 +338,52 @@ def test_influence_equals_a_coo_build_byte_for_byte_on_an_anisotropic_phantom():
     assert _coo_influence_reference(phantom, missing, offset).nnz == 0
     with pytest.raises(PhantomError, match="misses the phantom"):
         compute_dose_influence(phantom, missing, offset)
+
+
+def _drawn_geometry(seed):
+    """A seeded grid, machine and kernel: oblique beams, an odd or even slice count, and
+    a bixel band plus cutoff that covers the grid on some beams and a strip on others."""
+    rng = np.random.default_rng(seed)
+    dims = (int(rng.integers(4, 17)), int(rng.integers(4, 17)), int(rng.integers(1, 14)))
+    phantom = Phantom(grid_dims=dims, voxel_size_mm=tuple(rng.uniform(1.5, 6.0, 3)),
+                      rois=(ROI("t", "target", [0], [1.0]),))
+    num_beams = int(rng.integers(1, 5))
+    machine = make_machine(B=num_beams, N=int(rng.integers(1, 7)), J=int(rng.integers(2, 13)),
+                           angles=tuple(rng.uniform(0.0, 360.0, num_beams)))
+    kernel = KernelParams(lateral_sigma_mm=float(rng.uniform(1.0, 6.0)),
+                          attenuation_per_mm=float(rng.uniform(0.0, 0.02)),
+                          bixel_width_mm=float(rng.uniform(1.0, 8.0)),
+                          leaf_width_mm=float(rng.uniform(3.0, 12.0)),
+                          cutoff_sigmas=float(rng.uniform(1.5, 3.5)))
+    return phantom, machine, kernel
+
+
+@pytest.mark.parametrize("source", ["demo", "refined", *range(20)])
+def test_influence_equals_the_per_bixel_reference(source):
+    # The build keeps, per beam, the cells the bixel band can reach and, per leaf row,
+    # the slices within the cutoff: the same entries as masking every voxel in reach in z.
+    if source in ("demo", "refined"):
+        case = case_from_dict(_refined_demo_doc()) if source == "refined" else load_case(
+            demo_case_path())
+        phantom, machine, kernel = case.phantom, case.machine, case.kernel
+    else:
+        phantom, machine, kernel = _drawn_geometry(source)
+    _assert_same_bytes(compute_dose_influence(phantom, machine, kernel).matrix,
+                       reference_dose_influence(phantom, machine, kernel))
+
+
+def test_drawn_geometries_put_the_bixel_band_inside_and_past_the_grid():
+    inside = past = 0
+    for seed in range(20):
+        phantom, machine, kernel = _drawn_geometry(seed)
+        rel = phantom.voxel_centers_mm() - phantom.extent_mm() / 2.0
+        half_band = ((machine.bixels_per_row - 1) / 2.0 * kernel.bixel_width_mm
+                     + kernel.cutoff_sigmas * kernel.lateral_sigma_mm)
+        for angle in np.deg2rad(machine.beam_angles_deg):
+            reach = np.abs(rel @ np.array([-np.sin(angle), np.cos(angle), 0.0])).max()
+            inside += reach > half_band
+            past += reach <= half_band
+    assert inside >= 10 and past >= 10
 
 
 def _demo_hash(section=None, key=None, value=None):
