@@ -8,6 +8,16 @@ it with a structure-exploiting primal-dual interior point method whose
 stopping rule is a duality gap expressed directly in dose.
 """
 
+import os
+
+# One BLAS/OpenMP thread unless the caller set a count: a threaded BLAS may split and
+# sum a product in another order, so the plans would depend on the machine's core count.
+# This holds only if numpy is not loaded yet; a program that imported numpy first keeps
+# the BLAS pool it started with.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 from .case import Case, case_from_dict, demo_case_path, load_case
 from .dmlc import (Trajectories, build_deliverability_constraints, dose_from_trajectories,
                    fluence_from_trajectories, sweep_time_lower_bound, validate_trajectories)

@@ -117,7 +117,7 @@ def cmd_validate(args) -> int:
 
     for roi in case.phantom.rois:
         if roi.kind == "target":
-            row_doses = influence.matrix[roi.voxels].sum(axis=1)
+            row_doses = influence.rows(roi.voxels).sum(axis=1)
             dead = int(np.sum(np.asarray(row_doses).ravel() == 0.0))
             if dead:
                 problems.append(f"target {roi.name!r} has {dead} voxels receiving no dose")

@@ -155,7 +155,7 @@ def fluence_from_trajectories(traj: Trajectories, machine: MachineModel) -> np.n
 
 def dose_from_trajectories(influence: DoseInfluence, traj: Trajectories,
                            machine: MachineModel) -> np.ndarray:
-    """Voxel dose vector for a trajectory set: influence times fluence."""
+    """Voxel dose vector for a trajectory set: the influence's CSC times fluence."""
     if influence.matrix.shape[1] != machine.num_bixels:
         raise ValueError("dose influence and machine bixel counts disagree")
     weights = fluence_from_trajectories(traj, machine)

@@ -26,7 +26,9 @@ The constraint matrix is kept in the partition the solver exploits::
 
 All rows are oriented ``a . x >= rhs``.  The voxelwise rows are row-scaled
 slices of the dose influence ``P`` and its per-beam row sums ``PR``, built
-once per call without per-voxel loops.  For a criterion on the voxels
+once per call without per-voxel loops; ``P``'s rows are sliced from the CSR
+of its ROI rows that the influence forms once per case
+(:meth:`DoseInfluence.rows`).  For a criterion on the voxels
 ``V`` with row sign ``s`` (-1 for max and dav-min, +1 for min and dav-max)
 its block of A21 is
 
@@ -435,7 +437,7 @@ def _nonzero_rows(matrix: sp.csr_matrix) -> np.ndarray:
                        minlength=counts.size) > 0
 
 
-def _a21_factors(P: sp.csr_matrix, PR: sp.csr_matrix | None, leak_voxels: np.ndarray,
+def _a21_factors(influence: DoseInfluence, PR: sp.csr_matrix | None, leak_voxels: np.ndarray,
                  blocks, n1: int, open_scale: float, leak_scale: float) -> A21Factors:
     """The factors of A21 (see :class:`A21Factors`), the only form the build gives it.
 
@@ -445,7 +447,7 @@ def _a21_factors(P: sp.csr_matrix, PR: sp.csr_matrix | None, leak_voxels: np.nda
     ``b`` holds each distinct voxel's row as A21 stores it where the voxel
     first occurs, ``(s*o) P[v]`` and ``(s*t) PR[v]``, on the live columns.
     """
-    nb = P.shape[1]
+    nb = influence.matrix.shape[1]
     voxels = np.concatenate([v for v, _, _ in blocks] + [np.zeros(0, np.int64)])
     m2 = voxels.size
     signs = np.concatenate([np.full(v.size, s) for v, s, _ in blocks] + [np.zeros(0)])
@@ -453,7 +455,8 @@ def _a21_factors(P: sp.csr_matrix, PR: sp.csr_matrix | None, leak_voxels: np.nda
 
     # Rows: the voxels with a nonzero dose row, by first occurrence.
     distinct, first, inverse = np.unique(voxels, return_index=True, return_inverse=True)
-    live = np.flatnonzero(_nonzero_rows(P[distinct]))
+    dose_rows = influence.rows(distinct)
+    live = np.flatnonzero(_nonzero_rows(dose_rows))
     by_occurrence = live[np.argsort(first[live])]
     group_of = np.full(distinct.size, -1)
     group_of[by_occurrence] = np.arange(by_occurrence.size)
@@ -462,7 +465,7 @@ def _a21_factors(P: sp.csr_matrix, PR: sp.csr_matrix | None, leak_voxels: np.nda
     row_group = row_group[row_nz]
     first_sign = signs[first[by_occurrence]]
     row_sign = signs[row_nz] * first_sign[row_group]
-    parts = [_scale_rows(P[distinct[by_occurrence]], first_sign * open_scale)]
+    parts = [_scale_rows(dose_rows[by_occurrence], first_sign * open_scale)]
     if PR is not None:
         rows = PR[np.searchsorted(leak_voxels, distinct[by_occurrence])]
         parts.append(_scale_rows(rows, first_sign * leak_scale))
@@ -560,7 +563,6 @@ def build_weighted_instance(phantom: Phantom, machine: MachineModel, influence: 
     rate, tau = machine.dose_rate, machine.transmission
     open_scale = rate * (1.0 - tau)
     leak_scale = rate * tau
-    P = influence.matrix
     leak_voxels = np.unique(np.concatenate(
         [voxels for voxels, _, _ in blocks] + [phantom.roi(criteria.criteria[k].roi).voxels
                                                for k in average] + [np.zeros(0, np.int64)]))
@@ -573,10 +575,10 @@ def build_weighted_instance(phantom: Phantom, machine: MachineModel, influence: 
         stacked rows would sum it.  The ``r`` half negates the ``l`` half
         exactly; ``0.0 - x`` keeps a zero sum ``+0.0``, as its own sum would.
         """
-        rows = P[voxels]
-        counts = np.bincount(rows.indices, minlength=P.shape[1])
+        rows = influence.rows(voxels)
+        counts = np.bincount(rows.indices, minlength=rows.shape[1])
         sums = np.bincount(rows.indices, weights=_scale_rows(rows, scale * open_scale).data,
-                           minlength=P.shape[1])
+                           minlength=rows.shape[1])
         parts = [(counts, sums), (counts, 0.0 - sums)]
         if PR is not None:
             leak = _scale_rows(PR[np.searchsorted(leak_voxels, voxels)], scale * leak_scale)
@@ -618,7 +620,7 @@ def build_weighted_instance(phantom: Phantom, machine: MachineModel, influence: 
     b1 = np.concatenate([deliv.rhs, np.zeros(len(rows11) - 1)])
 
     # ---- block row 2: voxelwise rows, as A21's factors and A22 ----------
-    a21_factors = _a21_factors(P, PR, leak_voxels, blocks, n1, open_scale, leak_scale)
+    a21_factors = _a21_factors(influence, PR, leak_voxels, blocks, n1, open_scale, leak_scale)
     b2 = np.zeros(m2)
     a22 = sp.vstack([sp.csr_matrix((num_zero_rows, n2)), sp.eye(n2, format="csr")],
                     format="csr") if n2 or num_zero_rows else sp.csr_matrix((0, 0))

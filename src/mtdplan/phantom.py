@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -212,22 +212,50 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class DoseInfluence:
-    """Sparse nonnegative dose deposition matrix (voxels x bixels)."""
+    """Sparse nonnegative dose deposition matrix (voxels x bixels).
 
-    matrix: sp.csr_matrix
+    ``matrix`` is CSC, as :func:`compute_dose_influence` builds it column by
+    column; the dose of a fluence vector is ``matrix @ w``, each voxel's sum
+    taken in bixel order as its CSR row would take it.  The LP reads only the
+    rows of ROI voxels, ``roi_voxels`` (kept sorted, without repeats).  Their
+    CSR, ``roi_rows``, is formed once, here, and :meth:`rows` slices it; each
+    row is the same, byte for byte, as that row of the whole matrix's CSR.
+    """
+
+    matrix: sp.csc_matrix
+    roi_voxels: np.ndarray
     num_beams: int
     leaf_pairs: int
     bixels_per_row: int
+    roi_rows: sp.csr_matrix = field(init=False, repr=False)
 
-    def per_beam_row_sums(self, rows: np.ndarray | None = None) -> sp.csr_matrix:
-        """Matrix of per-beam row sums, shape (voxels, num_beams), or of the voxels ``rows`` only.
+    def __post_init__(self):
+        matrix = sp.csc_matrix(self.matrix)
+        object.__setattr__(self, "matrix", matrix)
+        roi_voxels = np.unique(np.asarray(self.roi_voxels, dtype=np.int64))
+        object.__setattr__(self, "roi_voxels", roi_voxels)
+        object.__setattr__(self, "roi_rows", matrix[roi_voxels].tocsr())
+
+    def rows(self, voxels: np.ndarray) -> sp.csr_matrix:
+        """The CSR rows of ``voxels``, in their order; each must be in ``roi_voxels``."""
+        voxels = np.asarray(voxels, dtype=np.int64)
+        at = np.searchsorted(self.roi_voxels, voxels)
+        inside = at < self.roi_voxels.size
+        inside[inside] = self.roi_voxels[at[inside]] == voxels[inside]
+        if not inside.all():
+            raise PhantomError(f"voxel {int(voxels[~inside][0])} lies in no ROI: "
+                               "the dose influence keeps rows of ROI voxels only")
+        return self.roi_rows[at]
+
+    def per_beam_row_sums(self, rows: np.ndarray) -> sp.csr_matrix:
+        """Matrix of per-beam row sums of the voxels ``rows``, shape (len(rows), num_beams).
 
         Column b equals the sum of all bixel columns of beam b; this is
         the dose response to one extra second of beam-on time per unit
         transmission-scaled dose rate.  Column indices are sorted within
         each row (the sparse product alone leaves them unsorted).  Each
-        row is summed from its own entries alone, so a row of the ``rows``
-        form is the same, byte for byte, as that row of the full one.
+        row is summed from its own entries alone, so a row is the same,
+        byte for byte, whichever other rows are asked for with it.
         """
         per_beam = self.leaf_pairs * self.bixels_per_row
         rep = sp.csr_matrix(
@@ -236,8 +264,7 @@ class DoseInfluence:
               np.repeat(np.arange(self.num_beams), per_beam))),
             shape=(self.matrix.shape[1], self.num_beams),
         )
-        matrix = self.matrix if rows is None else self.matrix[rows]
-        return (matrix @ rep).tocsr().sorted_indices()
+        return (self.rows(rows) @ rep).tocsr().sorted_indices()
 
 
 # ---------------------------------------------------------------------------
@@ -441,32 +468,36 @@ def compute_dose_influence(phantom: Phantom, machine: MachineModel, kernel: Kern
     parallel, lie in the x-y plane at the configured gantry angles and
     share an isocenter at the grid center; leaf rows are stacked along
     z.  The result depends only on geometry and kernel parameters, never
-    on transmission or dose rate, and is bitwise deterministic.
+    on transmission or dose rate, and is bitwise deterministic.  It is
+    kept as the CSC matrix the loop builds, column by column, together
+    with the CSR of the ROI rows (see :class:`DoseInfluence`).
 
-    Each beam looks only at the (x, y) cells that come within the cutoff
-    of its bixel span, and each leaf row only at the slices within the
-    cutoff in z; each bixel masks those voxels by its lateral distance.
-    No voxel left out could pass a mask, so the matrix is the same, byte
+    A beam's axes have z component exactly 0.0, so a voxel's depth and
+    transverse coordinate are its (x, y) cell's, whatever its slice.  Each
+    bixel takes the squared transverse distance ``dt2`` once per cell and
+    visits only the cells with ``dt2 <= cutoff**2``; each leaf row takes
+    ``dz2`` once per slice and visits only the slices with ``dz2 <=
+    cutoff**2``.  The pruning is exact: in floating point ``dt2 + dz2`` is
+    at least ``dt2`` and at least ``dz2``, so no voxel left out could pass
+    the mask ``dt2 + dz2 <= cutoff**2``, and the matrix is the same, byte
     for byte, as masking the whole grid.
     """
-    centers = phantom.voxel_centers_mm()
+    nx, ny, nz = phantom.grid_dims
     grid_center = phantom.extent_mm() / 2.0
-    rel = centers - grid_center
-    nz = phantom.grid_dims[2]
-    slice_z = rel[:nz, 2]   # z varies fastest: every (x, y) cell holds these slices in turn
+    # Voxel centers relative to the grid center: one row per (x, y) cell, at its first
+    # slice, and the slices' z.  Voxel indices run z fastest, so cell c holds voxels
+    # c*nz to c*nz + nz - 1.
+    cell_rel = _voxel_centers((nx, ny, 1), phantom.voxel_size_mm) - grid_center
+    slice_z = _voxel_centers((1, 1, nz), phantom.voxel_size_mm)[:, 2] - grid_center[2]
 
     B, N, J = machine.num_beams, machine.leaf_pairs, machine.bixels_per_row
     t_off = (np.arange(J) - (J - 1) / 2.0) * kernel.bixel_width_mm
     z_off = (np.arange(N) - (N - 1) / 2.0) * kernel.leaf_width_mm
-    cutoff = kernel.cutoff_sigmas * kernel.lateral_sigma_mm
-    cutoff2 = cutoff ** 2
+    cutoff2 = (kernel.cutoff_sigmas * kernel.lateral_sigma_mm) ** 2
     inv_two_sigma2 = 1.0 / (2.0 * kernel.lateral_sigma_mm ** 2)
 
     # Half-diagonal bounds the entry-plane offset for any beam angle.
     half_diag = float(np.linalg.norm(phantom.extent_mm()) / 2.0)
-    # The band a cell must reach to be kept: the bixel span plus the cutoff, widened far
-    # beyond any rounding, so that no voxel left out could pass a bixel's mask.
-    reach = cutoff + 1e-9 * (half_diag + abs(t_off[0]) + cutoff)
 
     # Columns arrive in bixel_index order, so the CSC arrays are built directly.
     rows: list[np.ndarray] = []
@@ -476,23 +507,24 @@ def compute_dose_influence(phantom: Phantom, machine: MachineModel, kernel: Kern
         theta = np.deg2rad(angle)
         direction = np.array([np.cos(theta), np.sin(theta), 0.0])
         transverse = np.array([-np.sin(theta), np.cos(theta), 0.0])
-        depth = rel @ direction + half_diag
-        proj_t = rel @ transverse
-        atten = kernel.output_factor * np.exp(-kernel.attenuation_per_mm * depth)
-        cell_t = proj_t.reshape(-1, nz)
-        cells = np.flatnonzero((cell_t.max(axis=1) >= t_off[0] - reach)
-                               & (cell_t.min(axis=1) <= t_off[-1] + reach))
+        depth = cell_rel @ direction + half_diag
+        atten = np.repeat(kernel.output_factor * np.exp(-kernel.attenuation_per_mm * depth), nz)
+        cell_t = cell_rel @ transverse
+        reach = []   # per bixel position: first voxel and dt2 of each cell within the cutoff
+        for offset in t_off:
+            dt2 = (cell_t - offset) ** 2
+            cells = np.flatnonzero(dt2 <= cutoff2)
+            reach.append((cells[:, None] * nz, dt2[cells][:, None]))
         for n in range(N):
             dz2 = (slice_z - z_off[n]) ** 2
             slices = np.flatnonzero(dz2 <= cutoff2)   # the slices this leaf row can reach
-            near = cells[:, None] * nz + slices   # ascending voxel indices, cells x slices
-            dz2, t_near, atten_near = dz2[slices], proj_t[near], atten[near]
-            for j in range(J):
-                lat2 = (t_near - t_off[j]) ** 2 + dz2
+            dz2 = dz2[slices]
+            for j, (first, dt2) in enumerate(reach):
+                lat2 = dt2 + dz2
                 mask = lat2 <= cutoff2
-                hit = near[mask]
+                hit = (first + slices)[mask]   # ascending voxel indices, cells x slices
                 rows.append(hit)
-                vals.append(atten_near[mask] * np.exp(-lat2[mask] * inv_two_sigma2))
+                vals.append(atten[hit] * np.exp(-lat2[mask] * inv_two_sigma2))
                 counts[machine.bixel_index(b, n, j)] = hit.size
 
     beam_nnz = counts.reshape(B, N * J).sum(axis=1)
@@ -502,8 +534,10 @@ def compute_dose_influence(phantom: Phantom, machine: MachineModel, kernel: Kern
 
     indptr = np.concatenate([[0], np.cumsum(counts)])
     matrix = sp.csc_matrix((np.concatenate(vals), np.concatenate(rows), indptr),
-                           shape=(phantom.num_voxels, machine.num_bixels)).tocsr()
-    return DoseInfluence(matrix=matrix, num_beams=B, leaf_pairs=N, bixels_per_row=J)
+                           shape=(phantom.num_voxels, machine.num_bixels))
+    roi_voxels = np.concatenate([roi.voxels for roi in phantom.rois] + [np.zeros(0, np.int64)])
+    return DoseInfluence(matrix=matrix, roi_voxels=roi_voxels, num_beams=B, leaf_pairs=N,
+                         bixels_per_row=J)
 
 
 def influence_content_hash(phantom: Phantom, machine: MachineModel, kernel: KernelParams) -> str:

@@ -32,14 +32,16 @@ def line_phantom(rois):
 
 
 def influence_from_dense(dense, machine):
-    return DoseInfluence(matrix=sp.csr_matrix(np.asarray(dense, dtype=float)),
+    """A dense influence as :class:`DoseInfluence`: its CSC, with every voxel an ROI voxel."""
+    matrix = sp.csc_matrix(np.asarray(dense, dtype=float))
+    return DoseInfluence(matrix=matrix, roi_voxels=np.arange(matrix.shape[0]),
                          num_beams=machine.num_beams, leaf_pairs=machine.leaf_pairs,
                          bixels_per_row=machine.bixels_per_row)
 
 
 def reference_dose_influence(phantom: Phantom, machine: MachineModel,
-                             kernel: KernelParams) -> sp.csr_matrix:
-    """Per-bixel loop reference for ``phantom.compute_dose_influence``'s matrix.
+                             kernel: KernelParams) -> sp.csc_matrix:
+    """Per-bixel loop reference for ``phantom.compute_dose_influence``'s CSC matrix.
 
     Each leaf row takes every voxel of the grid within the cutoff in z, and
     each bixel masks those by its full lateral distance.
@@ -71,7 +73,7 @@ def reference_dose_influence(phantom: Phantom, machine: MachineModel,
                 counts[machine.bixel_index(b, n, j)] = mask.sum()
     indptr = np.concatenate([[0], np.cumsum(counts)])
     return sp.csc_matrix((np.concatenate(vals), np.concatenate(rows), indptr),
-                         shape=(phantom.num_voxels, machine.num_bixels)).tocsr()
+                         shape=(phantom.num_voxels, machine.num_bixels))
 
 
 def toy_dav_instance(num_voxels=2, volume=0.5, weights=(1.0,), hard_upper=None,
@@ -278,8 +280,7 @@ def reference_weighted_instance(phantom, machine, influence, criteria, weights, 
     rate, tau = machine.dose_rate, machine.transmission
     open_scale = rate * (1.0 - tau)
     leak_scale = rate * tau
-    P = influence.matrix
-    PR = influence.per_beam_row_sums()
+    P = influence.matrix.tocsr()   # the whole matrix's rows, not the influence's ROI rows
     nb = machine.num_bixels
 
     def dose_row_entries(voxel, sign):
@@ -289,7 +290,7 @@ def reference_weighted_instance(phantom, machine, influence, criteria, weights, 
             entries.append((col, sign * open_scale * val))
             entries.append((nb + col, -sign * open_scale * val))
         if leak_scale != 0.0:
-            beam_row = PR.getrow(voxel)
+            beam_row = influence.per_beam_row_sums([voxel])
             for bcol, val in zip(beam_row.indices, beam_row.data):
                 entries.append((2 * nb + bcol, sign * leak_scale * val))
         return entries

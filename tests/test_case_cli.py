@@ -466,6 +466,26 @@ def test_a_negative_zero_weight_solves_as_zero(tmp_path):
         assert (negative / name).read_bytes() == (zero / name).read_bytes(), name
 
 
+def test_solve_without_thread_variables_writes_the_pinned_tree(tmp_path):
+    # Importing mtdplan sets each unset BLAS/OpenMP thread count to 1 before numpy loads, so
+    # a solve started without them writes the same files as one pinned to a thread.  Only a
+    # machine with two or more cores can tell the two apart: on one core a threaded BLAS
+    # runs one thread anyway, and this test passes whatever the package does.
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {key: value for key, value in os.environ.items() if key not in threads}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    unset, pinned = tmp_path / "unset", tmp_path / "pinned"
+    for out, run_env in ((unset, env), (pinned, dict(env, **dict.fromkeys(threads, "1")))):
+        subprocess.run([sys.executable, "-m", "mtdplan.cli", "solve", "--case",
+                        "demo:prostate_demo", "--out", str(out)], env=run_env,
+                       capture_output=True, check=True)
+    names = sorted(path.name for path in pinned.iterdir())
+    assert sorted(path.name for path in unset.iterdir()) == names
+    for name in names:
+        assert (unset / name).read_bytes() == (pinned / name).read_bytes(), name
+
+
 def test_solve_reruns_bit_identical(solved_dir, tmp_path):
     out2 = tmp_path / "again"
     code = cli.main(["solve", "--case", demo_case_path(), "--out", str(out2),

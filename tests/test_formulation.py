@@ -343,13 +343,13 @@ def test_per_beam_row_sums_has_sorted_column_indices():
     influences = [_demo_inputs()[2]] + [random_block_instance(seed)[2] for seed in range(20)]
     rng = np.random.default_rng(23)
     for influence in influences:
-        sums = influence.per_beam_row_sums()
+        sums = influence.per_beam_row_sums(influence.roi_voxels)
         for row in range(sums.shape[0]):
             cols = sums.indices[sums.indptr[row]:sums.indptr[row + 1]]
             assert np.all(np.diff(cols) > 0)
-        # the sums of some rows only are those rows of the full sums, byte for byte
+        # the sums of some rows only are those rows of all the ROI rows' sums, byte for byte
         rows = np.sort(rng.choice(sums.shape[0], size=sums.shape[0] // 2, replace=False))
-        some, full = influence.per_beam_row_sums(rows), sums[rows]
+        some, full = influence.per_beam_row_sums(influence.roi_voxels[rows]), sums[rows]
         for part in ("indptr", "indices", "data"):
             assert getattr(some, part).dtype == getattr(full, part).dtype
             assert np.array_equal(getattr(some, part), getattr(full, part))

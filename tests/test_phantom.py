@@ -306,17 +306,25 @@ def _coo_influence_reference(phantom, machine, kernel):
 
 
 def _assert_same_bytes(a, b):
+    assert a.format == b.format
     for x, y in [(a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)]:
         assert x.dtype == y.dtype
         assert x.tobytes() == y.tobytes()
+
+
+def _assert_same_influence(influence, reference):
+    """The influence's CSC, its CSR and its ROI rows' CSR equal the reference's, byte for byte."""
+    _assert_same_bytes(influence.matrix, reference.tocsc())
+    _assert_same_bytes(influence.matrix.tocsr(), reference.tocsr())
+    _assert_same_bytes(influence.roi_rows, reference.tocsr()[influence.roi_voxels])
 
 
 def test_influence_equals_a_coo_build_byte_for_byte_on_the_demo():
     case = load_case(demo_case_path())
     influence = compute_dose_influence(case.phantom, case.machine, case.kernel)
     assert influence.matrix.has_sorted_indices
-    _assert_same_bytes(influence.matrix,
-                       _coo_influence_reference(case.phantom, case.machine, case.kernel))
+    _assert_same_influence(influence,
+                           _coo_influence_reference(case.phantom, case.machine, case.kernel))
 
 
 def test_influence_equals_a_coo_build_byte_for_byte_on_an_anisotropic_phantom():
@@ -329,7 +337,7 @@ def test_influence_equals_a_coo_build_byte_for_byte_on_an_anisotropic_phantom():
     influence = compute_dose_influence(phantom, machine, kernel)
     reference = _coo_influence_reference(phantom, machine, kernel)
     assert np.any(np.diff(reference.tocsc().indptr) == 0)  # some bixels hit no voxel
-    _assert_same_bytes(influence.matrix, reference)
+    _assert_same_influence(influence, reference)
 
     # A beam whose every bixel misses: the reference holds no entry for it.
     offset = KernelParams(lateral_sigma_mm=0.1, attenuation_per_mm=0.0,
@@ -342,39 +350,84 @@ def test_influence_equals_a_coo_build_byte_for_byte_on_an_anisotropic_phantom():
 
 def _drawn_geometry(seed):
     """A seeded grid, machine and kernel: oblique beams, an odd or even slice count, and
-    a bixel band plus cutoff that covers the grid on some beams and a strip on others."""
+    a bixel band plus cutoff that covers the grid on some beams and a strip on others.
+
+    From seed 20 on, grids are tall (14 to 60 slices) and each beam lies within a degree
+    of a multiple of 45 degrees.  The one ROI holds about a third of the voxels."""
     rng = np.random.default_rng(seed)
-    dims = (int(rng.integers(4, 17)), int(rng.integers(4, 17)), int(rng.integers(1, 14)))
-    phantom = Phantom(grid_dims=dims, voxel_size_mm=tuple(rng.uniform(1.5, 6.0, 3)),
-                      rois=(ROI("t", "target", [0], [1.0]),))
+    tall = seed >= 20
+    dims = (int(rng.integers(4, 17)), int(rng.integers(4, 17)),
+            int(rng.integers(14, 61) if tall else rng.integers(1, 14)))
+    voxel_size = tuple(rng.uniform(1.5, 6.0, 3))
     num_beams = int(rng.integers(1, 5))
-    machine = make_machine(B=num_beams, N=int(rng.integers(1, 7)), J=int(rng.integers(2, 13)),
-                           angles=tuple(rng.uniform(0.0, 360.0, num_beams)))
+    leaf_pairs, bixels_per_row = int(rng.integers(1, 7)), int(rng.integers(2, 13))
+    if tall:
+        angles = 45.0 * rng.integers(0, 8, num_beams) + rng.uniform(-1.0, 1.0, num_beams)
+    else:
+        angles = rng.uniform(0.0, 360.0, num_beams)
+    machine = make_machine(B=num_beams, N=leaf_pairs, J=bixels_per_row, angles=tuple(angles))
     kernel = KernelParams(lateral_sigma_mm=float(rng.uniform(1.0, 6.0)),
                           attenuation_per_mm=float(rng.uniform(0.0, 0.02)),
                           bixel_width_mm=float(rng.uniform(1.0, 8.0)),
                           leaf_width_mm=float(rng.uniform(3.0, 12.0)),
                           cutoff_sigmas=float(rng.uniform(1.5, 3.5)))
+    voxels = np.union1d([0], np.flatnonzero(rng.random(int(np.prod(dims))) < 1 / 3))
+    phantom = Phantom(grid_dims=dims, voxel_size_mm=voxel_size,
+                      rois=(ROI("t", "target", voxels, np.full(voxels.size, 1.0 / voxels.size)),))
     return phantom, machine, kernel
 
 
-@pytest.mark.parametrize("source", ["demo", "refined", *range(20)])
-def test_influence_equals_the_per_bixel_reference(source):
-    # The build keeps, per beam, the cells the bixel band can reach and, per leaf row,
-    # the slices within the cutoff: the same entries as masking every voxel in reach in z.
+def _geometry(source):
+    """The demo's, the refined demo's or a drawn geometry."""
     if source in ("demo", "refined"):
         case = case_from_dict(_refined_demo_doc()) if source == "refined" else load_case(
             demo_case_path())
-        phantom, machine, kernel = case.phantom, case.machine, case.kernel
-    else:
-        phantom, machine, kernel = _drawn_geometry(source)
-    _assert_same_bytes(compute_dose_influence(phantom, machine, kernel).matrix,
-                       reference_dose_influence(phantom, machine, kernel))
+        return case.phantom, case.machine, case.kernel
+    return _drawn_geometry(source)
+
+
+@pytest.mark.parametrize("source", ["demo", "refined", *range(60)])
+def test_influence_equals_the_per_bixel_reference(source):
+    # The build visits, per bixel, the cells within the cutoff laterally and, per leaf
+    # row, the slices within it in z: the same entries as masking every voxel in reach in z.
+    phantom, machine, kernel = _geometry(source)
+    _assert_same_influence(compute_dose_influence(phantom, machine, kernel),
+                           reference_dose_influence(phantom, machine, kernel))
+
+
+@pytest.mark.parametrize("source", ["demo", "refined", *range(0, 60, 3)])
+def test_dose_product_of_the_csc_equals_the_csr_product(source):
+    # dmlc.dose_from_trajectories multiplies by the CSC as built; each voxel's dose must be
+    # the sum its CSR row gives, in the same order, for fluences with and without zeros.
+    phantom, machine, kernel = _geometry(source)
+    matrix = compute_dose_influence(phantom, machine, kernel).matrix
+    rows = matrix.tocsr()
+    rng = np.random.default_rng(41)
+    for zeros in (0.0, 0.3, 0.9):
+        fluence = rng.uniform(0.0, 20.0, machine.num_bixels)
+        fluence[rng.random(machine.num_bixels) < zeros] = 0.0
+        assert (matrix @ fluence).tobytes() == (rows @ fluence).tobytes()
+
+
+def test_influence_rows_refuse_a_voxel_outside_the_rois():
+    phantom, machine, kernel = _drawn_geometry(7)
+    influence = compute_dose_influence(phantom, machine, kernel)
+    inside = influence.roi_voxels
+    outside = np.setdiff1d(np.arange(phantom.num_voxels), inside)
+    assert outside.size and np.array_equal(inside, phantom.roi("t").voxels)
+    picked = inside[::-2]   # any order, repeats allowed
+    assert (influence.rows(np.append(picked, picked[0])) != influence.matrix.tocsr()[
+        np.append(picked, picked[0])]).nnz == 0
+    for voxels in ([outside[0]], np.append(picked, outside[-1]), [phantom.num_voxels], [-1]):
+        with pytest.raises(PhantomError, match="lies in no ROI"):
+            influence.rows(voxels)
+        with pytest.raises(PhantomError, match="lies in no ROI"):
+            influence.per_beam_row_sums(np.asarray(voxels))
 
 
 def test_drawn_geometries_put_the_bixel_band_inside_and_past_the_grid():
     inside = past = 0
-    for seed in range(20):
+    for seed in range(60):
         phantom, machine, kernel = _drawn_geometry(seed)
         rel = phantom.voxel_centers_mm() - phantom.extent_mm() / 2.0
         half_band = ((machine.bixels_per_row - 1) / 2.0 * kernel.bixel_width_mm
