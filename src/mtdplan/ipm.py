@@ -110,11 +110,14 @@ with ``mu`` at most ``_RESTART_MU_FRACTION`` (0.1) of its starting
 only ``c`` changed, that iterate's primal part is exactly as feasible as
 it was; the dual residual absorbs the new ``c``.
 
-Each measured iterate goes to one routine, ``verdict`` in :func:`solve`,
-which checks in order: lost strict positivity past the first iterate and
-the iteration limit, both of which end the solve before the iterate is
-recorded, then ``converged``, a non-finite ``mu`` or gap, and
-``infeasible``.  Only the Newton step's own failures end a solve
+Each measured iterate, as its complementary pairs ``gaps`` = [x - lower,
+s, upper - x on ``up``] and ``duals`` = [z, y, w], goes to one routine,
+``verdict`` in :func:`solve`, which checks in order: lost strict
+positivity past the first iterate and the iteration limit, both of which
+end the solve before the iterate is recorded, then ``converged``, a
+non-finite ``mu`` or gap, and ``infeasible``.  Otherwise a ``_NewtonStep``
+factors its system and gives directions ``(d_gaps, d_duals)``, along which
+``_step_lengths`` steps.  Only the step's own failures end a solve
 elsewhere: a factorization or back-solve that raises, and collapsed steps.
 
 It stops with ``converged`` once primal and dual residuals are below the
@@ -127,7 +130,7 @@ multipliers y >= 0, lower-bound multipliers z' >= 0 and upper-bound
 multipliers w >= 0 with A^T y + z' - w = 0 and b.y + lower.z' - upper.w > 0,
 which no x can satisfy.  Every iteration forms one from the dual
 iterate at no extra mat-vec cost: A^T y - w is c - rd - z, z' is its
-negative part, and the ray is scaled to unit 1-norm.  The solve stops
+negative part; a ray with positive 1-norm is scaled to 1.  The solve stops
 when the ray's remaining violation max(A^T y - w, 0) is at most the
 feasibility tolerance and its value exceeds it; both numbers go into the
 message.  The message then names the hard bounds, and the deliverability
@@ -874,6 +877,46 @@ def _stepped(value: np.ndarray, step: float, delta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mean_complementarity(gaps: list[np.ndarray], duals: list[np.ndarray]) -> float:
+    """``mu``: the mean of the products ``gaps[i] * duals[i]`` over the three pairs."""
+    (g0, g1, g2), (v0, v1, v2) = gaps, duals
+    return float(np.dot(g0, v0) + np.dot(g1, v1) + np.dot(g2, v2)) / (g0.size + g1.size + g2.size)
+
+
+def _step_lengths(gaps, duals, d, fraction: float) -> tuple[float, float]:
+    """``fraction`` of the largest steps of ``gaps`` and ``duals`` along ``d``, each at most 1."""
+    return (min(1.0, fraction * _max_step(gaps, d[0])),
+            min(1.0, fraction * _max_step(duals, d[1])))
+
+
+class _NewtonStep:
+    """The Newton system of a measured iterate's pairs and residuals, factored once."""
+
+    def __init__(self, lp: BlockLP, structure, work, up, gaps, duals, rp, rd, timings, kkt_log):
+        dx_diag = duals[0] / gaps[0]
+        dx_diag[up] += duals[2] / gaps[2]
+        dx_diag += _REGULARIZATION
+        system = _kkt_system(lp, dx_diag, gaps[1] / duals[1] + _REGULARIZATION)
+        with _timed(timings, "factorization"):
+            self.fact = _SchurFactorization(system, structure, work)
+        self.up, self.gaps, self.duals, self.rp, self.rd = up, gaps, duals, rp, rd
+        self.timings, self.kkt_log = timings, kkt_log
+
+    def direction(self, rc: list[np.ndarray]):
+        """``(d_gaps, d_duals)`` for the targets ``rc`` of the pairs' products ``v dg + g dv``."""
+        g, v = self.gaps, self.duals
+        r1 = self.rd - rc[0] / g[0]
+        r1[self.up] += rc[2] / g[2]
+        rhs = np.concatenate([r1, self.rp + rc[1] / v[1]])
+        with _timed(self.timings, "back_solve"):
+            delta = self.fact.solve(rhs)
+        if self.kkt_log is not None:
+            self.kkt_log.append((self.fact.system, rhs, delta))
+        dx, dy = delta[:g[0].size], delta[g[0].size:]
+        d_gaps = [dx, self.fact.structure.matvec(dx, self.fact.a21_dx1) - self.rp, -dx[self.up]]
+        return d_gaps, [(rc[0] - v[0] * dx) / g[0], dy, (rc[2] - v[2] * d_gaps[2]) / g[2]]
+
+
 @contextlib.contextmanager
 def _timed(timings: dict[str, float], phase: str):
     start = time.perf_counter()
@@ -906,24 +949,20 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
     structure = prepared.structure
     work = _work_pair(lp.n1)   # every factorization of this solve builds and factors M here
     settings = settings or SolverSettings()
-    n, m = lp.num_variables, lp.num_rows
     b, c, lower = lp.rhs(), lp.objective_vector, lp.lower
     up = np.flatnonzero(np.isfinite(lp.upper))   # the only columns with an upper-bound dual
     upper_up = lp.upper[up]
-    b_scale = 1.0 + float(np.max(np.abs(b))) if m else 1.0
+    b_scale = 1.0 + float(np.max(np.abs(b))) if b.size else 1.0
     c_scale = 1.0 + float(np.max(np.abs(c)))
     history: list[IterationRecord] = []
     kkt_log: list = []
-
-    def mean_complementarity(x_shift, s, up_gap, z, y, w) -> float:
-        return float(np.dot(x_shift, z) + np.dot(s, y) + np.dot(up_gap, w)) / (n + m + up.size)
 
     def result(status: str, it: Restart, measured: tuple[float, float, float],
                message: str = "") -> SolveResult:
         """The result at ``it``, with its scaled residual norms and gap as measured."""
         step = time.perf_counter() - begin - sum(timings.values())
         rel_p, rel_d, gap = measured
-        w_full = np.zeros(n)
+        w_full = np.zeros_like(it.x)
         w_full[up] = it.w
         return SolveResult(status=status, x=it.x.copy(),
                            dual=DualSolution(y=it.y.copy(), z=it.z.copy(), w=w_full),
@@ -934,7 +973,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
                            timings=dict(timings, step=max(step, 0.0)), factored_order=lp.n1,
                            restart=restart)
 
-    def verdict(iteration: int, it: Restart, x_shift: np.ndarray, up_gap: np.ndarray,
+    def verdict(iteration: int, it: Restart, gaps: list[np.ndarray], duals: list[np.ndarray],
                 rd: np.ndarray, measured: tuple[float, float, float]):
         """How the solve ends at the measured iterate ``it``: ``(status, message, mu)``.
 
@@ -943,17 +982,15 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
         or one at the limit, is not an iteration of the solve: its ``mu`` is
         None, not measured, and the solve ends without recording it in the
         history or taking it as the restart.  Every other iterate is
-        recorded with its ``mu``.  The Farkas ray is formed only after the
-        earlier checks: its norm can be 0 on an iterate that lost positivity.
+        recorded with its ``mu``.
         """
         rel_p, rel_d, gap = measured
         # Each step must keep its iterate strictly inside; fmin skips NaN, as any(part <= 0) does.
-        if iteration and any(np.fmin.reduce(part, initial=np.inf) <= 0
-                             for part in (x_shift, it.s, it.z, it.y, up_gap, it.w)):
+        if iteration and any(np.fmin.reduce(part, initial=np.inf) <= 0 for part in gaps + duals):
             return "numerical_failure", "lost strict positivity", None
         if iteration == settings.max_iterations:
             return "iteration_limit", "iteration limit reached before convergence", None
-        mu = mean_complementarity(x_shift, it.s, up_gap, it.z, it.y, it.w)
+        mu = _mean_complementarity(gaps, duals)
         if rel_p <= settings.feasibility_tolerance and rel_d <= settings.feasibility_tolerance \
                 and gap <= settings.dose_tolerance_gy:
             return "converged", "", mu
@@ -964,12 +1001,13 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
         atyw = c - rd - it.z
         z_ray = np.maximum(-atyw, 0.0)
         norm = float(np.sum(it.y) + np.sum(z_ray) + np.sum(it.w))
-        violation = float(np.max(atyw, initial=0.0)) / norm
-        value = _dual_objective(b, lower, upper_up, it.y, z_ray, it.w) / norm
-        if violation <= settings.feasibility_tolerance < value:
-            return ("infeasible",
-                    f"Farkas ray with violation {violation:.1e} and value {value:.3e}; "
-                    + _conflict_report(lp, it.y / norm, z_ray / norm, it.w / norm, up, value), mu)
+        if norm > 0:   # no ray without rows or finite upper bounds, where norm can be 0
+            violation = float(np.max(atyw, initial=0.0)) / norm
+            value = _dual_objective(b, lower, upper_up, it.y, z_ray, it.w) / norm
+            if violation <= settings.feasibility_tolerance < value:
+                return ("infeasible",
+                        f"Farkas ray with violation {violation:.1e} and value {value:.3e}; "
+                        + _conflict_report(lp, it.y / norm, z_ray / norm, it.w / norm, up, value), mu)
         return None, "", mu
 
     it = start if start is not None else prepared.least_squares_start(c, timings)
@@ -977,9 +1015,9 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
     sigma = alpha_p = alpha_d = 0.0
     restart = None
     for iteration in range(settings.max_iterations + 1):
-        # The iterate, measured once: its gaps to the bounds, the residuals
+        # The iterate, measured once: its three complementary pairs, the residuals
         # b - A x + s and c - A^T y - z + w, their scaled max norms and the gap.
-        x_shift, up_gap = it.x - lower, upper_up - it.x[up]
+        gaps, duals = [it.x - lower, it.s, upper_up - it.x[up]], [it.z, it.y, it.w]
         rp = b - structure.matvec(it.x) + it.s
         rd = c - structure.rmatvec(it.y) - it.z
         rd[up] += it.w
@@ -987,7 +1025,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
         measured = rel_p, rel_d, gap = (float(np.max(np.abs(rp), initial=0.0)) / b_scale,
                                         float(np.max(np.abs(rd))) / c_scale,
                                         float(np.dot(c, it.x)) - dual_obj)
-        status, message, mu = verdict(iteration, it, x_shift, up_gap, rd, measured)
+        status, message, mu = verdict(iteration, it, gaps, duals, rd, measured)
         if mu is not None:   # an iteration of the solve: recorded
             if iteration == 0:
                 mu0 = mu
@@ -1000,57 +1038,29 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
         if status is not None:
             return result(status, it, measured, message)
 
-        dx_diag = it.z / x_shift
-        dx_diag[up] += it.w / up_gap
-        dx_diag += _REGULARIZATION
-        system = _kkt_system(lp, dx_diag, it.s / it.y + _REGULARIZATION)
-
-        def step_lengths(d, fraction: float) -> tuple[float, float]:
-            """``fraction`` of the largest primal and dual steps along ``d``, each at most 1."""
-            dx, dy, ds, dz, dw = d
-            return (min(1.0, fraction * _max_step([x_shift, it.s, up_gap], [dx, ds, -dx[up]])),
-                    min(1.0, fraction * _max_step([it.z, it.y, it.w], [dz, dy, dw])))
-
-        def direction(rc_xz, rc_xw, rc_sy):
-            """``(dx, dy, ds, dz, dw)`` from ``it`` for the complementarity targets ``rc``."""
-            r1 = rd - rc_xz / x_shift
-            r1[up] += rc_xw / up_gap
-            rhs = np.concatenate([r1, rp + rc_sy / it.y])
-            with _timed(timings, "back_solve"):
-                delta = fact.solve(rhs)
-            if settings.log_kkt:
-                kkt_log.append((system, rhs, delta))
-            dx = delta[:n]
-            return (dx, delta[n:], structure.matvec(dx, fact.a21_dx1) - rp,
-                    (rc_xz - it.z * dx) / x_shift,
-                    (rc_xw + it.w * dx[up]) / up_gap)
-
         # One Newton step; a failure in any phase ends the solve, named by its phase.
         phase = "factorization"
         try:
-            with _timed(timings, "factorization"):
-                fact = _SchurFactorization(system, structure, work)
-            regularized = fact.regularized
+            step = _NewtonStep(lp, structure, work, up, gaps, duals, rp, rd, timings,
+                               kkt_log if settings.log_kkt else None)
+            regularized = step.fact.regularized
             phase = "predictor solve"  # affine scaling
-            dx_a, dy_a, ds_a, dz_a, dw_a = affine = direction(-x_shift * it.z, -up_gap * it.w,
-                                                              -it.s * it.y)
-            ap, ad = step_lengths(affine, 1.0)
-            # The trial point is x_shift + ap*dx, which rounds unlike the update's (x + a*dx) - lower.
-            mu_aff = mean_complementarity(_stepped(x_shift, ap, dx_a), _stepped(it.s, ap, ds_a),
-                                          _stepped(up_gap, -ap, dx_a[up]), _stepped(it.z, ad, dz_a),
-                                          _stepped(it.y, ad, dy_a), _stepped(it.w, ad, dw_a))
+            d_gaps_a, d_duals_a = affine = step.direction([-g * v for g, v in zip(gaps, duals)])
+            ap, ad = _step_lengths(gaps, duals, affine, 1.0)
+            # The trial point is (x - lower) + ap*dx, which rounds unlike the update's (x + a*dx) - lower.
+            mu_aff = _mean_complementarity([_stepped(g, ap, dg) for g, dg in zip(gaps, d_gaps_a)],
+                                           [_stepped(v, ad, dv) for v, dv in zip(duals, d_duals_a)])
             sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** _CENTERING_POWER, 0.0, 0.999)) \
                 if mu > 0 else 0.0
             phase = "corrector solve"  # centering + second order
-            dx, dy, ds, dz, dw = corrector = direction(
-                sigma * mu - x_shift * it.z - dx_a * dz_a,
-                sigma * mu - up_gap * it.w + dx_a[up] * dw_a,
-                sigma * mu - it.s * it.y - ds_a * dy_a)
+            corrector = step.direction([sigma * mu - g * v - dg * dv for g, v, dg, dv
+                                        in zip(gaps, duals, d_gaps_a, d_duals_a)])
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             return result("numerical_failure", it, measured, f"{phase} failed: {exc}")
-        alpha_p, alpha_d = step_lengths(corrector, settings.step_fraction)
+        alpha_p, alpha_d = _step_lengths(gaps, duals, corrector, settings.step_fraction)
         if alpha_p < _STEP_FLOOR and alpha_d < _STEP_FLOOR:
             return result("numerical_failure", it, measured, "step sizes collapsed")
+        (dx, ds, _), (dz, dy, dw) = corrector
         it = Restart(x=_stepped(it.x, alpha_p, dx), s=_stepped(it.s, alpha_p, ds),
                      y=_stepped(it.y, alpha_d, dy), z=_stepped(it.z, alpha_d, dz),
                      w=_stepped(it.w, alpha_d, dw))

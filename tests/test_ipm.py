@@ -912,6 +912,68 @@ def test_max_step_is_the_least_step_of_its_parts():
     assert ipm._max_step([np.ones(2), np.ones(0)], [-np.full(2, 0.25), np.ones(0)]) == 1.0
 
 
+def least_ratio(parts, deltas):
+    """The least ``value / -delta`` of each part by plain Python, 1.0 where nothing shrinks, least of all."""
+    return min(min([value / -delta for value, delta in zip(part, d) if delta < 0], default=1.0)
+               for part, d in zip(parts, deltas))
+
+
+def test_step_lengths_are_the_least_ratios_of_the_pairs():
+    rng = np.random.default_rng(72)
+    for trial in range(200):
+        # the up part is empty every third trial
+        sizes = (rng.integers(1, 7), rng.integers(0, 7), 0 if trial % 3 == 0 else rng.integers(1, 4))
+        gaps = [rng.uniform(0.1, 3.0, size) for size in sizes]
+        duals = [rng.uniform(0.1, 3.0, size) for size in sizes]
+        d_gaps = [rng.standard_normal(size) * 10.0 ** rng.uniform(-2, 2) for size in sizes]
+        d_duals = [rng.standard_normal(size) * 10.0 ** rng.uniform(-2, 2) for size in sizes]
+        if trial % 4 == 0:
+            d_duals = [np.abs(part) for part in d_duals]   # no dual shrinks: capped at 1.0
+        fraction = (1.0, 0.995)[trial % 2]
+        expected = (min(1.0, fraction * least_ratio(gaps, d_gaps)),
+                    min(1.0, fraction * least_ratio(duals, d_duals)))
+        assert ipm._step_lengths(gaps, duals, (d_gaps, d_duals), fraction) == expected
+        if trial % 4 == 0:
+            assert expected[1] == fraction
+
+
+def test_mean_complementarity_is_the_three_dot_formula():
+    rng = np.random.default_rng(73)
+    for sizes in [(3, 4, 2), (5, 0, 0), (2, 3, 0)]:
+        gaps, duals = ([rng.uniform(0.0, 2.0, size) for size in sizes] for _ in range(2))
+        old = float(np.dot(gaps[0], duals[0]) + np.dot(gaps[1], duals[1])
+                    + np.dot(gaps[2], duals[2])) / sum(sizes)
+        assert_same_bytes(np.float64(ipm._mean_complementarity(gaps, duals)), np.float64(old))
+    # an all -0.0 sum stays -0.0, which a sum() started at 0 would turn into +0.0
+    negative_zero = [np.array([-0.0]), np.array([-0.0]), np.array([-0.0])]
+    mu = ipm._mean_complementarity(negative_zero, [np.ones(1)] * 3)
+    assert_same_bytes(np.float64(mu), np.float64(-0.0))
+
+
+def test_newton_step_direction_meets_its_pairs():
+    lp = demo_lp()
+    prepared = ipm.PreparedLP(lp)
+    it = solve(lp, SolverSettings(), prepared=prepared).restart
+    up = np.flatnonzero(np.isfinite(lp.upper))
+    assert up.size and it is not None
+    gaps, duals = [it.x - lp.lower, it.s, lp.upper[up] - it.x[up]], [it.z, it.y, it.w]
+    rp = lp.rhs() - prepared.structure.matvec(it.x) + it.s
+    rd = lp.objective_vector - prepared.structure.rmatvec(it.y) - it.z
+    rd[up] += it.w
+    timings = dict.fromkeys(("factorization", "back_solve"), 0.0)
+    step = ipm._NewtonStep(lp, prepared.structure, ipm._work_pair(lp.n1), up, gaps, duals, rp, rd,
+                           timings, None)
+    rc = [-g * v for g, v in zip(gaps, duals)]
+    d_gaps, d_duals = step.direction(rc)
+    dx = d_gaps[0]
+    assert_same_bytes(d_gaps[1], prepared.structure.matvec(dx) - rp)
+    assert_same_bytes(d_gaps[2], -dx[up])
+    for i in (0, 2):   # the dual deltas formed from their pair's row
+        product = duals[i] * d_gaps[i]
+        assert np.allclose(product + gaps[i] * d_duals[i], rc[i], rtol=0.0,
+                           atol=1e-12 * (np.abs(rc[i]) + np.abs(product)).max())
+
+
 def test_solve_reports_phase_timings():
     *_, lp = toy_dav_instance(num_voxels=6, volume=0.4)
     start = time.perf_counter()
@@ -933,10 +995,12 @@ def test_minimal_lp():
     assert np.array_equal(res.dual.w, np.zeros(1))
 
 
-@pytest.mark.parametrize("c", [[1.0, 2.0], [-1.0, 2.0]])
-def test_lp_without_rows_solves_to_the_highs_objective(c):
-    # only the box 0 <= x0 <= 1, x1 >= 0 constrains x
-    lp = raw_lp(np.zeros((0, 2)), [], c, [0.0, 0.0], [1.0, np.inf])
+@pytest.mark.parametrize("c, upper", [([1.0, 2.0], [1.0, np.inf]), ([-1.0, 2.0], [1.0, np.inf]),
+                                      ([1.0, 2.0], [np.inf, np.inf])], ids=["c0", "c1", "no_upper"])
+def test_lp_without_rows_solves_to_the_highs_objective(c, upper):
+    # only the box 0 <= x0 <= upper0, x1 >= 0 constrains x; with no finite upper bound
+    # y and w are empty, and no Farkas ray exists
+    lp = raw_lp(np.zeros((0, 2)), [], c, [0.0, 0.0], upper)
     res = solve(lp, SolverSettings(dose_tolerance_gy=1e-6))
     assert res.converged, res.message
     assert res.primal_residual == 0.0 and res.slack.shape == (0,)
