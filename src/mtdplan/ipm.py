@@ -38,8 +38,23 @@ trajectory order n1
 
     M = D1 + A21^T diag(aa, rr) A21 + A11_~R^T D3_~R^-1 A11_~R + F_R^T G_RR^-1 F_R.
 
-M is factored by dense Cholesky (with one diagonal bump, flagged as
-``regularized``, should that fail).  A21 enters folded on both sides, in
+M is factored in leaf-aperture coordinates, as M' = T^T M T with
+x1 = T y: each bixel's ``r`` becomes ``s`` and its ``l`` becomes
+``s + a``, the aperture, and the rest of x1 stays (see
+:func:`_aperture_transform`).  T holds only 0 and 1, so every block of
+A T is exact, and since dose is ``P(l - r)`` each ``s`` drops out of
+every dose-carrying row.  On the demo and the 8x-refined case, 3 beams
+x 6 leaf pairs x 8 bixels, ``y = [s 144 | a 144, T 3, xi 6, alpha 4]``.
+The s-block comes from D1 and the deliverability rows alone: tridiagonal
+within each leaf pair and zero across them, factored by one banded
+Cholesky (``pbtrf``).  Each ``s`` couples only to its own leaf pair's
+apertures and its beam's T, so ``W = U^-T M_sK`` keeps that compact
+layout, each leaf pair's ``W^T W`` is a small block, and the Schur
+complement S = M_KK - W^T W of order 157 (n1 - 144) is factored by dense
+Cholesky.  An LP without a machine, or a system given a plain A21, has
+no leaf pairs, and then S is M.  Should a factorization fail, M + eps I
+is factored instead, once, and flagged as ``regularized``; in y it is
+M' + eps T^T T, which keeps the blocks.  A21 enters folded on both sides, in
 the factors the LP build supplies (``formulation.A21Factors``):
 A21 = A21c E, where A21c keeps one column per column group and E maps
 each group back to its columns with their signs (d = P(l - r) pairs every
@@ -57,7 +72,9 @@ D = diag(aa, rr) the voxel term is E^T (A21c^T D A21c) E,
                     (      C^T D S b           C^T D C  ) ,
 
 one dense ``syrk`` over the distinct rows, a rank-K product and a
-diagonal, scattered with signs into M.  The criterion columns go by an
+diagonal.  Each column group is one column of A21 T, so each cell of
+this Gram matrix lands on one cell of M_KK, with the product of its
+groups' signs.  The criterion columns go by an
 index plan built once per LP: ``S^T D C`` and ``C^T D C`` are one
 ``np.bincount`` each, every bin summed in ascending row order as the
 sparse product ``[S | C]^T (D C)`` sums it, and ``b^T`` takes the first
@@ -66,14 +83,16 @@ plan built once per LP: each pair of stored entries of a row of A11_~R
 before the first dense row (more than ``_SPARSE_ROW_ENTRIES`` entries;
 on the demo, the ``avg-cap`` row, which is last) is one term, summed
 onto its cell by ``np.bincount``, and every row from the first dense one
-on adds its rank-1 term over the whole matrix, the first by ``dger``.
+on adds its rank-1 term over M_KK, the first by ``dger``; those rows,
+like F_R, have no ``s``.
 F_R and G_RR are CSR times a dense block of |R| columns.  Every cell of
-M is so the same sum of the same products, in ascending row order, as
-the sparse products A11_~R^T D3^-1 A11_~R, A12_R diag(xr) A21_eta and
-A12_R diag(-xx) A12_R^T give, and an iteration builds no sparse matrix.
-M is built Fortran-ordered in a work array that each solve allocates
-once, and factored there in place by LAPACK ``potrf``, with no copy and
-no fresh array; back-solves call ``potrs``.  Each factor is checked for
+M' is so the same sum of the same products, in ascending row order, as
+the sparse products (A11_~R T)^T D3^-1 (A11_~R T), A12_R diag(xr) A21_eta
+and A12_R diag(-xx) A12_R^T give, and an iteration builds no sparse
+matrix.  M_KK is built Fortran-ordered in a work array that each solve
+allocates once, and S is factored there in place by LAPACK ``potrf``,
+with no copy and no fresh array; back-solves call ``potrs`` and the
+banded ``tbtrs``.  Each factor is checked for
 finiteness once, when it is made, and a back-solve checks only its
 right-hand side.  A back-solve keeps the ``A21 dx1`` its bottom solve
 forms, and the step's ``ds = A dx - rp`` takes it from there rather than
@@ -155,6 +174,7 @@ from scipy.sparse import _sparsetools
 
 from .fileio import write_csv
 from .formulation import A21Factors, BlockLP
+from .phantom import MachineModel
 
 _STEP_FLOOR = 1e-13
 _REGULARIZATION = 1e-10   # added to every complementarity diagonal
@@ -194,7 +214,9 @@ class KKTSystem:
     trajectory-sized and voxelwise columns, ``d3``/``d4`` the slack
     diagonals for the corresponding row groups; ``num_zero_rows`` splits
     ``d4`` conformally with A22 = [0 I]^T.  ``a21`` is A21 as the LP build
-    emits it, in its factors, or a plain matrix.
+    emits it, in its factors, or a plain matrix.  ``machine``, the LP's,
+    gives M the leaf-aperture coordinates where they are exact
+    (:func:`_aperture_bixels`); without one M is factored as it is.
     """
 
     a11: sp.csr_matrix
@@ -206,6 +228,7 @@ class KKTSystem:
     d3: np.ndarray
     d4: np.ndarray
     num_zero_rows: int
+    machine: MachineModel | None = None
 
     @property
     def n1(self) -> int:
@@ -353,6 +376,47 @@ def _row_pairs(indptr: np.ndarray, rows: np.ndarray):
     return left, right
 
 
+def _aperture_bixels(machine: MachineModel | None, factors: A21Factors) -> int:
+    """The bixel count ``nb`` of M's leaf-aperture coordinates, or 0 where they are not exact.
+
+    The coordinates are ``r = s``, ``l = s + a``.  They are exact where
+    A21's factors fold every live ``l`` column alone with its ``r`` column
+    at the opposite sign, as the LP build's factors do: then each ``s``
+    column of A21 is a sum of exact negatives and drops out.  A system
+    without a machine, or with a plain A21 (whose identity factors fold
+    no column), has none.
+    """
+    n1 = factors.shape[1]
+    if machine is None or 2 * machine.num_bixels > n1:
+        return 0
+    nb = machine.num_bixels
+    group, sign = np.full(n1, -1), np.zeros(n1)
+    group[factors.nz], sign[factors.nz] = factors.group, factors.sign
+    sizes = np.bincount(factors.group, minlength=1)
+    l_group, r_group = group[:nb], group[nb:2 * nb]
+    alone = (sign[:nb] == -sign[nb:2 * nb]) & (sizes[np.maximum(l_group, 0)] == 2)
+    return nb if np.all((l_group == r_group) & ((l_group < 0) | alone)) else 0
+
+
+def _aperture_transform(n1: int, nb: int) -> sp.csr_matrix:
+    """T with ``x1 = T y`` for ``y = [s | a | the rest]``: ``r = s``, ``l = s + a``, the rest as is.
+
+    T holds only 0 and 1, so ``A T`` is exact: each ``s`` entry is the sum
+    of an ``l`` entry and an ``r`` entry, each ``a`` entry an ``l`` entry.
+    ``s`` is ``r`` and not ``l`` because ``l >= r``: a closed bixel has
+    ``r`` at its bound, so ``d_r`` is the larger diagonal of D1, often by
+    orders of magnitude late in a solve.  With ``r = s`` it stays on the
+    s diagonal, and the coupling and a's diagonal take the small ``d_l``;
+    with ``l = s`` they would take ``d_r``, and eliminating ``s`` would
+    subtract ``d_r^2 / (d_l + d_r)`` from ``d_r``, cancelling away the rest
+    of a's diagonal.
+    """
+    bixel, rest = np.arange(nb), np.arange(2 * nb, n1)
+    rows = np.concatenate([bixel, bixel, nb + bixel, rest])
+    cols = np.concatenate([bixel, nb + bixel, bixel, rest])
+    return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n1, n1))
+
+
 class _NewtonStructure:
     """The part of every Newton system of one LP that the diagonals leave alone.
 
@@ -370,21 +434,33 @@ class _NewtonStructure:
     ``b`` and C are dense: ``b`` is the ``syrk`` operand, and at its 28 %
     fill on the refined case dense products measure faster than CSR ones.
     ``expand`` is CSR with its transpose.
-    ``m_index_t``, ``gram_index`` and ``pair_sign`` scatter the Gram matrix
-    of A21c into ``M``'s upper triangle in M's memory order, and the
-    ``c_*`` and ``sc_*`` arrays give its criterion columns
-    (:meth:`criterion_columns`).  Also held:
+
+    M is factored in the leaf-aperture coordinates ``y = [s | K]``, ``K =
+    [a, T, xi, alpha]``, of order ``nb`` and ``nk`` (144 and 157 on the
+    demo and the refined case; ``nb`` is 0 where they are not exact, see
+    :func:`_aperture_bixels`, and then K is all of x1).  M' = T^T M T has
+    three parts: the s-block, tridiagonal and block-diagonal over the leaf
+    pairs, kept in LAPACK's upper band storage; the s-K coupling, where
+    each ``s`` reaches only its own leaf pair's ``a`` and its beam's T,
+    kept compact as ``nb x (J + 1)`` with the K index of each entry in
+    ``coupling_cols``; and M_KK, dense.  ``gram_cells``, ``gram_index``
+    and ``gram_sign`` scatter the Gram matrix of A21c into M_KK's upper
+    triangle in its memory order: with leaf pairs, one cell per pair of
+    groups, since each group is one column of ``A21 T``.  The ``c_*`` and
+    ``sc_*`` arrays give its criterion columns (:meth:`criterion_columns`).
+    ``w_cells`` and ``w_cell_of`` take each leaf pair's ``W^T W`` to M_KK.
+    Also held:
     A12 as CSR with its transpose, and A11 split on the rows ``R`` that A12
     touches.  The rows ``R`` are dense; the back-solves swap in ``F``'s.
     A12's rows ``R`` are kept on the columns ``a12_cols`` they touch, as
     CSR and dense, with ``expand``'s eta rows there, transposed: the
     operands of F_R and G_RR.  The rest of A11, where ``G`` is D3 and ``F``
-    is A11, is CSR with its transpose, and its term of ``M`` has an index
-    plan (:meth:`a11_gram`): the entry pairs of the rows before the first
-    dense row, and the rows from it on as dense vectors.  A22 = [0 I]^T is
-    a shift onto the eta rows.  ``matvec`` and ``rmatvec`` apply A and A^T
-    from these blocks.  Built once per LP and only read after; memory
-    linear in the voxel count.
+    is A11, is CSR with its transpose, and ``a11_rest_ap`` is it times T;
+    its term of M' has an index plan (:meth:`a11_gram`): the entry pairs of
+    the rows before the first dense row, and the rows from it on as dense
+    vectors on K.  A22 = [0 I]^T is a shift onto the eta rows.  ``matvec``
+    and ``rmatvec`` apply A and A^T from these blocks, in x.  Built once
+    per LP and only read after; memory linear in the voxel count.
     """
 
     def __init__(self, system: KKTSystem):
@@ -397,13 +473,33 @@ class _NewtonStructure:
         self.k = self.split + self.criterion.shape[1]
         self.expand = factors.expand
         self.expand_t = self.expand.T.tocsr()
-        # the pairs a <= b by b, then a: M's upper cells in its Fortran order
-        upper_b, upper_a = np.tril_indices(self.nz.size)
-        low = np.minimum(self.group[upper_a], self.group[upper_b])
-        high = np.maximum(self.group[upper_a], self.group[upper_b])
-        self.m_index_t = self.nz[upper_b] * n1 + self.nz[upper_a]   # in m.T, M's memory order
+        self.nb = nb = _aperture_bixels(system.machine, factors)
+        self.nk = nk = n1 - nb
+        self.k_columns = np.concatenate([np.arange(nb), np.arange(2 * nb, n1)])   # x1 less r: l for a
+        machine = system.machine
+        self.pair_width = J = machine.bixels_per_row if nb else 1
+        per_beam = machine.leaf_pairs * J if nb else 1
+        # Each s row's coupling columns: its leaf pair's a, then its beam's T.
+        bixel = np.arange(nb)
+        self.coupling_cols = np.column_stack([(bixel // J * J)[:, None] + np.arange(J),
+                                              nb + bixel // per_beam])
+        self.own_aperture = (bixel, bixel % J)   # (s_i, a_i) in the compact coupling
+        c1, c2 = np.triu_indices(J + 1)
+        pair_cols = self.coupling_cols[::J]
+        self.w_upper = (c1, c2)
+        self.w_cells, self.w_cell_of = np.unique((pair_cols[:, c1] + pair_cols[:, c2] * nk).ravel(),
+                                                 return_inverse=True)
+        # A21's columns in y: s drops out, and a's column is l's.
+        kept = (self.nz < nb) | (self.nz >= 2 * nb)
+        k_col = np.where(self.nz < nb, self.nz, self.nz - nb)[kept]
+        k_group, k_sign = self.group[kept], self.sign[kept]
+        # the pairs a <= b by b, then a: M_KK's upper cells in its Fortran order
+        upper_b, upper_a = np.tril_indices(k_col.size)
+        low = np.minimum(k_group[upper_a], k_group[upper_b])
+        high = np.maximum(k_group[upper_a], k_group[upper_b])
+        self.gram_cells = k_col[upper_b] * nk + k_col[upper_a]   # in m.T, M_KK's memory order
         self.gram_index = low + high * self.k   # (low, high) in Fortran order
-        self.pair_sign = self.sign[upper_a] * self.sign[upper_b]
+        self.gram_sign = k_sign[upper_a] * k_sign[upper_b]
         # criterion_columns' index plan: C's entries (one per row) in row order, and on the
         # rows S maps, those entries times the row's sign, binned by (row group, C column)
         self.c_row, self.c_col = np.nonzero(self.criterion)
@@ -433,48 +529,81 @@ class _NewtonStructure:
         self.a11_rows = a11[self.rows].toarray()
         self.a11_rest = a11[self.rest]
         self.a11_rest_t = self.a11_rest.T.tocsr()
+        a11_ap = a11 @ _aperture_transform(n1, nb)
+        a11_ap.sort_indices()
+        assert not a11_ap[self.rows][:, :nb].nnz, "s drops out of the rows R"
+        self.a11_rest_ap = a11_ap[self.rest]
         self._plan_a11_gram()
 
     def _plan_a11_gram(self) -> None:
-        """Index plan of :meth:`a11_gram`, vectorized over the rows.
+        """Index plan of :meth:`a11_gram`, vectorized over the rows of ``a11_rest_ap``.
 
         Every pair of stored entries of a row before the first dense row is
         one term, in row order, and the terms are summed onto their cells
-        by ``np.bincount``.  Every row from the first dense one on is kept
-        dense, for its rank-1 term.
+        by ``np.bincount``.  A cell's key numbers it in M_KK, the band and
+        the coupling, in that order and each in its memory order; sorted,
+        the keys of each part are one run.  Every row from the first dense
+        one on is kept dense on K, for its rank-1 term: it has no ``s``.
         """
-        rest = self.a11_rest
+        rest, nb, nk, J = self.a11_rest_ap, self.nb, self.nk, self.pair_width
         counts = np.diff(rest.indptr)
         dense = np.flatnonzero(counts > _SPARSE_ROW_ENTRIES)
         self.rank1_from = int(dense[0]) if dense.size else counts.size
         self.entry_row = np.repeat(np.arange(counts.size), counts)
         left, right = _row_pairs(rest.indptr, np.arange(counts.size) < self.rank1_from)
+        upper = rest.indices[left] <= rest.indices[right]   # all that the factorization reads
+        left, right = left[upper], right[upper]
         self.term_left, self.term_right = left, rest.data[right]
-        flat = rest.indices[right] * self.n1 + rest.indices[left]   # in m.T, M's memory order
-        self.head_flat, self.head_cell = np.unique(flat, return_inverse=True)
-        self.a11_rank1_rows = rest[self.rank1_from:].toarray()
+        i, j = rest.indices[left], rest.indices[right]
+        keys = (i - nb) + (j - nb) * nk
+        band = j < nb
+        assert np.all((j[band] - i[band] <= 1) & (j[band] // J == i[band] // J)), \
+            "the s-block is tridiagonal in each leaf pair"
+        keys[band] = nk * nk + 1 + i[band] + j[band]   # (1 + i - j, j) of the (2, nb) band
+        cross = (i < nb) & ~band
+        ci, cj = i[cross], j[cross] - nb
+        column = np.where(cj < nb, cj - ci // J * J, J)
+        assert np.all((column >= 0) & (self.coupling_cols[ci, np.minimum(column, J)] == cj)), \
+            "each s reaches only its leaf pair's a and its beam's T"
+        keys[cross] = nk * nk + 2 * nb + ci + column * nb
+        head_flat, self.head_cell = np.unique(keys, return_inverse=True)
+        self.head_count = head_flat.size
+        self.head_runs = k_end, band_end = np.searchsorted(head_flat, [nk * nk, nk * nk + 2 * nb])
+        self.head_k = head_flat[:k_end]
+        self.head_band = head_flat[k_end:band_end] - nk * nk
+        self.head_coupling = head_flat[band_end:] - nk * nk - 2 * nb
+        rank1 = rest[self.rank1_from:]
+        assert not rank1[:, :nb].nnz, "the dense rows have no s"
+        self.a11_rank1_rows = np.ascontiguousarray(rank1.toarray()[:, nb:])
 
-    def a11_gram(self, w: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """``A11_rest^T diag(w) A11_rest`` into ``out``, each cell summed over the rows in order.
+    def a11_gram(self, w: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+                 band: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+        """``A11_rest'^T diag(w) A11_rest'`` into ``out`` (M_KK), ``band`` and ``coupling``.
 
-        ``out`` and ``scratch`` are Fortran-ordered.  The first row from the
-        first dense one on goes first, by ``dger`` into the zeroed ``out``:
-        one product per cell, so each cell is ``0.0 + p`` with
-        ``p = (a_ri w_r) a_rk``, fused or not, and never ``-0.0``.  The
-        bincount sums ``h`` of the rows before it go on top, which gives
-        ``h + p`` exactly, as in row order.  Each later row adds its rank-1
-        term, formed in ``scratch``.  Off a sparse row's cells that term is
-        ``+-0.0``, which leaves a cell unchanged: ``-0.0`` never appears.
+        Each cell is summed over the rows in order.  ``out`` and
+        ``scratch`` are Fortran-ordered, and so are the zeroed ``band`` and
+        ``coupling``, which take only terms of rows before the first dense
+        one.  The first row from the first dense one on goes first, by
+        ``dger`` into the zeroed ``out``: one product per cell, so each cell
+        is ``0.0 + p`` with ``p = (a_ri w_r) a_rk``, fused or not, and never
+        ``-0.0``.  The bincount sums ``h`` of the rows before it go on top,
+        which gives ``h + p`` exactly, as in row order.  Each later row adds
+        its rank-1 term, formed in ``scratch``.  Off a sparse row's cells
+        that term is ``+-0.0``, which leaves a cell unchanged: ``-0.0``
+        never appears.
         """
-        scaled = self.a11_rest.data * w[self.entry_row]   # a_ri w_r
+        scaled = self.a11_rest_ap.data * w[self.entry_row]   # a_ri w_r
         terms = scaled[self.term_left] * self.term_right   # (a_ri w_r) a_rk
         weighted = self.a11_rank1_rows * w[self.rank1_from:, None]   # a_ri w_r
         out.fill(0.0)
         if weighted.shape[0]:
             out = scipy.linalg.blas.dger(1.0, weighted[0], self.a11_rank1_rows[0], a=out,
                                          overwrite_a=True)
-        out.T.reshape(-1)[self.head_flat] += np.bincount(self.head_cell, weights=terms,
-                                                         minlength=self.head_flat.size)
+        sums = np.bincount(self.head_cell, weights=terms, minlength=self.head_count)
+        k_end, band_end = self.head_runs
+        out.T.reshape(-1)[self.head_k] += sums[:k_end]
+        band.T.reshape(-1)[self.head_band] += sums[k_end:band_end]
+        coupling.T.reshape(-1)[self.head_coupling] += sums[band_end:]
         for scaled_row, dense in zip(weighted[1:], self.a11_rank1_rows[1:]):
             out += np.multiply(scaled_row[:, None], dense, out=scratch)
         return out
@@ -542,22 +671,26 @@ class _NewtonStructure:
                                _csr_dot(self.a12_t, y1) + y2[self.num_zero_rows:]])
 
 
-def _work_pair(n1: int) -> tuple[np.ndarray, np.ndarray]:
-    """M, factored in place, and one product, Fortran-ordered: each n1 x n1 part of one block is strided."""
-    return np.empty((n1, n1), order="F"), np.empty((n1, n1), order="F")
+def _work_pair(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """M_KK, factored in place as S, and one product, Fortran-ordered: each part of one block is strided."""
+    return np.empty((order, order), order="F"), np.empty((order, order), order="F")
 
 
 class _SchurFactorization:
     """Factorization of one augmented system, reusable across right-hand sides.
 
     Holds the closed-form quadrant inverse, the Cholesky factor of ``G`` on
-    the rows ``R`` and that of ``M = E + F^T G^-1 F`` (see the module
-    docstring).  ``structure`` is the LP's :class:`_NewtonStructure`; a
-    standalone factorization builds its own.  M is built and factored in
-    the first array of ``work``, a pair from :func:`_work_pair`, which
-    ``m_chol`` then is; without one, the factorization allocates its own.
-    :func:`solve` passes every factorization the same pair, so each
-    overwrites the factor of the one before.
+    the rows ``R`` and the factorization of ``M = E + F^T G^-1 F`` (see the
+    module docstring) in the leaf-aperture coordinates, as M' = T^T M T:
+    ``s_band``, the banded factor U of the s-block, ``w`` = U^-T M_sK in the
+    compact coupling layout, and ``m_chol``, the factor of
+    S = M_KK - W^T W.  Without leaf pairs S is M.  ``structure`` is the
+    LP's :class:`_NewtonStructure`; a standalone factorization builds its
+    own.  M_KK is built and S factored in the first array of ``work``, a
+    pair from :func:`_work_pair`, which ``m_chol`` then is; without one,
+    the factorization allocates its own.  :func:`solve` passes every
+    factorization the same pair, so each overwrites the factor of the one
+    before.
     """
 
     def __init__(self, system: KKTSystem, structure: _NewtonStructure | None = None,
@@ -582,38 +715,63 @@ class _SchurFactorization:
         g_rows = _csr_dot(st.a12_rows, st.a12_rows_dense_t * -xx).T
         g_rows[np.diag_indices_from(g_rows)] += d3[st.rows]
         self.g_chol = _cho_factor(g_rows)
+        self._factor_m(work if work is not None else _work_pair(st.nk))
 
-        work = work if work is not None else _work_pair(st.n1)
+    def _factor_m(self, work: tuple[np.ndarray, np.ndarray]) -> None:
+        """Factor M' from :meth:`_fill_m`, once more regularized should that fail.
+
+        The regularized M is M + eps I in x1, which is M' + eps T^T T in y:
+        ``2 eps`` on the s diagonal, ``eps`` at each (s_i, a_i) and ``eps``
+        on M_KK's diagonal, so the blocks keep their shape.  ``eps`` is
+        1e-8 (1 + the largest magnitude the factorization reads in M': the
+        band, the coupling and M_KK's upper triangle).  The failed attempt
+        left partial factors in place, so M' is filled again first.
+        """
         self.regularized = False
         try:
-            self.m_chol = _cho_factor(self._fill_m(*work))
+            self.m_chol = self._factor(*self._fill_m(*work))
         except scipy.linalg.LinAlgError:
             self.regularized = True
-            m = self._fill_m(*work)   # the failed potrf left a partial factor in its place
-            m[np.diag_indices_from(m)] += 1e-8 * (1.0 + np.abs(np.triu(m)).max())
-            self.m_chol = _cho_factor(m)
+            band, coupling, m = self._fill_m(*work)
+            eps = 1e-8 * (1.0 + max(np.abs(np.triu(m)).max(), np.abs(band).max(initial=0.0),
+                                    np.abs(coupling).max(initial=0.0)))
+            band[1] += 2.0 * eps
+            coupling[self.structure.own_aperture] += eps
+            m[np.diag_indices_from(m)] += eps
+            self.m_chol = self._factor(band, coupling, m)
 
-    def _fill_m(self, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """M in ``out``, each cell summed as the sparse products sum it; ``scratch`` takes a product.
+    def _fill_m(self, out: np.ndarray, scratch: np.ndarray):
+        """M' = T^T M T as ``(band, coupling, M_KK)``, each cell summed as the sparse products sum it.
 
-        M = D1 + A21^T diag(aa, rr) A21 + A11_rest^T D3_rest^-1 A11_rest + F_R^T G_RR^-1 F_R.
+        M' = T^T D1 T + A21'^T diag(aa, rr) A21' + A11_rest'^T D3_rest^-1 A11_rest'
+        + F_R'^T G_RR^-1 F_R', with ' for a block times T.  ``s`` drops out of
+        A21', of F_R' and of the dense rows of A11_rest', so those land on
+        M_KK alone; the A11 terms of the sparse rows land on all three
+        parts.  T^T D1 T adds ``d_l + d_r`` on the s diagonal, ``d_l`` at
+        (s_i, a_i) and the rest of D1 (``d_l`` on a) on M_KK's diagonal.
+        M_KK goes in ``out`` and ``scratch`` takes a product.
         With A21c = [S b | C] the A21 term's Gram matrix of A21c is
           [ b^T diag(S^T D S) b   b^T (S^T D C) ]
           [        .                C^T D C     ],
         one dsyrk over b's distinct rows and the two bincounts of
-        :meth:`_NewtonStructure.criterion_columns`, scattered with signs
-        into the upper triangle only, which is all that potrf (upper) reads.
-        Cell (i, j) of the Fortran-ordered M is entry ``i + j n1`` of the
+        :meth:`_NewtonStructure.criterion_columns`, scattered into the
+        upper triangle only, which is all that potrf (upper) reads.
+        Cell (i, j) of the Fortran-ordered M_KK is entry ``i + j nk`` of the
         row-major ``m.T``, where the scatters go.
-        numpy forms the Fortran-ordered F^T (G^-1 F) as the transposed
+        numpy forms the Fortran-ordered F_K^T (G^-1 F_K) as the transposed
         ``gemm``, whose cells are the same sums in the same order.
         """
-        st, q = self.structure, self.quadrant
-        m = st.a11_gram(self.inv_d3[st.rest], out, scratch)
-        m += np.matmul(self.f_rows.T, _cho_solve(self.g_chol, self.f_rows), out=scratch)
+        st, q, d1, nb = self.structure, self.quadrant, self.system.d1, self.structure.nb
+        band = np.zeros((2, nb), order="F")
+        coupling = np.zeros(st.coupling_cols.shape, order="F")
+        m = st.a11_gram(self.inv_d3[st.rest], out, scratch, band, coupling)
+        f_k = self.f_rows[:, st.k_columns]   # F_R T on K; its s columns are 0
+        m += np.matmul(f_k.T, _cho_solve(self.g_chol, f_k), out=scratch)
         flat = m.T.reshape(-1)
-        flat[::st.n1 + 1] += self.system.d1   # the diagonal
-        if st.m_index_t.size:
+        flat[::st.nk + 1] += d1[st.k_columns]
+        band[1] += d1[:nb] + d1[nb:2 * nb]
+        coupling[st.own_aperture] += d1[:nb]
+        if st.gram_cells.size:
             d = np.concatenate([q.aa, q.rr])
             gram = np.zeros((st.k, st.k), order="F")
             if st.b.size:
@@ -621,8 +779,48 @@ class _SchurFactorization:
                 scaled = st.b * np.sqrt(group_d)[:, None]
                 gram[:st.split, :st.split] = scipy.linalg.blas.dsyrk(1.0, scaled.T, trans=0)
             gram[:, st.split:] = st.criterion_columns(d)
-            np.add.at(flat, st.m_index_t, st.pair_sign * gram.reshape(-1, order="F")[st.gram_index])
-        return m
+            flat[st.gram_cells] += st.gram_sign * gram.reshape(-1, order="F")[st.gram_index]
+        return band, coupling, m
+
+    def _factor(self, band: np.ndarray, coupling: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """The factor of S = M_KK - W^T W, after the s-block's banded factor and W.
+
+        The band and the coupling are checked for finiteness first, so a
+        non-finite M' raises ``ValueError`` and not ``LinAlgError``; M_KK
+        is checked with S.  ``dpbtrf`` factors the whole tridiagonal
+        s-block at once: it is block-diagonal over the leaf pairs, so U is,
+        and W = U^-T M_sK keeps each row's compact columns.  Each leaf
+        pair's W^T W, of order J + 1, is subtracted from S's upper cells.
+        """
+        st = self.structure
+        if st.nb:
+            np.asarray_chkfinite(band), np.asarray_chkfinite(coupling)
+            self.s_band, info = scipy.linalg.lapack.dpbtrf(band, overwrite_ab=True)
+            if info > 0:
+                raise scipy.linalg.LinAlgError(
+                    f"{info}-th leading minor of the s-block is not positive definite")
+            self.w = scipy.linalg.lapack.dtbtrs(self.s_band, coupling, trans="T", overwrite_b=True)[0]
+            blocks = self.w.T.reshape(st.pair_width + 1, -1, st.pair_width)   # (c, pair, j)
+            products = np.matmul(blocks.transpose(1, 0, 2), blocks.transpose(1, 2, 0))
+            m.T.reshape(-1)[st.w_cells] -= np.bincount(
+                st.w_cell_of, weights=products[:, st.w_upper[0], st.w_upper[1]].ravel(),
+                minlength=st.w_cells.size)
+        return _cho_factor(m)
+
+    def _m_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``M^-1 rhs`` as ``T M'^-1 T^T rhs``, by block elimination of the s-block."""
+        st, nb = self.structure, self.structure.nb
+        k_rhs = rhs[st.k_columns]
+        if not nb:
+            return _cho_solve(self.m_chol, k_rhs)
+        z = scipy.linalg.lapack.dtbtrs(self.s_band, (rhs[:nb] + rhs[nb:2 * nb])[:, None],
+                                       trans="T")[0][:, 0]
+        k_rhs -= np.bincount(st.coupling_cols.ravel(), weights=(self.w * z[:, None]).ravel(),
+                             minlength=st.nk)
+        y_k = _cho_solve(self.m_chol, k_rhs)
+        y_s = scipy.linalg.lapack.dtbtrs(
+            self.s_band, (z - np.sum(self.w * y_k[st.coupling_cols], axis=1))[:, None])[0][:, 0]
+        return np.concatenate([y_s + y_k[:nb], y_s, y_k[nb:]])
 
     def _g_solve(self, v: np.ndarray) -> np.ndarray:
         out = v * self.inv_d3
@@ -652,7 +850,7 @@ class _SchurFactorization:
 
         # top solve: [[-E, F^T], [F, G]] (dx1, dy1) = (g_x1, g_y1)
         f_t_g = st.a11_rmatvec(self._g_solve(g_y1), self.f_rows)
-        dx1 = _cho_solve(self.m_chol, f_t_g - g_x1)
+        dx1 = self._m_solve(f_t_g - g_x1)
         dy1 = self._g_solve(g_y1 - st.a11_matvec(dx1, self.f_rows))
 
         # bottom solve: Qinv * (bottom rhs - BL * top)
@@ -682,7 +880,7 @@ def _kkt_system(lp: BlockLP, dx: np.ndarray, ds: np.ndarray) -> KKTSystem:
     """The augmented system of ``lp`` with variable diagonal ``dx`` and slack diagonal ``ds``."""
     return KKTSystem(a11=lp.a11, a12=lp.a12, a21=lp.a21_factors, a22=lp.a22,
                      d1=dx[:lp.n1], d2=dx[lp.n1:], d3=ds[:lp.m1], d4=ds[lp.m1:],
-                     num_zero_rows=lp.num_zero_rows)
+                     num_zero_rows=lp.num_zero_rows, machine=lp.machine)
 
 
 class PreparedLP:
@@ -800,7 +998,7 @@ class SolveResult:
     kkt_log: list = field(default_factory=list)
     message: str = ""
     timings: dict[str, float] = field(default_factory=dict)   # seconds per phase
-    factored_order: int = 0   # order of the dense Cholesky factor, n1
+    factored_order: int = 0   # order of the dense Cholesky factor, of S: n1 less the bixel count
     restart: Restart | None = None   # the first iterate with mu <= 0.1 mu0, if any
 
     @property
@@ -893,8 +1091,11 @@ class _NewtonStep:
     """The Newton system of a measured iterate's pairs and residuals, factored once."""
 
     def __init__(self, lp: BlockLP, structure, work, up, gaps, duals, rp, rd, timings, kkt_log):
-        dx_diag = duals[0] / gaps[0]
-        dx_diag[up] += duals[2] / gaps[2]
+        # An unbounded LP's gaps grow until this overflows: FloatingPointError, whatever
+        # the warning filters, which ends the solve in numerical_failure naming it.
+        with np.errstate(over="raise"):
+            dx_diag = duals[0] / gaps[0]
+            dx_diag[up] += duals[2] / gaps[2]
         dx_diag += _REGULARIZATION
         system = _kkt_system(lp, dx_diag, gaps[1] / duals[1] + _REGULARIZATION)
         with _timed(timings, "factorization"):
@@ -947,7 +1148,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
     elif not prepared.serves(lp):
         raise ValueError("prepared for an LP with other constraints or bounds")
     structure = prepared.structure
-    work = _work_pair(lp.n1)   # every factorization of this solve builds and factors M here
+    work = _work_pair(structure.nk)   # every factorization of this solve builds and factors S here
     settings = settings or SolverSettings()
     b, c, lower = lp.rhs(), lp.objective_vector, lp.lower
     up = np.flatnonzero(np.isfinite(lp.upper))   # the only columns with an upper-bound dual
@@ -970,7 +1171,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
                            gap_gy=gap, primal_residual=rel_p, dual_residual=rel_d,
                            iterations=len(history), history=history,
                            kkt_log=kkt_log, message=message,
-                           timings=dict(timings, step=max(step, 0.0)), factored_order=lp.n1,
+                           timings=dict(timings, step=max(step, 0.0)), factored_order=structure.nk,
                            restart=restart)
 
     def verdict(iteration: int, it: Restart, gaps: list[np.ndarray], duals: list[np.ndarray],
@@ -1055,7 +1256,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
             phase = "corrector solve"  # centering + second order
             corrector = step.direction([sigma * mu - g * v - dg * dv for g, v, dg, dv
                                         in zip(gaps, duals, d_gaps_a, d_duals_a)])
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
+        except (scipy.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
             return result("numerical_failure", it, measured, f"{phase} failed: {exc}")
         alpha_p, alpha_d = _step_lengths(gaps, duals, corrector, settings.step_fraction)
         if alpha_p < _STEP_FLOOR and alpha_d < _STEP_FLOOR:

@@ -2,6 +2,7 @@ import functools
 import gc
 import pickle
 import time
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -477,10 +478,13 @@ def scale_columns(matrix, scale):
 
 
 class SparseProductFactorization(_SchurFactorization):
-    """Reference: F_R, G_RR and the A11 term of M by sparse-sparse products.
+    """Reference: F_R, G_RR and M' = T^T M T by sparse-sparse products of the transformed blocks.
 
-    Every cell of these is the same sum of the same products, in the same
-    order, as in ``_SchurFactorization``.  The back-solves are inherited.
+    A11, F_R, D1 and A21's column map are each multiplied by T, which holds
+    only 0 and 1, so each transformed block is exact.  Every cell of M' is
+    so the same sum of the same products, in the same order, as in
+    ``_SchurFactorization``.  The factoring of M' and the back-solves are
+    inherited.
     """
 
     def __init__(self, system, structure):
@@ -494,23 +498,41 @@ class SparseProductFactorization(_SchurFactorization):
         self.f_rows[:, st.nz] -= st.to_columns(folded.T).T[:, st.group] * st.sign
         g_rows = (scale_columns(a12_rows, -q.xx) @ a12_rows.T.tocsr()).toarray()
         g_rows[np.diag_indices_from(g_rows)] += system.d3[st.rows]
-        g_chol = scipy.linalg.cho_factor(g_rows)
-        self.g_chol = g_chol[0]
-        m = scale_columns(st.a11_rest_t, self.inv_d3[st.rest]) @ st.a11_rest.toarray()
-        m += self.f_rows.T @ scipy.linalg.cho_solve(g_chol, self.f_rows)
-        m[np.diag_indices_from(m)] += system.d1
-        if st.m_index_t.size:
-            d = np.concatenate([q.aa, q.rr])
-            gram = np.zeros((st.k, st.k))
-            if st.b.size:
-                group_d = np.bincount(st.row_group, weights=d[st.row_nz], minlength=st.b.shape[0])
-                scaled = st.b * np.sqrt(group_d)[:, None]
-                gram[:st.split, :st.split] = scipy.linalg.blas.dsyrk(1.0, scaled.T, trans=0)
-            gram[:, st.split:] = st.to_columns(st.expand_t @ (st.criterion * d[:, None]))
-            column, row = np.divmod(st.m_index_t, st.n1)   # m_index_t numbers m.T's cells
-            m[row, column] += st.pair_sign * gram.reshape(-1, order="F")[st.gram_index]
-        self.regularized = False
-        self.m_chol = scipy.linalg.cho_factor(m)[0]
+        self.g_chol = scipy.linalg.cho_factor(g_rows)[0]
+        self._factor_m(ipm._work_pair(st.nk))
+
+    def transformed_m(self):
+        """M' in full, both triangles."""
+        st, system, q = self.structure, self.system, self.quadrant
+        t = ipm._aperture_transform(st.n1, st.nb)
+        a11_rest = st.a11_rest @ t
+        m = scale_columns(a11_rest.T.tocsr(), self.inv_d3[st.rest]) @ a11_rest.toarray()
+        f = (t.T @ self.f_rows.T).T
+        m += f.T @ scipy.linalg.cho_solve((self.g_chol, False), f)
+        m += (t.T @ sp.diags(system.d1) @ t).toarray()
+        d = np.concatenate([q.aa, q.rr])
+        gram = np.zeros((st.k, st.k))
+        if st.b.size:
+            group_d = np.bincount(st.row_group, weights=d[st.row_nz], minlength=st.b.shape[0])
+            scaled = st.b * np.sqrt(group_d)[:, None]
+            gram[:st.split, :st.split] = scipy.linalg.blas.dsyrk(1.0, scaled.T, trans=0)
+        gram[:, st.split:] = st.to_columns(st.expand_t @ (st.criterion * d[:, None]))
+        gram = np.triu(gram) + np.triu(gram, 1).T
+        spread = sp.csr_matrix((st.sign, (st.group, st.nz)), shape=(st.k, st.n1)) @ t
+        m += spread.T.tocsr() @ (gram @ spread.toarray())
+        return m
+
+    def _fill_m(self, out, scratch):
+        st = self.structure
+        nb = st.nb
+        m = self.transformed_m()
+        band = np.zeros((2, nb), order="F")
+        band[1] = np.diagonal(m[:nb, :nb])
+        band[0, 1:] = np.diagonal(m[:nb, :nb], 1)
+        rows = np.arange(nb)[:, None]
+        coupling = np.asfortranarray(m[rows, nb + st.coupling_cols])
+        out[...] = m[nb:, nb:]
+        return band, coupling, out
 
 
 def dense_row_system(rng):
@@ -550,25 +572,134 @@ def test_factorization_is_byte_equal_to_sparse_products(case):
     else:
         systems = [replace(dense_row_system(rng), d1=rng.uniform(0.2, 5.0, 40)) for _ in range(5)]
     structure = ipm._NewtonStructure(systems[0])
+    assert (structure.nb > 0) == (case != "two-dense-rows")
     expected_dense = {"demo": [433], "empty-R": [], "no-dense-row": [], "two-dense-rows": [1, 4]}
-    counts = np.diff(structure.a11_rest.indptr)
+    counts = np.diff(structure.a11_rest_ap.indptr)
     assert np.array_equal(np.flatnonzero(counts > ipm._SPARSE_ROW_ENTRIES), expected_dense[case])
-    # every row from the first dense one on enters M as a rank-1 term
+    # every row from the first dense one on enters M_KK as a rank-1 term
     expected_rank1 = {"demo": [433], "empty-R": [], "no-dense-row": [],
                       "two-dense-rows": list(range(1, 12))}
     rank1 = np.arange(structure.rank1_from, counts.size)
     assert np.array_equal(rank1, expected_rank1[case])
-    assert np.array_equal(structure.a11_rank1_rows, structure.a11_rest[rank1].toarray())
+    assert np.array_equal(structure.a11_rank1_rows,
+                          structure.a11_rest_ap[rank1].toarray()[:, structure.nb:])
     if case == "empty-R":
         assert structure.rows.size == 0
     for system in systems:
         fact = _SchurFactorization(system, structure)
         ref = SparseProductFactorization(system, structure)
+        # the assembled s-block, s-K coupling and M_KK (its upper triangle, which potrf reads)
+        parts = fact._fill_m(*ipm._work_pair(structure.nk))
+        ref_parts = ref._fill_m(*ipm._work_pair(structure.nk))
+        for mine, theirs, name in zip(parts, ref_parts, ("band", "coupling", "M_KK")):
+            if name == "M_KK":
+                mine, theirs = np.triu(mine), np.triu(theirs)
+            assert_same_bytes(np.ascontiguousarray(mine), np.ascontiguousarray(theirs), name)
         for mine, theirs in ((fact.f_rows, ref.f_rows), (fact.g_chol, ref.g_chol),
-                             (fact.m_chol, ref.m_chol)):
+                             (np.triu(fact.m_chol), np.triu(ref.m_chol))):
             assert np.ascontiguousarray(mine).tobytes() == np.ascontiguousarray(theirs).tobytes()
         rhs = rng.standard_normal(system.order)
         assert fact.solve(rhs).tobytes() == ref.solve(rhs).tobytes()
+
+
+def one_pair_per_row(matrix, nb, width):
+    """Whether every row of ``matrix`` touches the first ``nb`` columns within one block of ``width``."""
+    coo = matrix.tocoo()
+    on_s = coo.col < nb
+    rows, pairs = coo.row[on_s], coo.col[on_s] // width
+    return np.unique(rows).size == np.unique(rows * (nb // width + 1) + pairs).size
+
+
+@pytest.mark.parametrize("source", ["demo", "refined", "random"])
+def test_leaf_aperture_coordinates_keep_each_leaf_pair_apart(source):
+    # In y = [s | a, T, xi, alpha] with r = s, l = s + a, each row of A T reaches the s of one
+    # leaf pair at most, M's s-block is tridiagonal in each pair, each s reaches its own
+    # pair's a and its beam's T, and so does each leaf pair's W = L^-1 M_sK.
+    rng = np.random.default_rng(83)
+    lps = ([random_block_instance(seed)[-1] for seed in range(0, 40, 3)] if source == "random"
+           else [balanced_lp(demo_variant(source))])
+    for lp in lps:
+        nb, width = lp.machine.num_bixels, lp.machine.bixels_per_row
+        per_beam = lp.machine.leaf_pairs * width
+        draw = lambda k: 10.0 ** rng.uniform(-3, 3, k)
+        system = ipm._kkt_system(lp, draw(lp.num_variables), draw(lp.num_rows))
+        structure = ipm._NewtonStructure(system)
+        assert (structure.nb, structure.nk) == (nb, lp.n1 - nb)
+        if source != "random":
+            assert (nb, structure.nk) == (144, 157)
+        t = ipm._aperture_transform(lp.n1, nb)
+        a_t = lp.matrix()[:, :lp.n1] @ t
+        assert one_pair_per_row(a_t, nb, width)
+        assert a_t[lp.m1:, :nb].nnz == 0 and a_t[structure.rows, :nb].nnz == 0   # s drops out
+        m = SparseProductFactorization(system, structure).transformed_m()
+        rows, cols = np.nonzero(m[:nb, :nb])
+        assert np.all((np.abs(rows - cols) <= 1) & (rows // width == cols // width))
+        pair_cols = [np.append(np.arange(p * width, (p + 1) * width), nb + p * width // per_beam)
+                     for p in range(nb // width)]
+        for i in range(nb):   # K columns, as in the coupling's layout
+            assert np.isin(np.flatnonzero(m[i, nb:]), structure.coupling_cols[i]).all()
+            assert np.array_equal(structure.coupling_cols[i], pair_cols[i // width])
+        w = scipy.linalg.solve_triangular(np.linalg.cholesky(m[:nb, :nb]), m[:nb, nb:], lower=True)
+        for p, cols in enumerate(pair_cols):
+            assert np.isin(np.flatnonzero(w[p * width:(p + 1) * width].any(axis=0)), cols).all()
+
+
+def test_plain_or_machine_less_systems_have_no_leaf_pairs():
+    lp = balanced_lp(demo_variant("demo"))
+    system = ipm._kkt_system(lp, np.ones(lp.num_variables), np.ones(lp.num_rows))
+    assert ipm._NewtonStructure(system).nb == 144
+    for other in (replace(system, a21=lp.a21), replace(system, machine=None),
+                  replace(system, a21=A21Factors.from_matrix(lp.a21))):
+        structure = ipm._NewtonStructure(other)
+        assert (structure.nb, structure.nk, structure.coupling_cols.shape) == (0, lp.n1, (0, 2))
+    structure = ipm._NewtonStructure(random_kkt(np.random.default_rng(84)))
+    assert structure.nb == 0 and structure.nk == structure.n1
+
+
+def demo_leaf_pair_system(seed):
+    lp = balanced_lp(demo_variant("demo"))
+    rng = np.random.default_rng(seed)
+    system = ipm._kkt_system(lp, 10.0 ** rng.uniform(-3, 3, lp.num_variables),
+                             10.0 ** rng.uniform(-3, 3, lp.num_rows))
+    return lp, system
+
+
+@pytest.mark.parametrize("column", [0, 144, 290])   # an l, an r, a beam's T
+def test_non_finite_leaf_pair_factorization_raises_value_error(column):
+    # NaN in D1 reaches all three parts of M' (l), the band alone (r) or M_KK alone (T):
+    # each is a ValueError, never a LinAlgError.
+    lp, system = demo_leaf_pair_system(85)
+    d1 = system.d1.copy()
+    d1[column] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _SchurFactorization(replace(system, d1=d1))
+
+
+def test_regularized_leaf_pair_factorization_solves_m_plus_eps_identity(monkeypatch):
+    # The retry factors M' + eps T^T T, which is M + eps I in x1, with eps taken from the
+    # largest magnitude of M' that the factorization reads.
+    lp, system = demo_leaf_pair_system(86)
+    structure = ipm._NewtonStructure(system)
+    factor, calls = _SchurFactorization._factor, []
+
+    def failing_once(self, *parts):
+        calls.append(1)
+        if len(calls) == 1:
+            raise scipy.linalg.LinAlgError("injected")
+        return factor(self, *parts)
+
+    monkeypatch.setattr(_SchurFactorization, "_factor", failing_once)
+    fact = _SchurFactorization(system, structure)
+    assert fact.regularized and len(calls) == 2
+    m_prime = SparseProductFactorization(system, structure).transformed_m()
+    t = ipm._aperture_transform(lp.n1, structure.nb).toarray()
+    t_inv = np.linalg.inv(t)
+    m = t_inv.T @ m_prime @ t_inv
+    eps = 1e-8 * (1.0 + np.abs(m_prime).max())
+    rhs = np.random.default_rng(87).standard_normal(lp.n1)
+    expected = np.linalg.solve(m + eps * np.eye(lp.n1), rhs)
+    np.testing.assert_allclose(fact._m_solve(rhs), expected, rtol=1e-7,
+                               atol=1e-9 * np.abs(expected).max())
 
 
 def criterion_columns_by_csr(structure, d):
@@ -652,7 +783,8 @@ def test_schur_solve_singular_reduced_matrix_is_regularized():
     m[np.diag_indices(2)] += 1e-8 * (1.0 + np.abs(np.triu(m)).max())
     expected = scipy.linalg.cho_factor(m)[0]
     assert fact.regularized
-    assert np.ascontiguousarray(fact.m_chol).tobytes() == np.ascontiguousarray(expected).tobytes()
+    # the factor is the upper triangle, all that potrf writes and potrs reads
+    assert_same_bytes(np.triu(fact.m_chol), np.triu(expected))
 
 
 def test_regularized_factorization_refills_a_shared_work_pair():
@@ -743,7 +875,7 @@ def test_solve_builds_newton_structure_once(monkeypatch):
 
 
 def test_solve_allocates_one_work_pair(monkeypatch):
-    # every factorization of a solve builds M in the same pair
+    # every factorization of a solve builds M_KK in the same pair, of S's order
     *_, lp = toy_dav_instance(num_voxels=6, volume=0.4)
     prepared = ipm.PreparedLP(lp)
     allocate, allocated = ipm._work_pair, []
@@ -751,7 +883,7 @@ def test_solve_allocates_one_work_pair(monkeypatch):
     res = solve(lp, SolverSettings(dose_tolerance_gy=1e-6), prepared=prepared)
     assert res.converged
     assert res.iterations > 2
-    assert allocated == [lp.n1]
+    assert allocated == [lp.n1 - lp.machine.num_bixels]
 
 
 def test_solve_never_forms_full_matrix(monkeypatch):
@@ -961,8 +1093,8 @@ def test_newton_step_direction_meets_its_pairs():
     rd = lp.objective_vector - prepared.structure.rmatvec(it.y) - it.z
     rd[up] += it.w
     timings = dict.fromkeys(("factorization", "back_solve"), 0.0)
-    step = ipm._NewtonStep(lp, prepared.structure, ipm._work_pair(lp.n1), up, gaps, duals, rp, rd,
-                           timings, None)
+    step = ipm._NewtonStep(lp, prepared.structure, ipm._work_pair(prepared.structure.nk), up, gaps,
+                           duals, rp, rd, timings, None)
     rc = [-g * v for g, v in zip(gaps, duals)]
     d_gaps, d_duals = step.direction(rc)
     dx = d_gaps[0]
@@ -983,7 +1115,7 @@ def test_solve_reports_phase_timings():
     assert set(res.timings) == {"structure", "factorization", "back_solve", "step"}
     assert all(value >= 0.0 for value in res.timings.values())
     assert sum(res.timings.values()) <= wall
-    assert res.factored_order == lp.n1
+    assert res.factored_order == lp.n1 - lp.machine.num_bixels   # the order of S
 
 
 def test_minimal_lp():
@@ -1005,6 +1137,21 @@ def test_lp_without_rows_solves_to_the_highs_objective(c, upper):
     assert res.converged, res.message
     assert res.primal_residual == 0.0 and res.slack.shape == (0,)
     assert res.objective == pytest.approx(linprog_reference(lp).fun, abs=1e-6)
+
+
+@pytest.mark.parametrize("action", ["error", "always"])
+def test_unbounded_lp_without_rows_ends_in_a_named_overflow(action):
+    # HiGHS calls this LP unbounded.  The solver has no unboundedness exit, so x1 grows
+    # until the Newton diagonal's z / (x - lower) overflows: that ends the solve with
+    # numerical_failure naming the overflow, and no warning, under either warning filter.
+    lp = raw_lp(np.zeros((0, 2)), [], [-1.0, 1.0], [0.0, 0.0], [np.inf, np.inf])
+    assert linprog_reference(lp).status == 3   # unbounded
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action, RuntimeWarning)
+        res = solve(lp, SolverSettings())
+    assert res.status == "numerical_failure"
+    assert "overflow" in res.message, res.message
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_upper_bound_dual_lands_on_its_column():
