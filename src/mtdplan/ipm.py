@@ -89,14 +89,15 @@ F_R and G_RR are CSR times a dense block of |R| columns.  Every cell of
 M' is so the same sum of the same products, in ascending row order, as
 the sparse products (A11_~R T)^T D3^-1 (A11_~R T), A12_R diag(xr) A21_eta
 and A12_R diag(-xx) A12_R^T give, and an iteration builds no sparse
-matrix.  M_KK is built Fortran-ordered in a work array that each solve
-allocates once, and S is factored there in place by LAPACK ``potrf``,
-with no copy and no fresh array; back-solves call ``potrs`` and the
-banded ``tbtrs``.  Each factor is checked for
-finiteness once, when it is made, and a back-solve checks only its
-right-hand side.  A back-solve keeps the ``A21 dx1`` its bottom solve
-forms, and the step's ``ds = A dx - rp`` takes it from there rather than
-making another pass over ``b``.
+matrix.  Each solve allocates one flat work buffer, ``[M_KK | band |
+coupling | Gram of A21c]``, each part a Fortran-ordered view of it, and
+the A11 plan's keys are offsets into it.  M' is built there and
+factored in place, by ``pbtrf``, ``tbtrs`` and ``potrf``, with no copy
+and no fresh array; back-solves call ``potrs`` and the banded ``tbtrs``.
+Each factor is checked for finiteness once, when it is made, and a
+back-solve checks only its right-hand side.  A back-solve keeps the
+``A21 dx1`` its bottom solve forms, and the step's ``ds = A dx - rp``
+takes it from there rather than making another pass over ``b``.
 ``_NewtonStructure`` holds each block of A once per LP in the forms its
 products need, and every product with A or A^T (start point, residuals,
 back-solves) goes through those blocks; A itself is never formed.  Each
@@ -162,6 +163,7 @@ only reads the iterate, so solves it does not stop are unchanged.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import time
 from dataclasses import astuple, dataclass, field, fields, replace
 
@@ -484,6 +486,7 @@ class _NewtonStructure:
         self.coupling_cols = np.column_stack([(bixel // J * J)[:, None] + np.arange(J),
                                               nb + bixel // per_beam])
         self.own_aperture = (bixel, bixel % J)   # (s_i, a_i) in the compact coupling
+        self.work_shapes = ((nk, nk), (2, nb), self.coupling_cols.shape, (self.k, self.k))
         c1, c2 = np.triu_indices(J + 1)
         pair_cols = self.coupling_cols[::J]
         self.w_upper = (c1, c2)
@@ -540,10 +543,10 @@ class _NewtonStructure:
 
         Every pair of stored entries of a row before the first dense row is
         one term, in row order, and the terms are summed onto their cells
-        by ``np.bincount``.  A cell's key numbers it in M_KK, the band and
-        the coupling, in that order and each in its memory order; sorted,
-        the keys of each part are one run.  Every row from the first dense
-        one on is kept dense on K, for its rank-1 term: it has no ``s``.
+        by ``np.bincount``.  A cell's key is its offset in the work buffer
+        (:func:`_work_pair`), whose M_KK, band and coupling come first in
+        that order, each in its memory order.  Every row from the first
+        dense one on is kept dense on K, for its rank-1 term: it has no ``s``.
         """
         rest, nb, nk, J = self.a11_rest_ap, self.nb, self.nk, self.pair_width
         counts = np.diff(rest.indptr)
@@ -566,47 +569,42 @@ class _NewtonStructure:
         assert np.all((column >= 0) & (self.coupling_cols[ci, np.minimum(column, J)] == cj)), \
             "each s reaches only its leaf pair's a and its beam's T"
         keys[cross] = nk * nk + 2 * nb + ci + column * nb
-        head_flat, self.head_cell = np.unique(keys, return_inverse=True)
-        self.head_count = head_flat.size
-        self.head_runs = k_end, band_end = np.searchsorted(head_flat, [nk * nk, nk * nk + 2 * nb])
-        self.head_k = head_flat[:k_end]
-        self.head_band = head_flat[k_end:band_end] - nk * nk
-        self.head_coupling = head_flat[band_end:] - nk * nk - 2 * nb
+        self.head_cells, self.head_cell_of = np.unique(keys, return_inverse=True)
         rank1 = rest[self.rank1_from:]
         assert not rank1[:, :nb].nnz, "the dense rows have no s"
         self.a11_rank1_rows = np.ascontiguousarray(rank1.toarray()[:, nb:])
 
-    def a11_gram(self, w: np.ndarray, out: np.ndarray, scratch: np.ndarray,
-                 band: np.ndarray, coupling: np.ndarray) -> np.ndarray:
-        """``A11_rest'^T diag(w) A11_rest'`` into ``out`` (M_KK), ``band`` and ``coupling``.
+    def a11_gram(self, w: np.ndarray, buffer: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+        """``A11_rest'^T diag(w) A11_rest'`` into the work buffer ``buffer``, zeroed first.
 
-        Each cell is summed over the rows in order.  ``out`` and
-        ``scratch`` are Fortran-ordered, and so are the zeroed ``band`` and
-        ``coupling``, which take only terms of rows before the first dense
-        one.  The first row from the first dense one on goes first, by
-        ``dger`` into the zeroed ``out``: one product per cell, so each cell
-        is ``0.0 + p`` with ``p = (a_ri w_r) a_rk``, fused or not, and never
-        ``-0.0``.  The bincount sums ``h`` of the rows before it go on top,
-        which gives ``h + p`` exactly, as in row order.  Each later row adds
-        its rank-1 term, formed in ``scratch``.  Off a sparse row's cells
-        that term is ``+-0.0``, which leaves a cell unchanged: ``-0.0``
-        never appears.
+        Each cell is summed over the rows in order.  ``out``, M_KK's view
+        of ``buffer``, and ``scratch`` are Fortran-ordered.  The bincount
+        sums go to their cells' offsets in ``buffer``; the band and the
+        coupling take only those.  The first row from the first dense one
+        on goes first, by ``dger`` into ``out``: one product per cell, so
+        each cell is ``0.0 + p`` with ``p = (a_ri w_r) a_rk``, fused or not,
+        and never ``-0.0``.  The bincount sums ``h`` of the rows before it go
+        on top, which gives ``h + p`` exactly, as in row order.  Each later
+        row adds its rank-1 term, formed in ``scratch``.  Off a sparse row's
+        cells that term is ``+-0.0``, which leaves a cell unchanged:
+        ``-0.0`` never appears.
         """
         scaled = self.a11_rest_ap.data * w[self.entry_row]   # a_ri w_r
         terms = scaled[self.term_left] * self.term_right   # (a_ri w_r) a_rk
         weighted = self.a11_rank1_rows * w[self.rank1_from:, None]   # a_ri w_r
-        out.fill(0.0)
+        buffer.fill(0.0)
         if weighted.shape[0]:
-            out = scipy.linalg.blas.dger(1.0, weighted[0], self.a11_rank1_rows[0], a=out,
-                                         overwrite_a=True)
-        sums = np.bincount(self.head_cell, weights=terms, minlength=self.head_count)
-        k_end, band_end = self.head_runs
-        out.T.reshape(-1)[self.head_k] += sums[:k_end]
-        band.T.reshape(-1)[self.head_band] += sums[k_end:band_end]
-        coupling.T.reshape(-1)[self.head_coupling] += sums[band_end:]
+            scipy.linalg.blas.dger(1.0, weighted[0], self.a11_rank1_rows[0], a=out, overwrite_a=True)
+        buffer[self.head_cells] += np.bincount(self.head_cell_of, weights=terms,
+                                               minlength=self.head_cells.size)
         for scaled_row, dense in zip(weighted[1:], self.a11_rank1_rows[1:]):
             out += np.multiply(scaled_row[:, None], dense, out=scratch)
-        return out
+
+    def work_parts(self, buffer: np.ndarray) -> list[np.ndarray]:
+        """M_KK, band, coupling and Gram of A21c: Fortran-ordered views of ``buffer``, in that order."""
+        starts = itertools.accumulate((rows * cols for rows, cols in self.work_shapes), initial=0)
+        return [buffer[start:start + rows * cols].reshape((rows, cols), order="F")
+                for start, (rows, cols) in zip(starts, self.work_shapes)]
 
     def criterion_columns(self, d: np.ndarray) -> np.ndarray:
         """``A21c^T diag(d) C``, the criterion columns of the Gram matrix of A21c.
@@ -671,9 +669,10 @@ class _NewtonStructure:
                                _csr_dot(self.a12_t, y1) + y2[self.num_zero_rows:]])
 
 
-def _work_pair(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """M_KK, factored in place as S, and one product, Fortran-ordered: each part of one block is strided."""
-    return np.empty((order, order), order="F"), np.empty((order, order), order="F")
+def _work_pair(structure: _NewtonStructure) -> tuple[np.ndarray, np.ndarray]:
+    """The flat work buffer of M' (:meth:`_NewtonStructure.work_parts`) and one ``nk x nk`` product."""
+    size = sum(rows * cols for rows, cols in structure.work_shapes)
+    return np.empty(size), np.empty((structure.nk, structure.nk), order="F")
 
 
 class _SchurFactorization:
@@ -686,10 +685,11 @@ class _SchurFactorization:
     compact coupling layout, and ``m_chol``, the factor of
     S = M_KK - W^T W.  Without leaf pairs S is M.  ``structure`` is the
     LP's :class:`_NewtonStructure`; a standalone factorization builds its
-    own.  M_KK is built and S factored in the first array of ``work``, a
-    pair from :func:`_work_pair`, which ``m_chol`` then is; without one,
-    the factorization allocates its own.  :func:`solve` passes every
-    factorization the same pair, so each overwrites the factor of the one
+    own.  M' is built in the buffer of ``work``, a pair from
+    :func:`_work_pair`, and factored there in place: ``m_chol``,
+    ``s_band`` and ``w`` are views of it.  Without one, the factorization
+    allocates its own.  :func:`solve` passes every factorization the same
+    pair, so each overwrites ``m_chol``, ``s_band`` and ``w`` of the one
     before.
     """
 
@@ -715,7 +715,7 @@ class _SchurFactorization:
         g_rows = _csr_dot(st.a12_rows, st.a12_rows_dense_t * -xx).T
         g_rows[np.diag_indices_from(g_rows)] += d3[st.rows]
         self.g_chol = _cho_factor(g_rows)
-        self._factor_m(work if work is not None else _work_pair(st.nk))
+        self._factor_m(work if work is not None else _work_pair(st))
 
     def _factor_m(self, work: tuple[np.ndarray, np.ndarray]) -> None:
         """Factor M' from :meth:`_fill_m`, once more regularized should that fail.
@@ -740,7 +740,7 @@ class _SchurFactorization:
             m[np.diag_indices_from(m)] += eps
             self.m_chol = self._factor(band, coupling, m)
 
-    def _fill_m(self, out: np.ndarray, scratch: np.ndarray):
+    def _fill_m(self, buffer: np.ndarray, scratch: np.ndarray):
         """M' = T^T M T as ``(band, coupling, M_KK)``, each cell summed as the sparse products sum it.
 
         M' = T^T D1 T + A21'^T diag(aa, rr) A21' + A11_rest'^T D3_rest^-1 A11_rest'
@@ -749,7 +749,8 @@ class _SchurFactorization:
         M_KK alone; the A11 terms of the sparse rows land on all three
         parts.  T^T D1 T adds ``d_l + d_r`` on the s diagonal, ``d_l`` at
         (s_i, a_i) and the rest of D1 (``d_l`` on a) on M_KK's diagonal.
-        M_KK goes in ``out`` and ``scratch`` takes a product.
+        All parts are views of the work buffer ``buffer``, and ``scratch``
+        takes a product.
         With A21c = [S b | C] the A21 term's Gram matrix of A21c is
           [ b^T diag(S^T D S) b   b^T (S^T D C) ]
           [        .                C^T D C     ],
@@ -762,9 +763,8 @@ class _SchurFactorization:
         ``gemm``, whose cells are the same sums in the same order.
         """
         st, q, d1, nb = self.structure, self.quadrant, self.system.d1, self.structure.nb
-        band = np.zeros((2, nb), order="F")
-        coupling = np.zeros(st.coupling_cols.shape, order="F")
-        m = st.a11_gram(self.inv_d3[st.rest], out, scratch, band, coupling)
+        m, band, coupling, gram = st.work_parts(buffer)
+        st.a11_gram(self.inv_d3[st.rest], buffer, m, scratch)
         f_k = self.f_rows[:, st.k_columns]   # F_R T on K; its s columns are 0
         m += np.matmul(f_k.T, _cho_solve(self.g_chol, f_k), out=scratch)
         flat = m.T.reshape(-1)
@@ -773,7 +773,6 @@ class _SchurFactorization:
         coupling[st.own_aperture] += d1[:nb]
         if st.gram_cells.size:
             d = np.concatenate([q.aa, q.rr])
-            gram = np.zeros((st.k, st.k), order="F")
             if st.b.size:
                 group_d = np.bincount(st.row_group, weights=d[st.row_nz], minlength=st.b.shape[0])
                 scaled = st.b * np.sqrt(group_d)[:, None]
@@ -793,7 +792,7 @@ class _SchurFactorization:
         pair's W^T W, of order J + 1, is subtracted from S's upper cells.
         """
         st = self.structure
-        if st.nb:
+        if st.nb:   # on an order-0 view, dpbtrf and dtbtrs write into the buffer's other parts
             np.asarray_chkfinite(band), np.asarray_chkfinite(coupling)
             self.s_band, info = scipy.linalg.lapack.dpbtrf(band, overwrite_ab=True)
             if info > 0:
@@ -811,7 +810,7 @@ class _SchurFactorization:
         """``M^-1 rhs`` as ``T M'^-1 T^T rhs``, by block elimination of the s-block."""
         st, nb = self.structure, self.structure.nb
         k_rhs = rhs[st.k_columns]
-        if not nb:
+        if not nb:   # _factor made no s_band: band routines on order-0 views write elsewhere
             return _cho_solve(self.m_chol, k_rhs)
         z = scipy.linalg.lapack.dtbtrs(self.s_band, (rhs[:nb] + rhs[nb:2 * nb])[:, None],
                                        trans="T")[0][:, 0]
@@ -1148,7 +1147,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
     elif not prepared.serves(lp):
         raise ValueError("prepared for an LP with other constraints or bounds")
     structure = prepared.structure
-    work = _work_pair(structure.nk)   # every factorization of this solve builds and factors S here
+    work = _work_pair(structure)   # every factorization of this solve builds and factors M' here
     settings = settings or SolverSettings()
     b, c, lower = lp.rhs(), lp.objective_vector, lp.lower
     up = np.flatnonzero(np.isfinite(lp.upper))   # the only columns with an upper-bound dual

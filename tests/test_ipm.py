@@ -499,7 +499,7 @@ class SparseProductFactorization(_SchurFactorization):
         g_rows = (scale_columns(a12_rows, -q.xx) @ a12_rows.T.tocsr()).toarray()
         g_rows[np.diag_indices_from(g_rows)] += system.d3[st.rows]
         self.g_chol = scipy.linalg.cho_factor(g_rows)[0]
-        self._factor_m(ipm._work_pair(st.nk))
+        self._factor_m(ipm._work_pair(st))
 
     def transformed_m(self):
         """M' in full, both triangles."""
@@ -522,15 +522,15 @@ class SparseProductFactorization(_SchurFactorization):
         m += spread.T.tocsr() @ (gram @ spread.toarray())
         return m
 
-    def _fill_m(self, out, scratch):
+    def _fill_m(self, buffer, scratch):
         st = self.structure
         nb = st.nb
         m = self.transformed_m()
-        band = np.zeros((2, nb), order="F")
+        out, band, coupling, _ = st.work_parts(buffer)
+        buffer.fill(0.0)
         band[1] = np.diagonal(m[:nb, :nb])
         band[0, 1:] = np.diagonal(m[:nb, :nb], 1)
-        rows = np.arange(nb)[:, None]
-        coupling = np.asfortranarray(m[rows, nb + st.coupling_cols])
+        coupling[...] = m[np.arange(nb)[:, None], nb + st.coupling_cols]
         out[...] = m[nb:, nb:]
         return band, coupling, out
 
@@ -589,8 +589,8 @@ def test_factorization_is_byte_equal_to_sparse_products(case):
         fact = _SchurFactorization(system, structure)
         ref = SparseProductFactorization(system, structure)
         # the assembled s-block, s-K coupling and M_KK (its upper triangle, which potrf reads)
-        parts = fact._fill_m(*ipm._work_pair(structure.nk))
-        ref_parts = ref._fill_m(*ipm._work_pair(structure.nk))
+        parts = fact._fill_m(*ipm._work_pair(structure))
+        ref_parts = ref._fill_m(*ipm._work_pair(structure))
         for mine, theirs, name in zip(parts, ref_parts, ("band", "coupling", "M_KK")):
             if name == "M_KK":
                 mine, theirs = np.triu(mine), np.triu(theirs)
@@ -787,29 +787,75 @@ def test_schur_solve_singular_reduced_matrix_is_regularized():
     assert_same_bytes(np.triu(fact.m_chol), np.triu(expected))
 
 
-def test_regularized_factorization_refills_a_shared_work_pair():
-    # A solve passes every factorization one work pair, filled by the one before:
-    # after the failed potrf, M is rebuilt there from scratch, as in a fresh pair.
-    system = singular_reduced_system()
-    fresh = _SchurFactorization(system)
-    work = ipm._work_pair(2)
-    for array, value in zip(work, (7.0, -3.0)):
-        array.fill(value)
-    shared = _SchurFactorization(system, fresh.structure, work)
-    assert shared.regularized and shared.m_chol is work[0]
-    assert shared.m_chol.tobytes(order="A") == fresh.m_chol.tobytes(order="A")
+def factored_parts(fact):
+    """The factors a factorization keeps in its work buffer: ``m_chol``, and with leaf pairs ``s_band`` and ``w``."""
+    return [fact.m_chol] + ([fact.s_band, fact.w] if fact.structure.nb else [])
+
+
+def test_regularized_factorization_refills_a_shared_work_pair(monkeypatch):
+    # A solve passes every factorization one work pair, filled by the one before: after
+    # the failed factorization, M' is rebuilt there from scratch, as in a fresh pair.
+    # The singular system's failed potrf leaves a partial factor of M_KK; on the demo,
+    # each first attempt fails after factoring the band, W and S in the buffer.
+    factor, calls = _SchurFactorization._factor, []
+
+    def failing_after(self, *parts):
+        chol = factor(self, *parts)
+        calls.append(1)
+        if len(calls) % 2:
+            raise scipy.linalg.LinAlgError("injected")
+        return chol
+
+    for system in (singular_reduced_system(), demo_leaf_pair_system(88)[1]):
+        leaf_pairs = system.machine is not None
+        if leaf_pairs:
+            monkeypatch.setattr(_SchurFactorization, "_factor", failing_after)
+        fresh = _SchurFactorization(system)
+        structure = fresh.structure
+        work = ipm._work_pair(structure)
+        for part, value in zip(structure.work_parts(work[0]), (7.0, -3.0, 5.0, 11.0)):
+            part.fill(value)
+        work[1].fill(-2.0)
+        assert all(part.size for part in structure.work_parts(work[0])) == leaf_pairs
+        shared = _SchurFactorization(system, structure, work)
+        assert shared.regularized and fresh.regularized
+        for mine, theirs, part in zip(factored_parts(shared), factored_parts(fresh),
+                                      structure.work_parts(work[0])):
+            assert np.shares_memory(mine, part)
+            assert mine.tobytes(order="A") == theirs.tobytes(order="A")
 
 
 def test_factorization_keeps_solving_after_later_ones_on_its_structure():
-    system = random_kkt(np.random.default_rng(18))
-    rhs = np.random.default_rng(19).standard_normal(system.order)
-    first = _SchurFactorization(system)
-    expected = first.solve(rhs)
-    work = ipm._work_pair(system.n1)
-    for scale in (2.0, 3.0):
-        _SchurFactorization(replace(system, d1=scale * system.d1), first.structure)
-        _SchurFactorization(replace(system, d1=scale * system.d1), first.structure, work)
-    assert first.solve(rhs).tobytes() == expected.tobytes()
+    for system in (random_kkt(np.random.default_rng(18)), demo_leaf_pair_system(89)[1]):
+        rhs = np.random.default_rng(19).standard_normal(system.order)
+        first = _SchurFactorization(system)
+        assert (first.structure.nb > 0) == (system.machine is not None)
+        expected = first.solve(rhs)
+        work = ipm._work_pair(first.structure)
+        for scale in (2.0, 3.0):
+            _SchurFactorization(replace(system, d1=scale * system.d1), first.structure)
+            _SchurFactorization(replace(system, d1=scale * system.d1), first.structure, work)
+        assert first.solve(rhs).tobytes() == expected.tobytes()
+
+
+def test_machine_less_systems_never_reach_the_band_routines(monkeypatch):
+    # Without leaf pairs the band and the coupling are order-0 views of the work buffer,
+    # and LAPACK's band routines must not run on them: they write into its other parts.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a band LAPACK routine ran without leaf pairs")
+
+    rng = np.random.default_rng(90)
+    lp = balanced_lp(demo_variant("demo"))
+    demo = ipm._kkt_system(lp, rng.uniform(0.5, 2.0, lp.num_variables),
+                           rng.uniform(0.5, 2.0, lp.num_rows))
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", refuse)
+    monkeypatch.setattr(scipy.linalg.lapack, "dtbtrs", refuse)
+    for system in (random_kkt(rng), replace(demo, machine=None), replace(demo, a21=lp.a21)):
+        fact = _SchurFactorization(system)
+        assert fact.structure.nb == 0 and not fact.regularized
+        rhs = rng.standard_normal(system.order)
+        residual = system.assemble() @ fact.solve(rhs) - rhs
+        assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
 
 
 def test_schur_factorization_is_freed_without_cyclic_gc():
@@ -875,15 +921,35 @@ def test_solve_builds_newton_structure_once(monkeypatch):
 
 
 def test_solve_allocates_one_work_pair(monkeypatch):
-    # every factorization of a solve builds M_KK in the same pair, of S's order
+    # every factorization of a solve builds and factors M' in the same buffer, of
+    # nk^2 + 2 nb + nb (J + 1) + k^2 entries, and one nk x nk product
     *_, lp = toy_dav_instance(num_voxels=6, volume=0.4)
     prepared = ipm.PreparedLP(lp)
+    st = prepared.structure
+    nb, nk, width = lp.machine.num_bixels, lp.n1 - lp.machine.num_bixels, lp.machine.bixels_per_row
+    assert (st.nb, st.nk) == (nb, nk) and nb > 0
     allocate, allocated = ipm._work_pair, []
-    monkeypatch.setattr(ipm, "_work_pair", lambda n1: allocated.append(n1) or allocate(n1))
+    monkeypatch.setattr(ipm, "_work_pair", lambda structure: allocated.append(allocate(structure))
+                        or allocated[-1])
+    factor_m, factored = _SchurFactorization._factor_m, []
+
+    def recording(self, work):
+        factor_m(self, work)
+        factored.append((work, factored_parts(self)))
+
+    monkeypatch.setattr(_SchurFactorization, "_factor_m", recording)
     res = solve(lp, SolverSettings(dose_tolerance_gy=1e-6), prepared=prepared)
     assert res.converged
     assert res.iterations > 2
-    assert allocated == [lp.n1 - lp.machine.num_bixels]
+    assert len(allocated) == 1
+    buffer, product = allocated[0]
+    assert buffer.shape == (nk * nk + 2 * nb + nb * (width + 1) + st.k * st.k,)
+    assert product.shape == (nk, nk) and product.flags.f_contiguous
+    assert len(factored) == res.iterations - 1
+    for work, parts in factored:
+        assert work is allocated[0] and len(parts) == 3
+        for part, view in zip(parts, st.work_parts(buffer)):
+            assert np.shares_memory(part, view) and not np.shares_memory(part, product)
 
 
 def test_solve_never_forms_full_matrix(monkeypatch):
@@ -1093,7 +1159,7 @@ def test_newton_step_direction_meets_its_pairs():
     rd = lp.objective_vector - prepared.structure.rmatvec(it.y) - it.z
     rd[up] += it.w
     timings = dict.fromkeys(("factorization", "back_solve"), 0.0)
-    step = ipm._NewtonStep(lp, prepared.structure, ipm._work_pair(prepared.structure.nk), up, gaps,
+    step = ipm._NewtonStep(lp, prepared.structure, ipm._work_pair(prepared.structure), up, gaps,
                            duals, rp, rd, timings, None)
     rc = [-g * v for g, v in zip(gaps, duals)]
     d_gaps, d_duals = step.direction(rc)
