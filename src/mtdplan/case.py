@@ -76,7 +76,7 @@ class Case:
     workers: int = 1
     _influence: DoseInfluence | None = None
     _prepared: PreparedLP | None = None   # kept by mco.prepared_instance
-    _restart: Restart | None = None   # a sweep point's start, set by mco._solve_entry
+    _restart: tuple[int, Restart] | None = None   # (parent point, restart), set by mco._solve_entry
 
     def dose_influence(self) -> DoseInfluence:
         if self._influence is None:

@@ -126,9 +126,13 @@ each solve then does one back-solve for ``y_ls``.  A solve may instead
 start at an iterate of an earlier solve of the same constraints.  Every
 solve records one, with its ``iteration`` and ``mu``: its first iterate
 with ``mu`` at most ``_RESTART_MU_FRACTION`` (0.1) of its starting
-``mu``, past the short steps that leave the least-squares point.  With
-only ``c`` changed, that iterate's primal part is exactly as feasible as
-it was; the dual residual absorbs the new ``c``.
+``mu``, past the short steps that leave the least-squares point, and the
+``c`` it was measured under.  With only ``c`` changed, that iterate's
+primal part is exactly as feasible as it was.  A start from another
+objective is shifted first (:meth:`Restart.shifted`): the change of
+``c`` goes into ``z`` where it is positive and into ``w`` where it is
+negative, so the dual residual is also as it was, and ``z`` and ``w``
+stay strictly positive.
 
 Each measured iterate, as its complementary pairs ``gaps`` = [x - lower,
 s, upper - x on ``up``] and ``duals`` = [z, y, w], goes to one routine,
@@ -927,7 +931,7 @@ class PreparedLP:
         return Restart(x=x, s=np.maximum(s_hat, 0.1 * (1.0 + _mean_abs(s_hat))),
                        y=np.maximum(y_ls, 0.0) + 0.1 * (1.0 + _mean_abs(y_ls)),
                        z=np.maximum(z_hat, 0.0) + dz,
-                       w=np.maximum(-z_hat[np.isfinite(lp.upper)], 0.0) + dz)
+                       w=np.maximum(-z_hat[np.isfinite(lp.upper)], 0.0) + dz, c=c)
 
 
 def _mean_abs(v: np.ndarray) -> float:
@@ -939,11 +943,13 @@ def _mean_abs(v: np.ndarray) -> float:
 class Restart:
     """An iterate of a solve: ``x``, the row slacks ``s``, the duals ``y``, ``z`` and ``w``.
 
-    ``w`` is on the columns with a finite upper bound.  :func:`solve`
-    steps from one iterate to a new one and never writes into an array
-    of one, so an iterate it hands out, ``SolveResult.restart``, stays as
-    it was taken, to start another solve of the same constraints from.
-    ``iteration`` and ``mu`` say where in its solve a restart was taken.
+    ``w`` is on the columns with a finite upper bound, and ``c`` is the
+    objective the iterate was measured under.  :func:`solve` steps from
+    one iterate to a new one and never writes into an array of one, so an
+    iterate it hands out, ``SolveResult.restart``, stays as it was taken,
+    to start other solves of the same constraints from, under any
+    objective (see :meth:`shifted`).  ``iteration`` and ``mu`` say where
+    in its solve a restart was taken.
     """
 
     x: np.ndarray
@@ -951,8 +957,26 @@ class Restart:
     y: np.ndarray
     z: np.ndarray
     w: np.ndarray
+    c: np.ndarray
     iteration: int = 0
     mu: float = 0.0
+
+    def shifted(self, c: np.ndarray, up: np.ndarray) -> Restart:
+        """This iterate for the objective ``c``, with the same dual residual.
+
+        With ``dc = c - self.c``, ``z`` takes ``dc`` where it is positive
+        and ``w`` (on ``up``) takes ``-dc`` where it is negative, so
+        ``c - A^T y - z + w`` keeps its value and both stay strictly
+        positive.  A column where ``dc < 0`` without a finite upper bound
+        has no ``w``, and its residual takes ``dc``.  ``x``, ``s`` and
+        ``y`` are this iterate's own arrays; ``z`` and ``w`` are new ones.
+        Under this iterate's own objective it is returned as it is.
+        """
+        if np.array_equal(c, self.c):
+            return self
+        dc = c - self.c
+        return replace(self, z=self.z + np.maximum(dc, 0.0),
+                       w=self.w - np.minimum(dc[up], 0.0), c=c)
 
 
 @dataclass(frozen=True)
@@ -1132,8 +1156,9 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
 
     ``prepared`` is a :class:`PreparedLP` of an LP sharing ``lp``'s
     constraints; without one, the solve prepares ``lp`` itself.  With
-    ``start`` the iteration begins at that restart iterate, otherwise at
-    the least-squares point.  ``SolveResult.timings`` sums the solve's
+    ``start`` the iteration begins at that restart iterate, shifted to
+    ``lp``'s objective (:meth:`Restart.shifted`), otherwise at the
+    least-squares point.  ``SolveResult.timings`` sums the solve's
     wall time by phase: building the per-LP Newton structure, the
     factorizations, the back-solves, and ``step`` for everything else
     (starting point, residuals, step lengths and updates).  A given
@@ -1210,7 +1235,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
                         + _conflict_report(lp, it.y / norm, z_ray / norm, it.w / norm, up, value), mu)
         return None, "", mu
 
-    it = start if start is not None else prepared.least_squares_start(c, timings)
+    it = prepared.least_squares_start(c, timings) if start is None else start.shifted(c, up)
     regularized = start is None and prepared.ones_fact.regularized
     sigma = alpha_p = alpha_d = 0.0
     restart = None
@@ -1263,7 +1288,7 @@ def solve(lp: BlockLP, settings: SolverSettings | None = None, prepared: Prepare
         (dx, ds, _), (dz, dy, dw) = corrector
         it = Restart(x=_stepped(it.x, alpha_p, dx), s=_stepped(it.s, alpha_p, ds),
                      y=_stepped(it.y, alpha_d, dy), z=_stepped(it.z, alpha_d, dz),
-                     w=_stepped(it.w, alpha_d, dw))
+                     w=_stepped(it.w, alpha_d, dw), c=c)
 
 
 def write_iteration_log(path, history) -> None:

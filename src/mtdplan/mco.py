@@ -54,6 +54,7 @@ class Plan:
     solver_history: list = field(default_factory=list)
     message: str = ""   # the solver's account of a status other than converged
     start: str = "least-squares"   # how the solve started (see solve_single_weight)
+    start_point: int | None = None   # the grid point whose restart it started from, if any
     restart: ipm.Restart | None = None   # the solve's restart iterate, if it reached one
 
     @property
@@ -102,20 +103,21 @@ def prepared_instance(case) -> ipm.PreparedLP:
 def solve_single_weight(case, weights, settings: ipm.SolverSettings | None = None) -> Plan:
     """Solve one weighted-sum instance of the case's prepared LP, returning the full plan.
 
-    The solve starts at ``case._restart`` when a sweep has set it (see
-    :func:`generate_pareto_set`), otherwise at the least-squares point.
+    The solve starts at the restart of ``case._restart``, a pair (grid
+    point, restart), when a sweep has set it (see :func:`generate_pareto_set`),
+    otherwise at the least-squares point.
     """
     prepared = prepared_instance(case)
     lp = prepared.lp.reweighted(weights)
-    restart = case._restart
+    parent, restart = case._restart or (None, None)
     result = ipm.solve(lp, settings or case.solver_settings(), prepared=prepared, start=restart)
     traj = lp.extract_trajectories(result.x)
     fluence = fluence_from_trajectories(traj, case.machine)
     dose = dose_from_trajectories(case.dose_influence(), traj, case.machine)
     quality, violations = evaluation.evaluate_plan(case.phantom, dose,
                                                    case.quality_indices, case.criteria)
-    start = ("least-squares" if restart is None else
-             f"restart from grid point 0 (iteration {restart.iteration}, mu {restart.mu:.3g})")
+    start = ("least-squares" if restart is None else f"restart from grid point {parent} "
+             f"(iteration {restart.iteration}, mu {restart.mu:.3g})")
     return Plan(weights=np.asarray(weights, dtype=float),
                 trajectories=traj, fluence=fluence, dose=dose,
                 xi=lp.xi_values(result.x),
@@ -124,7 +126,7 @@ def solve_single_weight(case, weights, settings: ipm.SolverSettings | None = Non
                 quality=quality, violations=violations,
                 gap_gy=result.gap_gy, iterations=result.iterations,
                 status=result.status, solver_history=result.history, message=result.message,
-                start=start, restart=result.restart)
+                start=start, start_point=parent, restart=result.restart)
 
 
 _worker_case = None   # the case of a pool worker's tasks, set once per worker by _start_worker
@@ -136,10 +138,10 @@ def _start_worker(case) -> None:
     _worker_case = case
 
 
-def _solve_entry(case, index, weights, restart) -> ParetoEntry:
-    """Solve grid point ``index`` with the case's settings, from ``restart`` or cold if None."""
+def _solve_entry(case, index, weights, start) -> ParetoEntry:
+    """Solve grid point ``index`` with the case's settings, from ``start`` or cold if None."""
     try:
-        plan = solve_single_weight(replace(case, _restart=restart), weights)
+        plan = solve_single_weight(replace(case, _restart=start), weights)
     except Exception as exc:  # a failed weight must not kill the sweep
         return ParetoEntry(index, np.asarray(weights), "error", None, message=str(exc))
     return ParetoEntry(index, np.asarray(weights), plan.status, plan)
@@ -149,41 +151,69 @@ def _solve_in_worker(task) -> ParetoEntry:
     return _solve_entry(_worker_case, *task)
 
 
+def _parents(grid: np.ndarray) -> list[int | None]:
+    """Each grid point's nearest earlier row, ties to the lowest index; None for point 0."""
+    return [None] + [int(np.argmin(np.linalg.norm(grid[:i] - grid[i], axis=1)))
+                     for i in range(1, grid.shape[0])]
+
+
 def generate_pareto_set(case, grid: np.ndarray) -> ParetoSet:
     """Solve one weighted-sum instance per grid point, with the case's settings.
 
     Every point solves the case's one prepared LP (:func:`prepared_instance`),
     reweighted.  Grid point 0 is solved first, in this process, from the
-    least-squares point.  If it converges, every later point whose grid row
-    differs from point 0's starts at point 0's restart iterate, the first
-    with ``mu`` at most 0.1 of its starting ``mu``.  A point repeating row 0,
-    and every point of a sweep whose point 0 did not converge, are solved
-    cold.  This rule lives here alone: :func:`_solve_entry` sets the point's
-    restart as the case's ``_restart``, where :func:`solve_single_weight`
-    starts from it.  Each later point is a task ``(index, weights, restart)``.
-    With ``case.workers`` > 1 and more than one later point, a pool of
-    ``min(case.workers, later points)`` processes, started after point 0,
-    runs them; each worker receives the case once, when it starts.  Results
-    are merged in grid order, so output is the same for any worker count.
-    Failures are recorded per entry rather than raised, except when every
-    single instance fails.
+    least-squares point.  Each later point starts at the restart iterate
+    (the first with ``mu`` at most 0.1 of its starting ``mu``) of its
+    parent, the nearest earlier row of ``grid`` (:func:`_parents`), which
+    :func:`ipm.solve` shifts to the point's objective.  It starts cold when
+    the parent did not converge, has no restart or repeats its row.  This
+    rule lives here alone: a task ``(index, weights, start)`` carries
+    ``start`` = (parent, restart) or None, which :func:`_solve_entry` sets
+    as the case's ``_restart``.  With ``case.workers`` > 1 and more than
+    one later point, a pool of ``min(case.workers, later points)``
+    processes, started after point 0 and each sent the case once, runs the
+    tasks, each submitted once its parent's entry is back.  A start depends
+    only on the parent's entry, and entries stay in grid order, so output
+    is the same for any worker count.  Failures are recorded per entry
+    rather than raised, except when every single instance fails.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.shape[0] == 0:
         raise ValueError("the weight grid is empty")
     prepared_instance(case)  # built once here, so every worker starts with it
-    entries = [_solve_entry(case, 0, grid[0], None)]
-    restart = entries[0].plan.restart if entries[0].status == "converged" else None
-    tasks = [(i, grid[i], None if np.array_equal(grid[i], grid[0]) else restart)
-             for i in range(1, grid.shape[0])]
-    workers = min(case.workers, len(tasks))
-    if workers <= 1:
-        entries += [_solve_entry(case, *task) for task in tasks]
+    parents = _parents(grid)
+    entries = [_solve_entry(case, 0, grid[0], None)] + [None] * (grid.shape[0] - 1)
+
+    def task(index):
+        parent = entries[parents[index]]
+        restart = parent.plan.restart if parent.status == "converged" else None
+        keep = restart is not None and not np.array_equal(grid[index], parent.weights)
+        return index, grid[index], (parent.index, restart) if keep else None
+
+    workers = min(case.workers, grid.shape[0] - 1)
+    if workers <= 1:   # grid order solves every parent before its children
+        for index in range(1, grid.shape[0]):
+            entries[index] = _solve_entry(case, *task(index))
     else:
-        from concurrent.futures import ProcessPoolExecutor  # imported only where a pool starts
+        # imported only where a pool starts
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        children = {}
+        for index in range(1, grid.shape[0]):
+            children.setdefault(parents[index], []).append(index)
         with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                                  initargs=(case,)) as pool:
-            entries += pool.map(_solve_in_worker, tasks)
+            pending = {}
+
+            def submit_children(parent):
+                for index in children.get(parent, ()):
+                    pending[pool.submit(_solve_in_worker, task(index))] = index
+
+            submit_children(0)
+            while pending:
+                finished, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for index, future in sorted((pending.pop(f), f) for f in finished):
+                    entries[index] = future.result()
+                    submit_children(index)
     if all(e.plan is None for e in entries):
         raise RuntimeError("every weighted-sum instance failed: "
                            + "; ".join(e.message for e in entries[:3]))
@@ -257,14 +287,18 @@ def hull_and_shift_report(quality_points, objective_points) -> ShiftReport:
 
 
 def write_pareto_csv(path, pareto: ParetoSet, criteria, index_specs) -> None:
-    """One row per weight vector: status, gap, xi values, coordinates, quality."""
+    """One row per weight vector: status, gap, xi values, coordinates, quality, start point.
+
+    ``start_point`` is the grid point whose restart the plan's solve
+    started from, empty for a least-squares start.
+    """
     num_slots = pareto.entries[0].weights.size if pareto.entries else 0
     header = ["index", "status", "iterations", "gap_gy"]
     header += [f"w{j}" for j in range(num_slots)]
     header += [f"xi_{c.describe()}" for c in criteria]
     header += [f"obj_{spec.name}" for spec in index_specs]
     header += [f"quality_{spec.name}" for spec in index_specs]
-    header += ["violations_over_1pct", "balanced"]
+    header += ["violations_over_1pct", "balanced", "start_point"]
     rows = []
     for entry in pareto.entries:
         row = [entry.index, entry.status]
@@ -275,7 +309,7 @@ def write_pareto_csv(path, pareto: ParetoSet, criteria, index_specs) -> None:
             row += [plan.iterations, plan.gap_gy, *entry.weights, *plan.xi,
                     *plan.objective_coordinates, *plan.quality,
                     sum(1 for v in plan.violations if v.over_1pct),
-                    entry.index == pareto.balanced_index]
+                    entry.index == pareto.balanced_index, plan.start_point]
         rows.append(row)
     write_csv(path, header, rows)
 

@@ -630,7 +630,10 @@ def test_pareto_order_one_produces_three_plans(tmp_path):
     starts = [next(line for line in (out / f"plan_{i:03d}" / "plan_quality.txt").read_text()
                    .splitlines() if line.startswith("start: ")) for i in range(3)]
     assert starts[0] == "start: least-squares"
+    # both later points are nearest to point 0 (a tie between 0 and 1 for point 2, to 0)
     assert all(s.startswith("start: restart from grid point 0 (iteration ") for s in starts[1:])
+    assert table[0].endswith(",balanced,start_point")
+    assert [row.rsplit(",", 1)[1] for row in table[1:]] == ["", "0", "0"]
 
 
 def test_pareto_records_nonconverged_entries(tmp_path):

@@ -1086,6 +1086,45 @@ def test_restart_continues_its_solve_bit_for_bit(seed):
     assert again.history[0].mu == start.mu
 
 
+def test_a_restart_is_shifted_to_a_new_objective_and_kept_as_it_was():
+    # Grid point 0's restart, taken to another weight vector: the change of c goes into
+    # new z and w arrays, so the dual residual keeps its value and the parent is not written.
+    lp = demo_lp()
+    prepared = ipm.PreparedLP(lp)
+    grid = mco.weight_grid(lp.weights.size, 4)
+    parent = solve(lp.reweighted(grid[0]), SolverSettings(), prepared=prepared).restart
+    assert parent is not None and np.array_equal(parent.c, lp.reweighted(grid[0]).objective_vector)
+    names = ("x", "s", "y", "z", "w", "c")
+    before = {name: getattr(parent, name).tobytes() for name in names}
+    up = np.flatnonzero(np.isfinite(lp.upper))
+
+    def dual_residual(it, c):
+        rd = c - prepared.structure.rmatvec(it.y) - it.z
+        rd[up] += it.w
+        return rd
+
+    child = lp.reweighted(grid[9])
+    c = child.objective_vector
+    shifted = parent.shifted(c, up)
+    assert shifted.c is c
+    assert not np.array_equal(shifted.z, parent.z) and not np.array_equal(shifted.w, parent.w)
+    c_scale = 1.0 + float(np.max(np.abs(c)))
+    assert np.max(np.abs(dual_residual(shifted, c) - dual_residual(parent, parent.c))) \
+        <= 1e-12 * c_scale
+    for name in ("x", "s", "y"):
+        assert getattr(shifted, name).tobytes() == before[name]
+    assert np.all(shifted.z > 0) and np.all(shifted.w > 0)
+    assert parent.shifted(parent.c.copy(), up) is parent   # the same c: used as it is
+
+    # Two children solved from the parent start where the shifted start is, and leave it whole.
+    first, second = (solve(other, SolverSettings(), prepared=prepared, start=parent)
+                     for other in (child, lp.reweighted(grid[14])))
+    assert first.converged and second.converged
+    assert first.history[0].dual_residual \
+        == float(np.max(np.abs(dual_residual(shifted, c)))) / c_scale
+    assert {name: getattr(parent, name).tobytes() for name in names} == before
+
+
 def max_step_of_part(values, deltas):
     """Largest step keeping values + step*deltas nonnegative; 1.0 if nothing shrinks."""
     shrinking = deltas < 0

@@ -154,19 +154,38 @@ def test_generate_pareto_deterministic_repeat(tiny_case):
     assert np.array_equal(a.plan.quality, b.plan.quality)
 
 
+def nearest_earlier(grid, index):
+    """The nearest earlier row of ``grid`` to row ``index``, the lowest index on a tie."""
+    distances = [float(np.sqrt(np.sum((grid[j] - grid[index]) ** 2))) for j in range(index)]
+    return distances.index(min(distances))
+
+
+def restarted_from(entries, parent):
+    restart = entries[parent].plan.restart
+    return f"restart from grid point {parent} (iteration {restart.iteration}, mu {restart.mu:.3g})"
+
+
 def test_parallel_matches_serial(tiny_case):
-    grid = weight_grid(3, 1)
+    grid = weight_grid(3, 2)
     serial = generate_pareto_set(replace(tiny_case, workers=1), grid)
-    parallel = generate_pareto_set(replace(tiny_case, workers=2), grid)
-    for a, b in zip(serial.entries, parallel.entries):
-        assert a.status == b.status
-        assert np.array_equal(a.plan.objective_coordinates, b.plan.objective_coordinates)
-        assert np.array_equal(a.plan.dose, b.plan.dose)
+    assert [e.plan.start_point for e in serial.entries] == [None, 0, 0, 1, 1, 2]
+    for workers in (2, 3):
+        parallel = generate_pareto_set(replace(tiny_case, workers=workers), grid)
+        for a, b in zip(serial.entries, parallel.entries, strict=True):
+            assert a.status == b.status == "converged"
+            assert (a.plan.start, a.plan.start_point) == (b.plan.start, b.plan.start_point)
+            assert a.plan.iterations == b.plan.iterations
+            assert np.array_equal(a.plan.objective_coordinates, b.plan.objective_coordinates)
+            assert np.array_equal(a.plan.dose, b.plan.dose)
 
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """Pools that run in process, recording their size, their workers' case and every task."""
+    """Pools that run in process, recording their size, their workers' case and every task.
+
+    ``submit`` solves its task at once and hands back the finished future,
+    so tasks are recorded in the order the sweep submits them.
+    """
     record = SimpleNamespace(pools=[], tasks=[])
 
     class RecordingPool:
@@ -182,10 +201,11 @@ def recording_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            tasks = list(tasks)
-            record.tasks.extend(tasks)
-            return map(fn, tasks)
+        def submit(self, fn, task):
+            record.tasks.append(task)
+            future = concurrent.futures.Future()
+            future.set_result(fn(task))
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(mco, "_worker_case", None)   # the initializer sets it in this process
@@ -194,11 +214,15 @@ def recording_pool(monkeypatch):
 
 def test_parallel_workers_start_with_the_dose_influence(recording_pool):
     case = replace(load_case("demo:prostate_demo"), workers=2)
-    pareto = generate_pareto_set(case, weight_grid(3, 1))
+    grid = weight_grid(3, 1)
+    pareto = generate_pareto_set(case, grid)
     assert recording_pool.pools == [(2, True)]
-    # point 0 is solved in process; a task carries its index, weights and restart
+    # point 0 is solved in process; a task carries its index, weights and start, the pair
+    # (parent, parent's restart); both later points are nearest to point 0 (a tie, to 0)
     assert [task[0] for task in recording_pool.tasks] == [1, 2]
-    assert all(task[2] is pareto.entries[0].plan.restart for task in recording_pool.tasks)
+    assert [nearest_earlier(grid, index) for index in (1, 2)] == [0, 0]
+    for _, _, (parent, restart) in recording_pool.tasks:
+        assert parent == 0 and restart is pareto.entries[0].plan.restart
     assert isinstance(pareto.entries[0].plan.restart, ipm.Restart)
     assert [e.status for e in pareto.entries] == ["converged"] * 3
 
@@ -207,11 +231,26 @@ def test_pool_is_sized_to_the_points_after_point_0(recording_pool, tiny_case):
     pareto = generate_pareto_set(replace(tiny_case, workers=64), weight_grid(3, 1))
     assert [size for size, _ in recording_pool.pools] == [2]
     assert [task[0] for task in recording_pool.tasks] == [1, 2]
-    for index, weights, restart in recording_pool.tasks:
+
+    recording_pool.tasks.clear()
+    grid = weight_grid(3, 2)
+    pareto = generate_pareto_set(replace(tiny_case, workers=64), grid)
+    assert [size for size, _ in recording_pool.pools] == [2, 5]
+    # each point is submitted once, after its parent's entry is back
+    submitted = [task[0] for task in recording_pool.tasks]
+    assert submitted == [1, 2, 3, 4, 5]
+    for index, weights, (parent, restart) in recording_pool.tasks:
         assert np.array_equal(weights, pareto.entries[index].weights)
-        assert restart is pareto.entries[0].plan.restart
+        assert parent == nearest_earlier(grid, index)
+        assert parent == 0 or submitted.index(parent) < submitted.index(index)
+        assert restart is pareto.entries[parent].plan.restart
+    assert [nearest_earlier(grid, index) for index in range(1, 6)] == [0, 0, 1, 1, 2]
+
+    def parts(value):
+        return [p for v in value for p in parts(v)] if isinstance(value, tuple) else [value]
+
     assert not any(isinstance(part, (Case, ipm.SolverSettings))
-                   for task in recording_pool.tasks for part in task)
+                   for task in recording_pool.tasks for part in parts(task))
 
 
 def test_one_point_after_point_0_builds_no_pool(recording_pool, tiny_case):
@@ -225,15 +264,47 @@ def test_one_point_after_point_0_builds_no_pool(recording_pool, tiny_case):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_point_repeating_point_0_is_solved_cold(tiny_case, workers):
+    # Rows 6 and 7 repeat rows 0 and 3: each one's parent is the row it repeats, so it
+    # starts cold, and writes that row's plan byte for byte.
     grid = weight_grid(3, 2)
-    pareto = generate_pareto_set(replace(tiny_case, workers=workers), np.vstack([grid, grid[:1]]))
-    first, *middle, last = (e.plan for e in pareto.entries)
-    assert first.start == last.start == "least-squares"
-    assert all(plan.start.startswith("restart from grid point 0") for plan in middle)
-    assert last.trajectories.stacked().tobytes() == first.trajectories.stacked().tobytes()
-    assert last.xi.tobytes() == first.xi.tobytes()
-    assert last.dose.tobytes() == first.dose.tobytes()
+    grid = np.vstack([grid, grid[0], grid[3]])
+    pareto = generate_pareto_set(replace(tiny_case, workers=workers), grid)
+    plans = [e.plan for e in pareto.entries]
+    assert [nearest_earlier(grid, index) for index in (6, 7)] == [0, 3]
+    assert plans[0].start == plans[6].start == plans[7].start == "least-squares"
+    assert plans[0].start_point is plans[6].start_point is plans[7].start_point is None
+    for index in range(1, 6):
+        parent = nearest_earlier(grid, index)
+        assert plans[index].start == restarted_from(pareto.entries, parent)
+        assert plans[index].start_point == parent
+    cold = solve_single_weight(load_case("demo:prostate_demo"), grid[3])
+    for repeat, original in ((plans[6], plans[0]), (plans[7], cold)):
+        assert repeat.trajectories.stacked().tobytes() == original.trajectories.stacked().tobytes()
+        assert repeat.xi.tobytes() == original.xi.tobytes()
+        assert repeat.dose.tobytes() == original.dose.tobytes()
 
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_child_of_a_nonconverged_parent_starts_least_squares(tiny_case, workers,
+                                                              recording_pool, monkeypatch):
+    # Point 1 is reported as stopped at the iteration limit, with its restart still set:
+    # its children, points 3 and 4, start cold; point 5 restarts from point 2 as before.
+    grid = weight_grid(3, 2)
+    original = mco.solve_single_weight
+
+    def point_1_stops(case, weights, settings=None):
+        plan = original(case, weights, settings)
+        return replace(plan, status="iteration_limit") if np.array_equal(weights, grid[1]) else plan
+
+    monkeypatch.setattr(mco, "solve_single_weight", point_1_stops)
+    pareto = generate_pareto_set(replace(tiny_case, workers=workers), grid)
+    entries = pareto.entries
+    assert [e.status for e in entries] == ["converged", "iteration_limit"] + ["converged"] * 4
+    assert entries[1].plan.restart is not None
+    assert [e.plan.start_point for e in entries] == [None, 0, 0, None, None, 2]
+    assert entries[3].plan.start == entries[4].plan.start == "least-squares"
+    assert entries[5].plan.start == restarted_from(entries, 2)
+    assert len(recording_pool.pools) == (workers > 1)
 
 def test_balanced_entry_flagged(tiny_case):
     grid = weight_grid(3, 2)
@@ -286,20 +357,28 @@ def test_warm_sweep_keeps_statuses_and_objectives_in_fewer_iterations(demo_sweep
     cold_case = load_case("demo:prostate_demo")   # never given a restart
     cold = [solve_single_weight(cold_case, weights) for weights in grid]
     first = pareto.entries[0].plan
-    assert first.start == "least-squares" and first.restart is not None
-    assert first.restart.mu <= 0.1 * first.solver_history[0].mu
-    assert all(h.mu > 0.1 * first.solver_history[0].mu
-               for h in first.solver_history[1:first.restart.iteration])
-    restarted = (f"restart from grid point 0 (iteration {first.restart.iteration}, "
-                 f"mu {first.restart.mu:.3g})")
+    assert first.start == "least-squares" and first.start_point is None
+    for entry in pareto.entries:   # each plan's restart is its first iterate at 0.1 of mu0
+        history, restart = entry.plan.solver_history, entry.plan.restart
+        assert restart is not None and restart.mu <= 0.1 * history[0].mu
+        assert all(h.mu > 0.1 * history[0].mu for h in history[1:restart.iteration])
     for entry, plan in zip(pareto.entries, cold):
         assert entry.status == plan.status == "converged"
         assert abs(entry.plan.objective_value - plan.objective_value) \
             <= case.solver.dose_tolerance_gy
         assert plan.start == "least-squares"
         if entry.index:
-            assert entry.plan.start == restarted
+            parent = nearest_earlier(grid, entry.index)
+            assert entry.plan.start == restarted_from(pareto.entries, parent)
+            assert entry.plan.start_point == parent
+    assert {e.plan.start_point for e in pareto.entries[1:]} != {0}   # a chain, not a star
     assert sum(e.plan.iterations for e in pareto.entries) < sum(p.iterations for p in cold)
+
+
+def test_neighbour_chains_take_the_demo_sweep_below_283_iterations(demo_sweep):
+    # 283 is the sweep's total when every later point restarted from point 0 unshifted.
+    _, _, pareto, _ = demo_sweep
+    assert sum(e.plan.iterations for e in pareto.entries) < 283
 
 
 def test_prepared_instance_without_restart_matches_a_fresh_case_bitwise():
